@@ -105,7 +105,7 @@ where
             && parsed.wants("e18"))
     {
         return Err(
-            "--snapshot records the E11 engine sweep, the E12 symmetry sweep, the E13 \
+            "--snapshot records the E11 DFS scaling sweep, the E12 symmetry sweep, the E13 \
              full-state sweep, the E15 partial-order-reduction sweep, the E16 \
              storage-tier sweep, the E17 scalarset-symmetry sweep and the E18 swarm \
              sweep, but e11, e12, e13, e15, e16, e17 and e18 are not all among the \
@@ -202,7 +202,8 @@ mod tests {
     /// silent-no-op shape as the unknown-id bug, so it is rejected too.
     /// (E15 joined the snapshot set with the schema-2 `e15_rows`; E16
     /// joined with the schema-3 `e16_rows`; E17 with the schema-4
-    /// `e17_rows`; E18 with the schema-5 `e18_rows`.)
+    /// `e17_rows`; E18 with the schema-5 `e18_rows`. Schema 6 dropped the
+    /// parallel-engine columns but no experiment.)
     #[test]
     fn snapshot_requires_e11_through_e18_in_the_selection() {
         let err = parse_args(["e4", "--snapshot"]).expect_err("must reject");

@@ -825,9 +825,6 @@ pub struct E11Row {
     pub system: String,
     /// Crash budget of the (independent, post-decide) adversary.
     pub crash_budget: usize,
-    /// Engine: `"iterative"` (the serial worklist DFS) or `"parallel"`
-    /// (the sharded frontier engine).
-    pub engine: &'static str,
     /// `Verified` / `Truncated` (any violation would panic the sweep).
     pub verdict: String,
     /// Distinct states visited — the peak state count of the search.
@@ -838,14 +835,9 @@ pub struct E11Row {
     pub millis: f64,
     /// `states / seconds` (machine-dependent).
     pub states_per_sec: f64,
-    /// This row's states/sec over the iterative row of the same
-    /// configuration — the iterative-vs-sharded column (1.0 for the
-    /// iterative rows themselves).
-    pub vs_serial: f64,
 }
 
 fn e11_measure(
-    engine: &'static str,
     system: &str,
     budget: usize,
     factory: &rc_runtime::SystemFactory<'_>,
@@ -853,22 +845,17 @@ fn e11_measure(
 ) -> E11Row {
     use rc_runtime::ExploreOutcome;
     use std::time::{Duration, Instant};
-    let run_once = || match engine {
-        "iterative" => explore(factory, config),
-        "parallel" => rc_runtime::explore_parallel(factory, config),
-        other => panic!("unknown engine {other}"),
-    };
     // Single runs of small instances are milliseconds — far below timer
     // noise. Repeat until a time floor is reached (minimum three runs,
     // first discarded as warm-up) and report the best run, the standard
     // throughput methodology.
     let mut best = Duration::MAX;
     let mut total = Duration::ZERO;
-    let mut outcome = run_once(); // warm-up, also the reported verdict
+    let mut outcome = explore(factory, config); // warm-up, also the reported verdict
     let mut runs = 0u32;
     while runs < 3 || (total < Duration::from_millis(200) && runs < 50) {
         let start = Instant::now();
-        outcome = run_once();
+        outcome = explore(factory, config);
         let elapsed = start.elapsed();
         total += elapsed;
         best = best.min(elapsed);
@@ -887,29 +874,25 @@ fn e11_measure(
     E11Row {
         system: system.to_string(),
         crash_budget: budget,
-        engine,
         verdict,
         states,
         leaves,
         millis: best.as_secs_f64() * 1e3,
         states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        vs_serial: 1.0,
     }
 }
 
-/// E11: model-checker engine scaling — states/sec and peak state counts
-/// on the Fig. 2 team-RC workload (the E2 systems), `S_2..S_5` × crash
-/// budgets, the iterative serial DFS vs the sharded parallel frontier
-/// engine (the `vs serial` column is their states/sec ratio per
-/// configuration).
+/// E11: model-checker scaling — states/sec and peak state counts of the
+/// DFS engine on the Fig. 2 team-RC workload (the E2 systems),
+/// `S_2..S_5` × crash budgets.
 ///
 /// The adversary matches E2: independent crashes, post-decide crashes
 /// enabled, validity inputs declared. State and leaf counts are
-/// deterministic and must agree across both engines; wall-clock figures
-/// are machine-dependent (`BENCH_explore.json` tracks them across PRs
-/// on the reference machine — the seed recursive engine's last recorded
-/// baseline lives in EXPERIMENTS.md §E11 and the git history of that
-/// file, the engine itself is deleted).
+/// deterministic; wall-clock figures are machine-dependent
+/// (`BENCH_explore.json` tracks them across PRs together with the host
+/// core count — the seed recursive engine's and the deleted parallel
+/// frontier's last recorded rows live in EXPERIMENTS.md §E11 and the git
+/// history of that file).
 pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
     // (n, crash budgets): bigger systems get smaller budgets to keep the
     // exact search inside the default state cap.
@@ -923,7 +906,6 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
             (5, &[0, 1]),
         ]
     };
-    let threads = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
     let mut rows = Vec::new();
     for &(n, budgets) in sweep {
         let (ty, w) = sn_witness(n);
@@ -936,76 +918,34 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
                 inputs: Some(inputs.clone()),
                 ..ExploreConfig::default()
             };
-            let serial = e11_measure("iterative", &system, budget, &factory, &config);
-            let mut parallel = e11_measure(
-                "parallel",
-                &system,
-                budget,
-                &factory,
-                &ExploreConfig {
-                    threads,
-                    ..config.clone()
-                },
-            );
-            assert_eq!(serial.verdict, parallel.verdict, "engines must agree");
-            assert_eq!(serial.states, parallel.states, "engines must agree");
-            assert_eq!(serial.leaves, parallel.leaves, "engines must agree");
-            parallel.vs_serial = parallel.states_per_sec / serial.states_per_sec.max(1e-9);
-            rows.push(serial);
-            rows.push(parallel);
+            rows.push(e11_measure(&system, budget, &factory, &config));
         }
     }
     let mut t = Table::new(&[
         "system",
         "crash budget",
-        "engine",
         "verdict",
         "states",
         "leaves",
         "ms",
         "states/sec",
-        "vs serial",
     ]);
     for r in &rows {
         t.row(&[
             r.system.clone(),
             r.crash_budget.to_string(),
-            r.engine.to_string(),
             r.verdict.clone(),
             r.states.to_string(),
             r.leaves.to_string(),
             format!("{:.1}", r.millis),
             format!("{:.0}", r.states_per_sec),
-            format!("{:.2}×", r.vs_serial),
         ]);
     }
-    // The headline ratio: sharded vs serial on the largest instance of
-    // the sweep — the configuration the ROADMAP item names (S_5, crash
-    // budget ≥ 1) when the full sweep runs.
-    let speedup = {
-        let pick = |system: &str, budget: usize| {
-            rows.iter()
-                .find(|r| r.system == system && r.crash_budget == budget && r.engine == "parallel")
-                .map(|r| r.vs_serial)
-        };
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        match pick("S_5", 1).or_else(|| pick("S_4", 1)) {
-            Some(ratio) => format!(
-                "sharded-dedup frontier at {ratio:.2}× the serial engine's states/sec on \
-                 the largest swept instance ({threads} threads, {cores} hardware core(s); \
-                 on a single core the engine runs its fused single-worker configuration, \
-                 so this ratio is the coordination-free BFS-vs-DFS floor — the \
-                 pre-sharding frontier recorded 0.17× on S_5/budget-1, see the \
-                 BENCH_explore.json history)"
-            ),
-            None => "n/a (no parallel rows in sweep)".to_string(),
-        }
-    };
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = format!(
-        "E11 — model-checker engine scaling (Fig. 2 team-RC workload, \
-         independent crashes, post-decide enabled):\n{}\n{speedup}; \
-         states/leaves are deterministic and identical across engines \
-         (asserted), wall-clock is machine-dependent.\n",
+        "E11 — model-checker scaling (Fig. 2 team-RC workload, independent \
+         crashes, post-decide enabled; one DFS engine, host_cores = {cores}):\n{}\n\
+         states/leaves are deterministic, wall-clock is machine-dependent.\n",
         t.render()
     );
     (report, rows)
@@ -1887,21 +1827,19 @@ pub struct E16Row {
     /// baseline row runs at the catalog's historical cap and re-records
     /// its `Truncated` verdict.
     pub tier: String,
-    /// `"unreduced"` (the plain engines, the tier-parity grid) or
+    /// `"unreduced"` (the plain search, the tier-parity grid) or
     /// `"por+rebind"` (both reducers composed on the masked instance —
     /// the storage tiers must stay exact under the reduced search too).
     pub mode: &'static str,
-    /// `ExploreConfig::threads` (1 = serial DFS, >1 = frontier BFS).
-    pub threads: usize,
     /// The `max_states` cap the row ran under.
     pub max_states: usize,
-    /// The `max_bytes` cap (0 = uncapped). Byte-capped rows route
-    /// through the frontier engine's deterministic byte budget.
+    /// The `max_bytes` cap (0 = uncapped), charged in the DFS's
+    /// acceptance order.
     pub max_bytes: usize,
     /// `Verified` / `Truncated` (a violation would panic the sweep).
     pub verdict: String,
     /// Distinct states visited — asserted identical across every tier
-    /// and thread count of an instance's lifted-cap rows.
+    /// of an instance's lifted-cap rows.
     pub states: usize,
     /// Weighted executions enumerated — asserted identical across the
     /// lifted-cap rows *and* against the catalog's reduced-engine
@@ -1946,7 +1884,6 @@ fn e16_measure(
         crash_budget: budget,
         tier: config.storage.to_string(),
         mode: "unreduced",
-        threads: config.threads,
         max_states: config.max_states,
         max_bytes: config.max_bytes.unwrap_or(0),
         verdict,
@@ -1965,20 +1902,20 @@ fn e16_measure(
 /// default cap recorded as `Truncated` (E12's `S_8`/budget-0 off row,
 /// E13's masked `S_7`/budget-0 off row), re-run **unreduced** with the
 /// cap lifted under every storage tier
-/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)) at threads
-/// 1/2/8. Each instance records:
+/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)). Each
+/// instance records:
 ///
 /// * a `flat` **baseline** row at the historical 5M cap, re-recording
 ///   the catalog's `Truncated` verdict (asserted);
-/// * a **lifted-cap grid** — 4 tiers × threads {1, 2, 8} — every row
-///   asserted `Verified` with byte-identical state and weighted-leaf
-///   counts, and the leaf count asserted equal to what the catalog's
-///   *reduced* engines (rebind / symmetry-on) computed for the same
-///   instance: the full unreduced search independently confirms the
-///   reduction machinery's answer;
+/// * a **lifted-cap grid** — one row per tier — every row asserted
+///   `Verified` with byte-identical state and weighted-leaf counts, and
+///   the leaf count asserted equal to what the catalog's *reduced*
+///   searches (rebind / symmetry-on) computed for the same instance:
+///   the full unreduced search independently confirms the reduction
+///   machinery's answer;
 /// * one **byte-capped** row (`ExploreConfig::max_bytes` generous
-///   enough to verify) exercising the frontier engine's deterministic
-///   byte budget at scale, asserted identical to the grid.
+///   enough to verify) exercising the deterministic byte budget at
+///   scale, asserted identical to the grid.
 ///
 /// Exactness is the point: the filter tier can only *skip* probes that
 /// would have found nothing and the spill tier compares full key bytes
@@ -2036,9 +1973,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
             },
         ]
     };
-    // Small enough that every lifted-cap spill row freezes runs even
-    // split across 8 shards; run probes stay cheap behind the per-run
-    // Blooms.
+    // Small enough that every lifted-cap spill row freezes runs; run
+    // probes stay cheap behind the per-run Blooms.
     let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
     let byte_cap: usize = if fast { 256 << 20 } else { 8 << 30 };
     let mut rows: Vec<E16Row> = Vec::new();
@@ -2086,66 +2022,61 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         rows.push(baseline);
         let mut reference: Option<(usize, usize)> = None;
         for tier in StorageTier::ALL {
-            for threads in [1usize, 2, 8] {
-                let cfg = ExploreConfig {
-                    max_states: inst.lifted_cap,
-                    storage: tier,
-                    threads,
-                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
-                    ..base.clone()
-                };
-                let row = e16_measure(&system, inst.budget, &cfg, &|| {
-                    explore_with_stats(&factory, &cfg)
-                });
+            let cfg = ExploreConfig {
+                max_states: inst.lifted_cap,
+                storage: tier,
+                spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
+                ..base.clone()
+            };
+            let row = e16_measure(&system, inst.budget, &cfg, &|| {
+                explore_with_stats(&factory, &cfg)
+            });
+            assert_eq!(
+                row.verdict, "Verified",
+                "{system}/{}: the lifted cap must verify exactly under {tier}",
+                inst.budget
+            );
+            assert!(
+                row.states > inst.baseline_cap,
+                "{system}/{}: the instance must really exceed the baseline cap",
+                inst.budget
+            );
+            if let Some(expected) = inst.expected_leaves {
                 assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: the lifted cap must verify exactly under {tier}/t{threads}",
+                    row.leaves, expected,
+                    "{system}/{}: the unreduced search must reproduce the catalog's \
+                     reduced-search weighted leaf count",
                     inst.budget
                 );
-                assert!(
-                    row.states > inst.baseline_cap,
-                    "{system}/{}: the instance must really exceed the baseline cap",
-                    inst.budget
-                );
-                if let Some(expected) = inst.expected_leaves {
-                    assert_eq!(
-                        row.leaves, expected,
-                        "{system}/{}: the unreduced search must reproduce the catalog's \
-                         reduced-engine weighted leaf count",
-                        inst.budget
-                    );
-                }
-                match reference {
-                    None => reference = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: byte-identical outcomes across tiers and threads \
-                         ({tier}/t{threads})",
-                        inst.budget
-                    ),
-                }
-                if tier == StorageTier::PackedSpill {
-                    assert!(
-                        row.spilled_mb > 0.0,
-                        "{system}/{}: the spill row at t{threads} must freeze runs",
-                        inst.budget
-                    );
-                }
-                if tier == StorageTier::PackedFilter {
-                    assert!(
-                        row.filter_bits > 0,
-                        "{system}/{}: the filter row at t{threads} must populate the Bloom",
-                        inst.budget
-                    );
-                }
-                rows.push(row);
             }
+            match reference {
+                None => reference = Some((row.states, row.leaves)),
+                Some(r) => assert_eq!(
+                    (row.states, row.leaves),
+                    r,
+                    "{system}/{}: byte-identical outcomes across tiers ({tier})",
+                    inst.budget
+                ),
+            }
+            if tier == StorageTier::PackedSpill {
+                assert!(
+                    row.spilled_mb > 0.0,
+                    "{system}/{}: the spill row must freeze runs",
+                    inst.budget
+                );
+            }
+            if tier == StorageTier::PackedFilter {
+                assert!(
+                    row.filter_bits > 0,
+                    "{system}/{}: the filter row must populate the Bloom",
+                    inst.budget
+                );
+            }
+            rows.push(row);
         }
         let byte_cfg = ExploreConfig {
             max_states: inst.lifted_cap,
             storage: StorageTier::PackedSpill,
-            threads: 1,
             spill_threshold: Some(spill_threshold),
             max_bytes: Some(byte_cap),
             ..base.clone()
@@ -2168,62 +2099,57 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
             // The composed reducers (por+rebind, as in E15) on top of
             // the packed and spill tiers: the storage layer must stay
             // exact under the reduced search too — byte-identical
-            // canonical state counts across tiers and threads, and the
-            // same weighted leaf count as the unreduced grid.
+            // canonical state counts across tiers, and the same weighted
+            // leaf count as the unreduced grid.
             let mut reduced_ref: Option<(usize, usize)> = None;
             for tier in [StorageTier::Packed, StorageTier::PackedSpill] {
-                for threads in [1usize, 8] {
-                    let cfg = ExploreConfig {
-                        max_states: inst.lifted_cap,
-                        storage: tier,
-                        threads,
-                        spill_threshold: (tier == StorageTier::PackedSpill)
-                            .then_some(spill_threshold),
-                        por: true,
-                        analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
-                        ..base.clone()
-                    };
-                    let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
-                        rc_runtime::explore_symmetric_with_stats(
-                            &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                            &cfg,
-                        )
-                    });
-                    row.mode = "por+rebind";
-                    assert_eq!(
-                        row.verdict, "Verified",
-                        "{system}/{}: the reduced run must verify under {tier}/t{threads}",
+                let cfg = ExploreConfig {
+                    max_states: inst.lifted_cap,
+                    storage: tier,
+                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
+                    por: true,
+                    analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
+                    ..base.clone()
+                };
+                let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
+                    rc_runtime::explore_symmetric_with_stats(
+                        &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
+                        &cfg,
+                    )
+                });
+                row.mode = "por+rebind";
+                assert_eq!(
+                    row.verdict, "Verified",
+                    "{system}/{}: the reduced run must verify under {tier}",
+                    inst.budget
+                );
+                assert_eq!(
+                    row.leaves,
+                    reference.expect("grid ran").1,
+                    "{system}/{}: reduced weighted leaves must match the unreduced grid",
+                    inst.budget
+                );
+                assert!(
+                    row.states < reference.expect("grid ran").0,
+                    "{system}/{}: por+rebind must visit fewer states than unreduced",
+                    inst.budget
+                );
+                match reduced_ref {
+                    None => reduced_ref = Some((row.states, row.leaves)),
+                    Some(r) => assert_eq!(
+                        (row.states, row.leaves),
+                        r,
+                        "{system}/{}: reduced outcomes byte-identical across tiers ({tier})",
                         inst.budget
-                    );
-                    assert_eq!(
-                        row.leaves,
-                        reference.expect("grid ran").1,
-                        "{system}/{}: reduced weighted leaves must match the unreduced grid",
-                        inst.budget
-                    );
-                    assert!(
-                        row.states < reference.expect("grid ran").0,
-                        "{system}/{}: por+rebind must visit fewer states than unreduced",
-                        inst.budget
-                    );
-                    match reduced_ref {
-                        None => reduced_ref = Some((row.states, row.leaves)),
-                        Some(r) => assert_eq!(
-                            (row.states, row.leaves),
-                            r,
-                            "{system}/{}: reduced outcomes byte-identical across \
-                             tiers and threads ({tier}/t{threads})",
-                            inst.budget
-                        ),
-                    }
-                    rows.push(row);
+                    ),
                 }
+                rows.push(row);
             }
         }
     }
     let mut t = Table::new(&[
-        "system", "budget", "tier", "mode", "threads", "cap", "byte cap", "verdict", "states",
-        "leaves", "ms", "peak MB", "spill MB", "filter", "wit MB",
+        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves", "ms",
+        "peak MB", "spill MB", "filter", "wit MB",
     ]);
     for r in &rows {
         t.row(&[
@@ -2231,7 +2157,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
             r.crash_budget.to_string(),
             r.tier.clone(),
             r.mode.to_string(),
-            r.threads.to_string(),
             r.max_states.to_string(),
             if r.max_bytes == 0 {
                 "—".into()
@@ -2255,12 +2180,12 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         .expect("grid rows exist");
     let flat_peak = rows
         .iter()
-        .filter(|r| r.tier == "flat" && r.verdict == "Verified" && r.threads == 1)
+        .filter(|r| r.tier == "flat" && r.verdict == "Verified")
         .map(|r| r.peak_table_mb)
         .fold(0.0f64, f64::max);
     let packed_peak = rows
         .iter()
-        .filter(|r| r.tier == "packed" && r.verdict == "Verified" && r.threads == 1)
+        .filter(|r| r.tier == "packed" && r.verdict == "Verified")
         .map(|r| r.peak_table_mb)
         .fold(0.0f64, f64::max);
     let cap_note = if fast {
@@ -2275,19 +2200,19 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         "E16 — tiered, bit-packed state storage (packed arena keys, \
          Bloom prefilter, file-backed spill runs, byte budget): \
          previously-Truncated catalog instances re-run unreduced with \
-         the cap lifted, across every storage tier at threads 1/2/8:\n{}\n\
+         the cap lifted, across every storage tier:\n{}\n\
          largest exact search: {} states ({}/budget-{}); outcomes \
-         byte-identical across all tiers and thread counts, weighted \
-         leaf counts equal to the catalog's reduced-engine records, and \
-         the byte-budgeted run matches the grid (all asserted). Peak \
-         resident visited-set on the largest serial run: {:.0} MB flat \
+         byte-identical across all tiers, weighted leaf counts equal to \
+         the catalog's reduced-search records, and the byte-budgeted run \
+         matches the grid (all asserted). Peak resident visited-set on \
+         the largest run: {:.0} MB flat \
          vs {:.0} MB packed. Spill rows freeze resident arenas to disk \
          behind per-run Blooms and stay exact — full key bytes are \
          compared on disk, never hash fingerprints alone. The masked \
          instance additionally re-runs with both reducers composed \
          (por+rebind, as in E15) on the packed and spill tiers: the \
          reduced search's canonical state counts are byte-identical \
-         across tiers and threads and its weighted leaves match the \
+         across tiers and its weighted leaves match the \
          unreduced grid (asserted) — the packed default \
          (`ExploreConfig::storage`) rests on this parity. Also \
          {cap_note}.\n",
@@ -2312,17 +2237,14 @@ pub struct E17Row {
     pub crash_budget: usize,
     /// The `max_states` cap the row ran under.
     pub max_states: usize,
-    /// `"off"` (plain engines), `"scalarset"` (the certified scalarset
+    /// `"off"` (plain search), `"scalarset"` (the certified scalarset
     /// family permutes with the process orbits) or `"scalarset+por"`
     /// (composed with partial-order reduction).
     pub mode: &'static str,
-    /// `ExploreConfig::threads` (1 = serial DFS, >1 = frontier BFS).
-    pub threads: usize,
     /// `Verified` / `Truncated` (a violation would panic the sweep).
     pub verdict: String,
     /// Distinct states visited (canonical representatives under the
-    /// scalarset modes) — asserted byte-identical across thread counts
-    /// within each mode.
+    /// scalarset modes).
     pub states: usize,
     /// Weighted executions enumerated; Verified reduced rows must match
     /// the off rows exactly (asserted).
@@ -2331,7 +2253,7 @@ pub struct E17Row {
     pub millis: f64,
     /// `states / seconds` (machine-dependent).
     pub states_per_sec: f64,
-    /// `states(off) / states(this row)` at the same thread count.
+    /// `states(off) / states(this row)`.
     pub reduction: f64,
 }
 
@@ -2339,7 +2261,6 @@ fn e17_measure(
     system: &str,
     budget: usize,
     mode: &'static str,
-    threads: usize,
     config: &ExploreConfig,
     run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
 ) -> E17Row {
@@ -2349,7 +2270,6 @@ fn e17_measure(
         crash_budget: budget,
         max_states: config.max_states,
         mode,
-        threads,
         verdict,
         states,
         leaves,
@@ -2369,15 +2289,14 @@ fn e17_measure(
 /// scalarset certifier ([`rc_runtime::lint_scalarset`]) proves every
 /// family transposition leaves the memoized local-state graphs
 /// equivariant — bystander graph matching, member exchange, rebind
-/// fidelity, spot re-executions — and only then do the engines permute
+/// fidelity, spot re-executions — and only then does the search permute
 /// the family with the process slots (mid-scan *pinned* states forgo
 /// reduction; decided states are never pinned, so leaf weights stay
 /// exact).
 ///
-/// Three modes per instance — off / scalarset / scalarset+por — each at
-/// threads 1/2/8. Asserted: byte-identical state and weighted-leaf
-/// counts across thread counts within every mode; Verified reduced rows
-/// match the off rows' weighted leaf counts exactly; the scalarset mode
+/// Three modes per instance — off / scalarset / scalarset+por.
+/// Asserted: Verified reduced rows match the off rows' weighted leaf
+/// counts exactly; the scalarset mode
 /// strictly reduces (Fig. 4 leaves 1.0× behind); and scalarset+por
 /// strictly beats scalarset alone wherever POR alone reduced (E15's
 /// 2.1× composes).
@@ -2431,49 +2350,26 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
             ("scalarset", &base, true),
             ("scalarset+por", &por_cfg, true),
         ] {
-            let mut mode_ref: Option<(usize, usize)> = None;
-            for threads in [1usize, 2, 8] {
-                let cfg = ExploreConfig {
-                    threads,
-                    ..cfg.clone()
-                };
-                let row = e17_measure(&system, inst.budget, mode, threads, &cfg, &|| {
-                    if symmetric {
-                        rc_runtime::explore_symmetric(
-                            &|| {
-                                build_simultaneous_rc_system_sym(
-                                    &factory,
-                                    &inst.inputs,
-                                    inst.horizon,
-                                )
-                            },
-                            &cfg,
-                        )
-                    } else {
-                        explore(
-                            &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
-                            &cfg,
-                        )
-                    }
-                });
-                assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: every E17 row must verify ({mode}/t{threads})",
-                    inst.budget
-                );
-                match mode_ref {
-                    None => mode_ref = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: byte-identical serial/parallel outcomes \
-                         ({mode}/t{threads})",
-                        inst.budget
-                    ),
+            let row = e17_measure(&system, inst.budget, mode, cfg, &|| {
+                if symmetric {
+                    rc_runtime::explore_symmetric(
+                        &|| build_simultaneous_rc_system_sym(&factory, &inst.inputs, inst.horizon),
+                        cfg,
+                    )
+                } else {
+                    explore(
+                        &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
+                        cfg,
+                    )
                 }
-                rows.push(row);
-            }
-            per_mode.push(mode_ref.expect("three thread counts ran"));
+            });
+            assert_eq!(
+                row.verdict, "Verified",
+                "{system}/{}: every E17 row must verify ({mode})",
+                inst.budget
+            );
+            per_mode.push((row.states, row.leaves));
+            rows.push(row);
         }
         let (off, scal, both) = (per_mode[0], per_mode[1], per_mode[2]);
         assert_eq!(
@@ -2515,7 +2411,6 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
         "crash budget",
         "cap",
         "mode",
-        "threads",
         "verdict",
         "states",
         "leaves",
@@ -2529,7 +2424,6 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
             r.crash_budget.to_string(),
             r.max_states.to_string(),
             r.mode.to_string(),
-            r.threads.to_string(),
             r.verdict.clone(),
             r.states.to_string(),
             r.leaves.to_string(),
@@ -2544,7 +2438,7 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
     }
     let headline = rows
         .iter()
-        .filter(|r| r.mode == "scalarset+por" && r.threads == 1)
+        .filter(|r| r.mode == "scalarset+por")
         .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
         .fold((0.0f64, String::new(), 0usize), |acc, x| {
             if x.0 > acc.0 {
@@ -2564,8 +2458,7 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
          slots — mid-scan pinned states forgo reduction, decided states \
          are never pinned, so weights stay exact:\n{}\n\
          largest composed reduction: {:.1}× on {}/budget-{}; all rows \
-         Verified, byte-identical across threads 1/2/8 within every \
-         mode, reduced weighted leaf counts equal to off, scalarset \
+         Verified, reduced weighted leaf counts equal to off, scalarset \
          strictly below off, and scalarset+por strictly below scalarset \
          (all asserted) — the reducers compound on the system E13/E15 \
          recorded at 1.0× under owned-cell symmetry.\n",
@@ -2763,21 +2656,24 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
 /// Renders the E11 + E12 + E13 + E15 + E16 + E17 + E18 rows as the
 /// `BENCH_explore.json` snapshot: a stable, diff-friendly record of the
 /// engine trajectory across PRs. The host core count is recorded so
-/// trajectory points from different machines stay comparable (the fused
-/// single-worker floor on a 1-core box is not a parallel win) — the CI
-/// `bench-record` job regenerates the snapshot on a multi-core runner
-/// and uploads it as an artifact.
+/// trajectory points from different machines stay comparable (it
+/// matters for the swarm's E18 rates; the exhaustive searches run on one
+/// core) — the CI `bench-record` job regenerates the snapshot and
+/// uploads it as an artifact.
 ///
-/// Schema migration: version 5 adds `e18_rows` (the swarm-verification
+/// Schema migration: version 6 drops `engine` and `vs_serial` from
+/// `e11_rows` and `threads` from `e16_rows` and `e17_rows` (the
+/// exhaustive checker has one engine, the DFS, so those columns carried
+/// nothing but the deleted parallel frontier); version 5 added `e18_rows` (the swarm-verification
 /// sweep; `first_violating_seed`, `original_len` and `min_witness` are
 /// `null` on clean rows) and requires `e18` in the regenerate command;
 /// version 4 added `e17_rows` (the scalarset-symmetry sweep) and a
 /// `mode` field on `e16_rows` (the por+rebind tier-parity rows);
 /// version 3 added `e16_rows` (the storage-tier scaling sweep);
 /// version 2 added the `schema` field itself plus `e15_rows` (the POR
-/// sweep). Earlier row sets are unchanged in shape at each step, so an
-/// old reader keeps working on a newer file as long as it ignores
-/// unknown keys.
+/// sweep). Up to version 5 earlier row sets were unchanged in shape at
+/// each step; version 6 is the first to remove keys, so a reader of the
+/// dropped columns must treat them as absent.
 pub fn snapshot_json(
     e11: &[E11Row],
     e12: &[E12Row],
@@ -2789,7 +2685,7 @@ pub fn snapshot_json(
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 5,\n");
+    out.push_str("  \"schema\": 6,\n");
     out.push_str(
         "  \"regenerate\": \"cargo run -p rc-bench --release --bin tables -- e11 e12 e13 e15 \
          e16 e17 e18 --snapshot\",\n",
@@ -2797,23 +2693,20 @@ pub fn snapshot_json(
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
     out.push_str(
         "  \"note\": \"states and leaves are deterministic; millis, states_per_sec, \
-         vs_serial and reduction are machine-dependent\",\n",
+         runs_per_sec and reduction are machine-dependent\",\n",
     );
     out.push_str("  \"e11_rows\": [\n");
     for (i, r) in e11.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"engine\": \"{}\", \
-             \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \
-             \"states_per_sec\": {:.0}, \"vs_serial\": {:.2}}}{}\n",
+            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"verdict\": \"{}\", \
+             \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}}}{}\n",
             r.system,
             r.crash_budget,
-            r.engine,
             r.verdict,
             r.states,
             r.leaves,
             r.millis,
             r.states_per_sec,
-            r.vs_serial,
             if i + 1 == e11.len() { "" } else { "," }
         ));
     }
@@ -2882,8 +2775,7 @@ pub fn snapshot_json(
     for (i, r) in e16.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"system\": \"{}\", \"crash_budget\": {}, \"tier\": \"{}\", \
-             \"mode\": \"{}\", \
-             \"threads\": {}, \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
+             \"mode\": \"{}\", \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
              \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
              \"peak_table_mb\": {:.1}, \"spilled_mb\": {:.1}, \"filter_bits\": {}, \
              \"witness_mb\": {:.1}}}{}\n",
@@ -2891,7 +2783,6 @@ pub fn snapshot_json(
             r.crash_budget,
             r.tier,
             r.mode,
-            r.threads,
             r.max_states,
             r.max_bytes,
             r.verdict,
@@ -2910,14 +2801,12 @@ pub fn snapshot_json(
     for (i, r) in e17.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"threads\": {}, \"verdict\": \"{}\", \"states\": {}, \
-             \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
-             \"reduction\": {:.1}}}{}\n",
+             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
+             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}}}{}\n",
             r.system,
             r.crash_budget,
             r.max_states,
             r.mode,
-            r.threads,
             r.verdict,
             r.states,
             r.leaves,
@@ -3432,7 +3321,7 @@ mod tests {
         assert!(rows.iter().any(|r| r.mode == "rebind" && r.reduction > 1.0));
         assert!(rows.iter().any(|r| r.mode == "slots"));
         let json = snapshot_json(&[], &[], &rows, &[], &[], &[], &[]);
-        assert!(json.contains("\"schema\": 5"));
+        assert!(json.contains("\"schema\": 6"));
         assert!(json.contains("\"e13_rows\""));
         assert!(json.contains("\"e15_rows\""));
         assert!(json.contains("\"e16_rows\""));
@@ -3462,7 +3351,7 @@ mod tests {
     }
 
     /// The storage sweep's invariants (baseline truncates at the cap,
-    /// every lifted-cap tier × thread row verifies byte-identically,
+    /// every lifted-cap tier row verifies byte-identically,
     /// the byte-budgeted run matches the grid, spill rows freeze runs,
     /// filter rows populate the Bloom) are asserted inside the
     /// experiment; the fast sweep exercises them, including the
@@ -3487,8 +3376,7 @@ mod tests {
         );
     }
 
-    /// The scalarset sweep's invariants (every row Verified,
-    /// byte-identical outcomes across threads within each mode, reduced
+    /// The scalarset sweep's invariants (every row Verified, reduced
     /// weighted leaf counts equal to off, scalarset strictly below off,
     /// scalarset+por strictly below scalarset) are asserted inside the
     /// experiment; the fast sweep exercises them on the system E13/E15

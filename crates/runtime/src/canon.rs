@@ -64,7 +64,7 @@
 //! Within each orbit, processes are ordered by a total *signature* —
 //! structurally, by `(program state key, decided bit)`, never by
 //! interner ids, so the representative choice is identical across
-//! engines, runs and thread counts. Sorting is a true
+//! runs and storage tiers. Sorting is a true
 //! canonical form: two states have equal canonical keys **iff** they are
 //! related by an orbit permutation (property-tested in
 //! `tests/proptest_runtime.rs`).

@@ -68,7 +68,7 @@
 //! * [`StaticIndependence`] — steps of distinct processes whose write
 //!   footprint is disjoint from each other's access footprint commute in
 //!   every state; exported for the partial-order-reduction roadmap item
-//!   and cross-validated dynamically by the explore engines
+//!   and cross-validated dynamically by the explore engine
 //!   ([`ExploreConfig::cross_validate_independence`](crate::ExploreConfig::cross_validate_independence)).
 //! * the symmetry validation in `explore` uses analyzed footprints as
 //!   reference sets where the analysis converges, so owned-cell systems
@@ -1194,7 +1194,7 @@ static ANALYSIS_CACHE: OnceLock<Mutex<HashMap<String, Arc<SystemAnalysis>>>> = O
 /// `programs` only on the first call with that id. The id must uniquely
 /// identify the system's construction (memory layout, program wiring and
 /// instance size) — the catalog benchmarks use their row labels. The
-/// cache lets `tables lint`, the explore engines' owned-cell validation
+/// cache lets `tables lint`, the explore engine's owned-cell validation
 /// and the POR setup share one fixpoint run per catalog system; tests
 /// assert the sharing via [`analysis_fixpoint_runs`] and the returned
 /// [`SystemAnalysis::serial`].
@@ -1220,7 +1220,7 @@ pub fn system_analysis_cached(
 /// neither step can change a cell the other touches, so both orders
 /// produce identical memory and identical per-process behaviour. This is
 /// the conflict relation partial-order reduction needs (see ROADMAP),
-/// and the explore engines cross-validate it dynamically on request
+/// and the explore engine cross-validates it dynamically on request
 /// ([`ExploreConfig::cross_validate_independence`](crate::ExploreConfig::cross_validate_independence)).
 #[derive(Clone, Debug)]
 pub struct StaticIndependence {
@@ -1325,7 +1325,7 @@ pub fn lint_system(
 
 /// [`lint_system`] over an already-computed [`SystemAnalysis`] (e.g. a
 /// [`system_analysis_cached`] hit), so the catalog audit and the explore
-/// engines share one fixpoint run per system.
+/// engine share one fixpoint run per system.
 pub fn lint_with_analysis(
     analysis: &SystemAnalysis,
     mem: &Memory,

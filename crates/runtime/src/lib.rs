@@ -30,11 +30,12 @@
 //! * [`CrashModel`] — the crash adversary described once (budget,
 //!   independent vs simultaneous mode, post-decide policy) and shared by
 //!   the exact and randomized layers, so they cannot drift apart.
-//! * [`explore`] — a bounded-exhaustive model checker: an iterative
+//! * [`explore`] — a bounded-exhaustive model checker: one iterative
 //!   worklist DFS over *all* interleavings and crash placements (up to a
 //!   crash budget) with hash-consed full-fidelity state memoization
-//!   ([`ValueInterner`]), an opt-in parallel frontier mode
-//!   ([`ExploreConfig::threads`]) and opt-in process-symmetry reduction
+//!   ([`ValueInterner`]), exact `max_states`/`max_bytes` caps cut in its
+//!   acceptance order, tiered visited-set storage ([`StorageTier`]) and
+//!   opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
 //!   symmetry, where declared per-process cells permute with their
 //!   owners and relocated programs are rebound ([`Program::rebind`] +
@@ -121,9 +122,9 @@ pub use canon::SymmetrySpec;
 pub use crash::{CrashMode, CrashModel};
 pub use exec::{run, Execution, RunOptions};
 pub use explore::{
-    explore, explore_parallel, explore_symmetric, explore_symmetric_with_stats, explore_with_stats,
-    lint_ample, AmpleLintReport, ExploreConfig, ExploreOutcome, ExploreStats,
-    SymmetricSystemFactory, SystemFactory, ViolationKind,
+    explore, explore_symmetric, explore_symmetric_with_stats, explore_with_stats, lint_ample,
+    AmpleLintReport, ExploreConfig, ExploreOutcome, ExploreStats, SymmetricSystemFactory,
+    SystemFactory, ViolationKind,
 };
 pub use footprint::{
     analysis_fixpoint_runs, analyze_system, analyze_system_states, lint_system, lint_with_analysis,
@@ -132,21 +133,17 @@ pub use footprint::{
     SystemAnalysis, SystemFootprint,
 };
 // The scalarset equivariance certifier: `lint_scalarset` is the
-// `tables lint` entry; the engines consult the cached certificate
+// `tables lint` entry; the engine consults the cached certificate
 // internally before permuting any declared family.
-pub use scalarset::{lint_scalarset, ScalarsetReport};
-// `Resolved`/`ShardInterner` are exported for the sharded-reconciliation
-// property suite in tests/proptest_runtime.rs (and as the documented
-// worker-local overflow API); the engine-internal `ShardedStateTable`
-// deliberately is not.
-pub use intern::{Resolved, ShardInterner, ValueInterner};
+pub use intern::ValueInterner;
 pub use memory::{Addr, Cell, MemOps, Memory};
 pub use program::{Pid, Program, Rebinding, Step};
+pub use scalarset::{lint_scalarset, ScalarsetReport};
 // The tiered storage layer: the packed-key codec and prefilter are
 // exported for the property suite in tests/proptest_runtime.rs;
 // `StorageTier` is the `ExploreConfig` knob selecting the visited-set
-// backend; `WitnessLog` is the compacted parent-link log both engines
-// now build (and tests replay).
+// backend; `WitnessLog` is the compacted parent-link log the engine and
+// the swarm's witness replay build (and tests replay).
 pub use storage::{
     delta_decode, delta_encode, hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key,
     KeyFilter, PackedStateTable, StorageTier, WitnessLog,

@@ -107,9 +107,10 @@ pub enum Step {
 ///   exhaustive exploration unsound.
 ///
 /// Programs are passive data (`Send + Sync`): nothing runs without a
-/// scheduler calling [`step`](Program::step), and the model checker's
+/// scheduler calling [`step`](Program::step); the model checker's
 /// copy-on-write branching shares unstepped programs between sibling
-/// states across worker threads.
+/// states, and the swarm and the threaded executor run programs on
+/// worker threads.
 pub trait Program: fmt::Debug + Send + Sync {
     /// Executes one step (at most one shared-memory access).
     ///

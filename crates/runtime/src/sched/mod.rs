@@ -75,8 +75,8 @@ use crate::program::Pid;
 ///
 /// The `Ord` instance (`Step < Branch < Crash < CrashAll`, then by
 /// pid/choice) gives schedules a canonical lexicographic order; the
-/// parallel model-checker uses it to pick a deterministic violation
-/// witness.
+/// model checker expands actions in this order, so its violation
+/// witnesses are deterministic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Action {
     /// Let process `pid` execute one step.

@@ -42,15 +42,13 @@
 //!   permutation id) plus the node's key [`delta_encode`]d against its
 //!   parent's. Schedule reconstruction and key reconstruction
 //!   ([`WitnessLog::key_of`]) need only the log — they survive the
-//!   frontier dropping in-RAM nodes between levels and the visited set
-//!   spilling to disk.
+//!   visited set spilling to disk.
 //!
 //! Determinism: every structure here is a pure function of the insertion
 //! sequence (seeded hashes, load-factor and spill thresholds checked in
-//! insertion order), and the engines drive insertions in canonical
-//! order at every thread count — so outcomes stay byte-identical across
-//! runs, thread counts and storage tiers (asserted end to end in
-//! `tests/explore_engine.rs`).
+//! insertion order), and the DFS drives insertions in one deterministic
+//! order — so outcomes stay byte-identical across runs and storage tiers
+//! (asserted end to end in `tests/explore_engine.rs`).
 
 use crate::intern::{FxHashMap, FxHasher, StateTable};
 use std::fs::File;
@@ -186,7 +184,7 @@ fn read_varint(bytes: &[u8], mut pos: usize) -> (u32, usize) {
 
 /// Packs a flat `u32` state key into its canonical varint byte form,
 /// appending to `out`. Injective on slot sequences of a fixed length
-/// (the engines only ever compare keys of one layout), and
+/// (the engine only ever compares keys of one layout), and
 /// insert-time-invariant: the bytes depend on the slot values alone.
 pub fn pack_key_into(key: &[u32], out: &mut Vec<u8>) {
     out.reserve(key.len() * 5);
@@ -286,7 +284,7 @@ pub fn delta_decode(parent: &[u32], delta: &[u8]) -> Vec<u32> {
 /// nothing and the caller **must** fall through to the exact tier. The
 /// filter is a pure function of `(seed, capacity, inserted set)` —
 /// insertion order never matters — so identically-built filters answer
-/// identically whatever the shard count or thread count
+/// identically however the key set is partitioned across filters
 /// (property-tested in `tests/proptest_runtime.rs`).
 #[derive(Clone, Debug)]
 pub struct KeyFilter {
@@ -358,7 +356,7 @@ impl KeyFilter {
     }
 
     /// Convenience over a raw `u32` key: hash with [`hash_packed`]'s
-    /// byte hash after packing. For the engines the hash is computed
+    /// byte hash after packing. For the engine the hash is computed
     /// once and shared; tests use this form.
     pub fn insert_key(&mut self, key: &[u32]) {
         self.insert(hash_packed(&pack_key(key)));
@@ -867,9 +865,8 @@ impl PackedStateTable {
 // The visited-set backend switch
 // ---------------------------------------------------------------------
 
-/// One visited-set shard: the flat historical table or the packed tiered
-/// one, behind the `get`/`insert`/`len` contract both satisfy
-/// identically.
+/// The visited set: the flat historical table or the packed tiered one,
+/// behind the `get`/`insert`/`len` contract both satisfy identically.
 #[derive(Debug)]
 pub(crate) enum VisitedTable {
     /// The flat `FxHashMap` table.
@@ -962,8 +959,8 @@ fn link_unpack(link: u64) -> (u32, u32, u16) {
     )
 }
 
-/// The append-only witness log: the frontier's compacted replacement for
-/// one heap-allocated parent link per node.
+/// The append-only witness log: the compacted replacement for one
+/// heap-allocated parent link per node.
 ///
 /// Per accepted node it stores one packed `u64` (parent index, action
 /// code, permutation id — permutations are interned in a side table, so
@@ -971,9 +968,8 @@ fn link_unpack(link: u64) -> (u32, u32, u16) {
 /// permutation instead of once per node) plus the node's key
 /// [`delta_encode`]d against its parent's key. Schedule reconstruction
 /// ([`link`](Self::link) walks) and full key reconstruction
-/// ([`key_of`](Self::key_of)) read only the log — both survive the BFS
-/// engine dropping a level's in-RAM nodes and the visited set spilling
-/// to disk.
+/// ([`key_of`](Self::key_of)) read only the log — both survive the
+/// visited set spilling to disk.
 ///
 /// Action codes are engine-defined (`u16`, `0` reserved for the root);
 /// the log never interprets them.
@@ -1063,7 +1059,7 @@ impl WitnessLog {
     }
 
     /// Reconstructs node `idx`'s full key by replaying deltas root-down
-    /// — no visited-set or frontier lookup involved (asserted equal to
+    /// — no visited-set lookup involved (asserted equal to
     /// the engine-built keys in the runtime test suite).
     pub fn key_of(&self, idx: u32) -> Vec<u32> {
         let mut chain = vec![idx];

@@ -40,7 +40,7 @@
 //! from which no single action can be removed without losing the
 //! violation. The shrunken schedule re-verifies through the
 //! [`WitnessLog`] replay path: the final replay records one log node per
-//! action (delta-encoded interned state keys, exactly the engines'
+//! action (delta-encoded interned state keys, exactly the checker's
 //! format) and reconstructs the final state key from the log alone
 //! ([`WitnessLog::key_of`]), asserting it equals the directly-computed
 //! key.
@@ -64,7 +64,11 @@ use crate::verify::{check_agreement, check_consensus_execution, RcViolation};
 use rc_spec::Value;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::{Duration, Instant};
+
+/// How often [`swarm_with_progress`] samples progress while workers run.
+const PROGRESS_TICK: Duration = Duration::from_millis(250);
 
 /// A system factory the swarm engine can call from any worker thread.
 ///
@@ -196,7 +200,8 @@ impl SwarmReport {
 }
 
 /// A progress sample, handed to the [`swarm_with_progress`] callback
-/// roughly four times a second while workers are running.
+/// roughly four times a second while workers are running, and once more
+/// (with `runs == total`) as soon as the last worker finishes.
 #[derive(Clone, Copy, Debug)]
 pub struct SwarmProgress {
     /// Runs completed so far.
@@ -291,19 +296,39 @@ pub fn swarm_with_progress(
 
     let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
         // Every thread runs the same shared closure (`&F: Fn` when
-        // `F: Fn`); captures are all by shared reference.
+        // `F: Fn`); captures are all by shared reference. Each thread
+        // also holds a clone of `done`, dropped when it returns (or
+        // unwinds), so the channel disconnects the moment the last
+        // worker finishes its last chunk.
         let worker = &worker;
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let done = done.clone();
+                scope.spawn(move || {
+                    let output = worker();
+                    drop(done);
+                    output
+                })
+            })
+            .collect();
+        drop(done);
         if let Some(callback) = progress {
-            while runs_done.load(Ordering::Relaxed) < config.seeds {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-                callback(SwarmProgress {
-                    runs: runs_done.load(Ordering::Relaxed),
-                    total: config.seeds,
-                    violations: violations_found.load(Ordering::Relaxed),
-                    elapsed_secs: started.elapsed().as_secs_f64(),
-                });
+            let sample = || SwarmProgress {
+                runs: runs_done.load(Ordering::Relaxed),
+                total: config.seeds,
+                violations: violations_found.load(Ordering::Relaxed),
+                elapsed_secs: started.elapsed().as_secs_f64(),
+            };
+            // The tick only paces intermediate samples; completion
+            // wakes the coordinator at once, and the final sample
+            // reports every run: each worker's last `runs_done` update
+            // happens before it drops its sender, and observing the
+            // disconnect synchronizes with every drop.
+            while finished.recv_timeout(PROGRESS_TICK) == Err(RecvTimeoutError::Timeout) {
+                callback(sample());
             }
+            callback(sample());
         }
         handles
             .into_iter()
@@ -399,7 +424,7 @@ pub struct ScheduleReplay {
 /// Replays `schedule` against a fresh system, tracking [`CrashModel`]
 /// legality per action, and (with `with_witness_log`) recording each
 /// post-action state into a [`WitnessLog`] — one node per action,
-/// interned keys delta-encoded against the parent, the engines' format
+/// interned keys delta-encoded against the parent, the checker's format
 /// — then reconstructing the final key from the log as a
 /// self-verification of the replay path.
 ///

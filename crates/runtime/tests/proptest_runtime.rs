@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
 use rc_runtime::{
-    explore, run, Addr, CrashModel, ExploreConfig, MemOps, Memory, Program, Rebinding, Resolved,
-    RunOptions, ShardInterner, Step, SymmetrySpec, ValueInterner,
+    explore, run, Addr, CrashModel, ExploreConfig, MemOps, Memory, Program, Rebinding, RunOptions,
+    Step, SymmetrySpec, ValueInterner,
 };
 use rc_spec::Value;
 
@@ -348,103 +348,6 @@ proptest! {
         let key_a = interned_key(&a, &mut interner);
         let key_b = interned_key(&b, &mut interner);
         prop_assert_eq!(structural(&a) == structural(&b), key_a == key_b);
-    }
-
-    /// The sharded-interner pipeline of the parallel engine — resolve
-    /// against a *frozen* global interner, spill first-seen values to
-    /// per-worker `ShardInterner`s, then reconcile local ids into the
-    /// global interner in canonical item order — produces keys
-    /// bit-identical to a single serial interner processing the same
-    /// snapshots in the same order, for random `SysState` populations,
-    /// at every chunking. Id-reconciliation is therefore exactly as
-    /// injective as single-interner interning, and the memoized content
-    /// hashes agree across the global/local split (the property shard
-    /// routing relies on).
-    #[test]
-    fn sharded_interner_reconciliation_matches_single_interner(
-        seeds in proptest::collection::vec(any::<u64>(), 1..10),
-        n in 1usize..4,
-        work in 1u8..4,
-        chunks in 1usize..5,
-    ) {
-        let snapshots: Vec<Snapshot> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| drive(n, work, seed, (i * 5) % 14))
-            .collect();
-        let slot_lists: Vec<Vec<Value>> = snapshots
-            .iter()
-            .map(|s| {
-                let mut slots = s.mem.state_key();
-                slots.extend(s.programs.iter().map(|p| p.state_key()));
-                if let Some(v) = &s.decided_value {
-                    slots.push(v.clone());
-                }
-                slots
-            })
-            .collect();
-
-        // The single-interner reference path.
-        let mut single = ValueInterner::new();
-        let reference: Vec<Vec<u32>> = slot_lists
-            .iter()
-            .map(|slots| slots.iter().map(|v| single.intern(v)).collect())
-            .collect();
-
-        // The sharded path: two frontier "levels" (so later levels hit
-        // the global-lookup fast path), each split into `chunks`
-        // contiguous worker chunks with frozen-global resolution.
-        let mut global = ValueInterner::new();
-        let mut sharded: Vec<Vec<u32>> = Vec::new();
-        for level in slot_lists.chunks(slot_lists.len().div_ceil(2)) {
-            let chunk_size = level.len().div_ceil(chunks);
-            // "Parallel" phase: the global interner is frozen.
-            let outputs: Vec<(Vec<Vec<Resolved>>, ShardInterner)> = level
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    let mut scratch = ShardInterner::new();
-                    let resolved = chunk
-                        .iter()
-                        .map(|slots| {
-                            slots
-                                .iter()
-                                .map(|v| scratch.resolve(&global, v))
-                                .collect()
-                        })
-                        .collect();
-                    (resolved, scratch)
-                })
-                .collect();
-            // Serial reconciliation in canonical (chunk × item) order.
-            for (items, scratch) in outputs {
-                for item in items {
-                    let key: Vec<u32> = item
-                        .into_iter()
-                        .map(|slot| match slot {
-                            Resolved::Global(id) => id,
-                            Resolved::Local(local) => global.intern(scratch.value(local)),
-                        })
-                        .collect();
-                    sharded.push(key);
-                }
-            }
-        }
-
-        prop_assert_eq!(&sharded, &reference);
-        // Injectivity across the population: keys collide iff the
-        // structural slot lists are equal.
-        for i in 0..slot_lists.len() {
-            for j in 0..slot_lists.len() {
-                prop_assert_eq!(slot_lists[i] == slot_lists[j], sharded[i] == sharded[j]);
-            }
-        }
-        // Every slot value ended up globally interned, with the id its
-        // key slots carry — the lookup fast path agrees with the keys.
-        for (slots, key) in slot_lists.iter().zip(&sharded) {
-            for (v, &id) in slots.iter().zip(key) {
-                prop_assert_eq!(global.lookup(v), Some(id));
-            }
-        }
     }
 
     /// Process-symmetry canonicalization is **invariant** under every
@@ -1029,7 +932,7 @@ proptest! {
 
     /// Prefilter determinism across shard counts: however the key set
     /// is partitioned into per-shard filters (1, 2, 4 or 8 shards,
-    /// routed by key hash exactly like the engine), every inserted key
+    /// routed by packed-key hash), every inserted key
     /// answers "maybe" in its own shard — no false negatives, the
     /// half of the Bloom contract exactness rests on — and each
     /// filter's bit pattern is a pure function of its key set,

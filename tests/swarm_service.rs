@@ -149,3 +149,27 @@ fn shrinking_respects_the_crash_model_budget() {
         "at least one checked schedule actually contains crashes"
     );
 }
+
+/// A progress-enabled sweep returns as soon as its last run completes,
+/// not on the next progress tick, and its last sample reports every run.
+/// (A 1-seed sweep finishes in well under the 250 ms tick, so a sweep
+/// that waited for the tick before noticing completion fails here.)
+#[test]
+fn progress_sweeps_return_on_completion_with_a_final_sample() {
+    use rc_runtime::{swarm_with_progress, SwarmProgress};
+    use std::sync::Mutex;
+    let sys = system("team-rc-s3");
+    let config = sys.config(0, 1, 1);
+    let samples = Mutex::new(Vec::new());
+    let sink = |p: SwarmProgress| samples.lock().expect("sink lock").push(p);
+    let report = swarm_with_progress(sys.factory(), &config, Some(&sink));
+    assert_eq!(report.runs, 1);
+    assert!(
+        report.elapsed_millis < 250.0,
+        "the sweep waited for a progress tick: {} ms",
+        report.elapsed_millis
+    );
+    let samples = samples.into_inner().expect("sink lock");
+    let last = samples.last().expect("a progress sink gets a final sample");
+    assert_eq!((last.runs, last.total), (1, 1));
+}
