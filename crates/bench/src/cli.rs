@@ -12,12 +12,17 @@ pub const EXPERIMENT_IDS: &[&str] = &[
     "e16", "e17", "e18",
 ];
 
+/// The experiments `BENCH_explore.json` records, one `<id>_rows` array
+/// each; `--snapshot` adds them to the selection.
+pub const SNAPSHOT_IDS: &[&str] = &["e11", "e12", "e13", "e15", "e16", "e17", "e18"];
+
 /// Parsed `tables` arguments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TablesArgs {
     /// Smaller sample counts (`--fast`).
     pub fast: bool,
-    /// Write the `BENCH_explore.json` snapshot after E11 (`--snapshot`).
+    /// Run the [`SNAPSHOT_IDS`] experiments too and write their rows to
+    /// `BENCH_explore.json` (`--snapshot`).
     pub snapshot: bool,
     /// Print the experiment ids, one per line, and exit (`--list`) — CI
     /// diffs this against the experiments indexed in EXPERIMENTS.md so
@@ -84,6 +89,15 @@ where
                 .into(),
         );
     }
+    if parsed.fast && parsed.snapshot {
+        // The committed snapshot records the full sweeps; fast rows run
+        // smaller instances and would overwrite them unmarked.
+        return Err(
+            "--fast runs smaller instances; it cannot be combined with --snapshot, \
+             which records the full sweeps"
+                .into(),
+        );
+    }
     if parsed.lint && (parsed.list || parsed.snapshot || !parsed.selected.is_empty()) {
         // `lint` is the CI gate: it runs the audit, sets the exit code
         // and prints nothing else. Combining it with experiment
@@ -95,23 +109,10 @@ where
                 .into(),
         );
     }
-    if parsed.snapshot
-        && !(parsed.wants("e11")
-            && parsed.wants("e12")
-            && parsed.wants("e13")
-            && parsed.wants("e15")
-            && parsed.wants("e16")
-            && parsed.wants("e17")
-            && parsed.wants("e18"))
-    {
-        return Err(
-            "--snapshot records the E11 DFS scaling sweep, the E12 symmetry sweep, the E13 \
-             full-state sweep, the E15 partial-order-reduction sweep, the E16 \
-             storage-tier sweep, the E17 scalarset-symmetry sweep and the E18 swarm \
-             sweep, but e11, e12, e13, e15, e16, e17 and e18 are not all among the \
-             selected experiment ids"
-                .into(),
-        );
+    if parsed.snapshot {
+        parsed
+            .selected
+            .extend(SNAPSHOT_IDS.iter().map(|id| id.to_string()));
     }
     Ok(parsed)
 }
@@ -132,23 +133,44 @@ mod tests {
 
     #[test]
     fn subset_and_flags() {
-        let args = parse_args([
-            "E4",
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--fast",
-            "--snapshot",
-        ])
-        .expect("valid");
-        assert!(args.fast && args.snapshot);
-        assert!(args.wants("e4") && args.wants("e11") && args.wants("e12") && args.wants("e13"));
-        assert!(args.wants("e15") && args.wants("e16") && args.wants("e17") && args.wants("e18"));
-        assert!(!args.wants("e1"));
+        let args = parse_args(["E4", "e11", "--fast"]).expect("valid");
+        assert!(args.fast && !args.snapshot);
+        assert!(args.wants("e4") && args.wants("e11"));
+        assert!(!args.wants("e1") && !args.wants("e12"));
+    }
+
+    /// `--snapshot` adds the snapshot experiments to the selection, so
+    /// `tables --snapshot` alone regenerates the file and an explicit
+    /// subset can never silently skip part of it.
+    #[test]
+    fn snapshot_adds_the_snapshot_experiments() {
+        let alone = parse_args(["--snapshot"]).expect("valid");
+        let extra = parse_args(["e4", "e12", "--snapshot"]).expect("valid");
+        for id in EXPERIMENT_IDS {
+            assert_eq!(alone.wants(id), SNAPSHOT_IDS.contains(id), "{id}");
+            assert_eq!(
+                extra.wants(id),
+                *id == "e4" || SNAPSHOT_IDS.contains(id),
+                "{id}"
+            );
+        }
+        assert!(alone.snapshot && extra.snapshot);
+    }
+
+    /// The committed snapshot records the full sweeps; `--fast` rows
+    /// would overwrite them with smaller instances.
+    #[test]
+    fn fast_snapshot_is_rejected() {
+        for combo in [
+            vec!["--fast", "--snapshot"],
+            vec!["e11", "--snapshot", "--fast"],
+        ] {
+            let err = parse_args(combo.clone()).expect_err("must reject");
+            assert!(
+                err.contains("--fast") && err.contains("--snapshot"),
+                "{combo:?}: {err}"
+            );
+        }
     }
 
     /// `--list` is how CI syncs the id list with EXPERIMENTS.md; it must
@@ -160,18 +182,8 @@ mod tests {
         assert!(parse_args(["--list"]).expect("valid").list);
         assert!(!parse_args(Vec::<&str>::new()).expect("valid").list);
         assert!(parse_args(["e4", "--list"]).expect("valid").list);
-        let err = parse_args([
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--snapshot",
-            "--list",
-        ])
-        .expect_err("must reject the silent snapshot skip");
+        let err =
+            parse_args(["--snapshot", "--list"]).expect_err("must reject the silent snapshot skip");
         assert!(err.contains("--snapshot"), "{err}");
     }
 
@@ -197,56 +209,6 @@ mod tests {
         assert!(!args.wants("e11"));
     }
 
-    /// `--snapshot` without every snapshot experiment in the selection
-    /// would silently skip part of the snapshot write — the same
-    /// silent-no-op shape as the unknown-id bug, so it is rejected too.
-    /// (E15 joined the snapshot set with the schema-2 `e15_rows`; E16
-    /// joined with the schema-3 `e16_rows`; E17 with the schema-4
-    /// `e17_rows`; E18 with the schema-5 `e18_rows`. Schema 6 dropped the
-    /// parallel-engine columns but no experiment.)
-    #[test]
-    fn snapshot_requires_e11_through_e18_in_the_selection() {
-        let err = parse_args(["e4", "--snapshot"]).expect_err("must reject");
-        assert!(err.contains("e11"), "{err}");
-        assert!(err.contains("e12"), "{err}");
-        assert!(err.contains("e13"), "{err}");
-        assert!(err.contains("e15"), "{err}");
-        assert!(err.contains("e16"), "{err}");
-        assert!(err.contains("e17"), "{err}");
-        assert!(err.contains("e18"), "{err}");
-        let err = parse_args(["e11", "--snapshot"]).expect_err("e12..e18 missing");
-        assert!(err.contains("e12"), "{err}");
-        let err = parse_args(["e11", "e12", "--snapshot"]).expect_err("e13..e18 missing");
-        assert!(err.contains("e13"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "--snapshot"]).expect_err("e15..e18 missing");
-        assert!(err.contains("e15"), "{err}");
-        let err =
-            parse_args(["e11", "e12", "e13", "e15", "--snapshot"]).expect_err("e16..e18 missing");
-        assert!(err.contains("e16"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "e15", "e16", "--snapshot"])
-            .expect_err("e17/e18 missing");
-        assert!(err.contains("e17"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "e15", "e16", "e17", "--snapshot"])
-            .expect_err("e18 missing");
-        assert!(err.contains("e18"), "{err}");
-        assert!(parse_args([
-            "e4",
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--snapshot"
-        ])
-        .is_ok());
-        assert!(
-            parse_args(["--snapshot"]).is_ok(),
-            "empty selection runs everything"
-        );
-    }
-
     /// `tables lint` is the CI gate form of E14: it parses alone (with
     /// `--fast` allowed) and refuses experiment selection, `--list` and
     /// `--snapshot` — each combination would silently drop a request.
@@ -259,17 +221,7 @@ mod tests {
         for combo in [
             vec!["lint", "e4"],
             vec!["lint", "--list"],
-            vec![
-                "lint",
-                "e11",
-                "e12",
-                "e13",
-                "e15",
-                "e16",
-                "e17",
-                "e18",
-                "--snapshot",
-            ],
+            vec!["lint", "--snapshot"],
         ] {
             let err = parse_args(combo.clone()).expect_err("must reject");
             assert!(err.contains("lint"), "{combo:?}: {err}");

@@ -18,14 +18,18 @@ use rc_core::{
 use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
-    explore, explore_with_stats, run, CrashModel, ExploreConfig, Memory, Program, RunOptions,
-    StorageTier,
+    explore, explore_symmetric_with_stats, explore_with_stats, run, CrashModel, ExploreConfig,
+    ExploreOutcome, ExploreStats, Memory, Program, RunOptions, StorageTier, SymmetricSystemFactory,
+    SystemFactory,
 };
 use rc_spec::catalog::{catalog, ConsensusNumber};
 use rc_spec::random::{random_table_type, RandomTypeConfig};
 use rc_spec::types::{Cas, Sn, Stack, Tn};
 use rc_spec::{Operation, TypeHandle, Value};
+use std::fmt::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 pub(crate) fn sn_witness(n: usize) -> (TypeHandle, RecordingWitness) {
     let sn = Sn::new(n);
@@ -817,69 +821,301 @@ pub fn e10_headline(seeds: u64) -> String {
     )
 }
 
-/// One measured configuration of the E11 engine sweep.
-#[derive(Clone, Debug)]
-pub struct E11Row {
-    /// System under check, e.g. `"S_3"` (the Fig. 2 team-RC algorithm
-    /// over that type, as in E2).
-    pub system: String,
-    /// Crash budget of the (independent, post-decide) adversary.
-    pub crash_budget: usize,
-    /// `Verified` / `Truncated` (any violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — the peak state count of the search.
-    pub states: usize,
-    /// Complete executions enumerated (memoized suffixes counted once).
-    pub leaves: usize,
-    /// Wall-clock milliseconds (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
+/// The system a measured search checks: a plain factory, or one that
+/// also declares which process ids are interchangeable.
+#[derive(Clone, Copy)]
+enum Factory<'a> {
+    Plain(&'a SystemFactory<'a>),
+    Symmetric(&'a SymmetricSystemFactory<'a>),
 }
 
-fn e11_measure(
-    system: &str,
-    budget: usize,
-    factory: &rc_runtime::SystemFactory<'_>,
-    config: &ExploreConfig,
-) -> E11Row {
-    use rc_runtime::ExploreOutcome;
-    use std::time::{Duration, Instant};
-    // Single runs of small instances are milliseconds — far below timer
-    // noise. Repeat until a time floor is reached (minimum three runs,
-    // first discarded as warm-up) and report the best run, the standard
-    // throughput methodology.
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    let mut outcome = explore(factory, config); // warm-up, also the reported verdict
-    let mut runs = 0u32;
-    while runs < 3 || (total < Duration::from_millis(200) && runs < 50) {
-        let start = Instant::now();
-        outcome = explore(factory, config);
-        let elapsed = start.elapsed();
-        total += elapsed;
-        best = best.min(elapsed);
-        runs += 1;
+/// One measured search of the E11–E17 sweeps: what ran, what it found
+/// and how long it took.
+#[derive(Clone, Debug)]
+pub struct Measured {
+    /// System under check, e.g. `"S_3"` (the Fig. 2 team-RC algorithm
+    /// over that type, as in E2) or `"masked S_5 (CrashAll)"`.
+    pub system: String,
+    /// The row's mode within its experiment: `"off"` for the plain
+    /// search, otherwise the reducers it ran with (`"on"`, `"slots"`,
+    /// `"rebind"`, `"por"`, `"por+rebind"`, `"scalarset"`,
+    /// `"scalarset+por"`); E16 calls its plain rows `"unreduced"`.
+    pub mode: &'static str,
+    /// The search's configuration: adversary and crash budget, caps,
+    /// storage tier and reductions.
+    pub config: ExploreConfig,
+    /// `Verified` or `Truncated` with the state and leaf counts
+    /// (deterministic; the sweeps check correct systems only, so a
+    /// violation panics instead).
+    pub outcome: ExploreOutcome,
+    /// The search's storage diagnostics (deterministic byte accounts).
+    pub stats: ExploreStats,
+    /// Wall clock of every timed run, in run order (machine-dependent).
+    pub samples: Vec<Duration>,
+    /// `states(off) / states(this row)` against the instance's off row;
+    /// 1.0 for off rows.
+    pub reduction: f64,
+    /// Whether `reduction` is a lower bound (the off row truncated at
+    /// its cap).
+    pub reduction_is_lower_bound: bool,
+}
+
+impl Measured {
+    /// The adversary's crash budget.
+    pub(crate) fn crash_budget(&self) -> usize {
+        self.config.crash.budget
     }
-    let (verdict, states, leaves) = match outcome {
-        ExploreOutcome::Verified { states, leaves } => ("Verified".to_string(), states, leaves),
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0),
-        ExploreOutcome::Violation { schedule, .. } => {
-            panic!(
-                "E11 systems are correct; violation after {} actions",
-                schedule.len()
-            )
+
+    /// `"Verified"` or `"Truncated"`.
+    pub(crate) fn verdict(&self) -> &'static str {
+        match self.outcome {
+            ExploreOutcome::Verified { .. } => "Verified",
+            ExploreOutcome::Truncated { .. } => "Truncated",
+            ExploreOutcome::Violation { .. } => "Violation",
         }
-    };
-    E11Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
     }
+
+    /// Distinct states visited (canonical representatives under
+    /// symmetry, sleep-annotated under POR).
+    pub(crate) fn states(&self) -> usize {
+        match self.outcome {
+            ExploreOutcome::Verified { states, .. } | ExploreOutcome::Truncated { states } => {
+                states
+            }
+            ExploreOutcome::Violation { .. } => 0,
+        }
+    }
+
+    /// Weighted executions enumerated (0 unless `Verified`).
+    pub(crate) fn leaves(&self) -> usize {
+        match self.outcome {
+            ExploreOutcome::Verified { leaves, .. } => leaves,
+            _ => 0,
+        }
+    }
+
+    /// The best run's wall clock in milliseconds.
+    pub(crate) fn millis(&self) -> f64 {
+        let best = self.samples.iter().min().expect("at least one run");
+        best.as_secs_f64() * 1e3
+    }
+
+    /// The median run's wall clock in milliseconds (the upper middle
+    /// run of an even count).
+    pub(crate) fn median_millis(&self) -> f64 {
+        let mut sorted = self.samples.clone();
+        sorted.sort();
+        sorted[sorted.len() / 2].as_secs_f64() * 1e3
+    }
+
+    /// `states / seconds` of the best run.
+    pub(crate) fn states_per_sec(&self) -> f64 {
+        self.states() as f64 / (self.millis() / 1e3).max(1e-9)
+    }
+
+    /// The row as the snapshot writes it; every E11–E17 row has this
+    /// one shape.
+    pub fn json(&self) -> JsonRow {
+        let int = |v: usize| Json::Int(v as u64);
+        let mib = |bytes: usize| Json::Fixed(bytes as f64 / (1 << 20) as f64, 1);
+        vec![
+            ("system", Json::Str(self.system.clone())),
+            ("crash_budget", int(self.crash_budget())),
+            ("mode", Json::Str(self.mode.into())),
+            ("tier", Json::Str(self.config.storage.to_string())),
+            ("max_states", int(self.config.max_states)),
+            ("max_bytes", int(self.config.max_bytes.unwrap_or(0))),
+            ("verdict", Json::Str(self.verdict().into())),
+            ("states", int(self.states())),
+            ("leaves", int(self.leaves())),
+            ("runs", int(self.samples.len())),
+            ("millis", Json::Fixed(self.millis(), 1)),
+            ("median_millis", Json::Fixed(self.median_millis(), 1)),
+            ("states_per_sec", Json::Fixed(self.states_per_sec(), 0)),
+            ("reduction", Json::Fixed(self.reduction, 1)),
+            (
+                "reduction_is_lower_bound",
+                Json::Bool(self.reduction_is_lower_bound),
+            ),
+            ("peak_table_mb", mib(self.stats.peak_table_bytes)),
+            ("spilled_mb", mib(self.stats.spilled_bytes)),
+            ("filter_bits", int(self.stats.filter_occupancy)),
+            ("witness_mb", mib(self.stats.witness_bytes)),
+        ]
+    }
+}
+
+/// Times one search. The one repetition policy of every sweep: at least
+/// one run, repeated until the runs total 200 ms or 30 runs; tables
+/// report the best run. Cap-scale searches therefore run once.
+///
+/// # Panics
+///
+/// Panics on a violation: every sweep checks correct systems.
+fn measure(
+    system: &str,
+    mode: &'static str,
+    factory: Factory<'_>,
+    config: &ExploreConfig,
+) -> Measured {
+    let mut samples = Vec::new();
+    loop {
+        let start = Instant::now();
+        let (outcome, stats) = match factory {
+            Factory::Plain(f) => explore_with_stats(f, config),
+            Factory::Symmetric(f) => explore_symmetric_with_stats(f, config),
+        };
+        samples.push(start.elapsed());
+        if let ExploreOutcome::Violation { schedule, .. } = &outcome {
+            panic!(
+                "{system}/{} {mode}: the sweeps check correct systems; violation after {} actions",
+                config.crash.budget,
+                schedule.len()
+            );
+        }
+        if samples.len() >= 30 || samples.iter().sum::<Duration>() >= Duration::from_millis(200) {
+            return Measured {
+                system: system.to_string(),
+                mode,
+                config: config.clone(),
+                outcome,
+                stats,
+                samples,
+                reduction: 1.0,
+                reduction_is_lower_bound: false,
+            };
+        }
+    }
+}
+
+/// The sweeps' adversary: `crash` with post-decide crashes enabled and
+/// the validity inputs declared.
+fn sweep_config(crash: CrashModel, inputs: &[Value]) -> ExploreConfig {
+    ExploreConfig {
+        crash: crash.after_decide(true),
+        inputs: Some(inputs.to_vec()),
+        ..ExploreConfig::default()
+    }
+}
+
+/// Sets each reduced row's reduction against its instance's off row and
+/// asserts what every reduced mode owes that row: when the off row
+/// verified, the reduced row verifies with the same weighted leaf
+/// count. State counts are *not* monotone under POR: the sleep mask is
+/// part of node identity (that is what keeps the engine deterministic),
+/// so a state re-reached along paths with incomparable sleep sets
+/// splits into several entries, and the sweeps honestly record the
+/// configurations where that cost outweighs the pruning (reduction
+/// below 1.0×).
+fn against_off(off: &Measured, reduced: &mut [Measured]) {
+    for r in reduced {
+        let label = format!("{}/{} {}", off.system, off.crash_budget(), r.mode);
+        if off.outcome.is_verified() {
+            assert_eq!(
+                r.verdict(),
+                "Verified",
+                "{label}: must verify when off verifies"
+            );
+            assert_eq!(
+                r.leaves(),
+                off.leaves(),
+                "{label}: weighted leaf counts must agree"
+            );
+        } else {
+            r.reduction_is_lower_bound = true;
+        }
+        r.reduction = off.states() as f64 / r.states() as f64;
+    }
+}
+
+/// The row with the largest reduction among those `keep` selects (the
+/// first on ties), for a report's headline.
+fn largest_reduction(rows: &[Measured], keep: impl Fn(&Measured) -> bool) -> &Measured {
+    // `max_by` keeps the last maximum; reversed, that is the first.
+    let kept = rows.iter().rev().filter(|r| keep(r));
+    kept.max_by(|a, b| a.reduction.total_cmp(&b.reduction))
+        .expect("the sweep has reduced rows")
+}
+
+/// A table column: its header and the cell it draws for a row.
+type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Draws `rows` as a table, one cell per column.
+fn render<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let mut t = Table::new(&columns.iter().map(|c| c.0).collect::<Vec<_>>());
+    for r in rows {
+        t.row(&columns.iter().map(|c| (c.1)(r)).collect::<Vec<_>>());
+    }
+    t.render()
+}
+
+const SYSTEM: Column<Measured> = ("system", |r| r.system.clone());
+const BUDGET: Column<Measured> = ("crash budget", |r| r.crash_budget().to_string());
+const CAP: Column<Measured> = ("cap", |r| r.config.max_states.to_string());
+const MODE: Column<Measured> = ("mode", |r| r.mode.to_string());
+const VERDICT: Column<Measured> = ("verdict", |r| r.verdict().to_string());
+const STATES: Column<Measured> = ("states", |r| r.states().to_string());
+const LEAVES: Column<Measured> = ("leaves", |r| r.leaves().to_string());
+const MS: Column<Measured> = ("ms", |r| format!("{:.1}", r.millis()));
+const RATE: Column<Measured> = ("states/sec", |r| format!("{:.0}", r.states_per_sec()));
+const REDUCTION: Column<Measured> = ("reduction", |r| {
+    let bound = if r.reduction_is_lower_bound {
+        "≥"
+    } else {
+        ""
+    };
+    format!("{bound}{:.1}×", r.reduction)
+});
+
+/// E12 names its mode column `symmetry` and prints reductions without
+/// the lower-bound mark.
+const E12_COLUMNS: &[Column<Measured>] = &[
+    SYSTEM,
+    BUDGET,
+    CAP,
+    ("symmetry", |r| r.mode.to_string()),
+    VERDICT,
+    STATES,
+    LEAVES,
+    MS,
+    RATE,
+    ("reduction", |r| format!("{:.1}×", r.reduction)),
+];
+
+/// The E13, E15 and E17 reduction sweeps.
+const SWEEP_COLUMNS: &[Column<Measured>] = &[
+    SYSTEM, BUDGET, CAP, MODE, VERDICT, STATES, LEAVES, MS, RATE, REDUCTION,
+];
+
+const E16_COLUMNS: &[Column<Measured>] = &[
+    SYSTEM,
+    ("budget", |r| r.crash_budget().to_string()),
+    ("tier", |r| r.config.storage.to_string()),
+    MODE,
+    CAP,
+    ("byte cap", |r| {
+        r.config
+            .max_bytes
+            .map_or_else(|| "—".into(), |b| format!("{}M", b >> 20))
+    }),
+    VERDICT,
+    STATES,
+    LEAVES,
+    ("ms", |r| format!("{:.0}", r.millis())),
+    ("peak MB", |r| mib(r.stats.peak_table_bytes)),
+    ("spill MB", |r| mib(r.stats.spilled_bytes)),
+    ("filter", |r| r.stats.filter_occupancy.to_string()),
+    ("wit MB", |r| mib(r.stats.witness_bytes)),
+];
+
+/// `bytes` in MiB with one decimal.
+fn mib(bytes: usize) -> String {
+    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
+}
+
+/// Logical cores of this host.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// E11: model-checker scaling — states/sec and peak state counts of the
@@ -893,7 +1129,7 @@ fn e11_measure(
 /// core count — the seed recursive engine's and the deleted parallel
 /// frontier's last recorded rows live in EXPERIMENTS.md §E11 and the git
 /// history of that file).
-pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
+pub fn e11_explore_scaling(fast: bool) -> (String, Vec<Measured>) {
     // (n, crash budgets): bigger systems get smaller budgets to keep the
     // exact search inside the default state cap.
     let sweep: &[(usize, &[usize])] = if fast {
@@ -913,133 +1149,18 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
         let system = format!("S_{n}");
         let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
         for &budget in budgets {
-            let config = ExploreConfig {
-                crash: CrashModel::independent(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            rows.push(e11_measure(&system, budget, &factory, &config));
+            let config = sweep_config(CrashModel::independent(budget), &inputs);
+            rows.push(measure(&system, "off", Factory::Plain(&factory), &config));
         }
     }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-        ]);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = format!(
         "E11 — model-checker scaling (Fig. 2 team-RC workload, independent \
-         crashes, post-decide enabled; one DFS engine, host_cores = {cores}):\n{}\n\
+         crashes, post-decide enabled; one DFS engine, host_cores = {}):\n{}\n\
          states/leaves are deterministic, wall-clock is machine-dependent.\n",
-        t.render()
+        host_cores(),
+        render(&[SYSTEM, BUDGET, VERDICT, STATES, LEAVES, MS, RATE], &rows)
     );
     (report, rows)
-}
-
-/// One measured configuration of the E12 symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E12Row {
-    /// System under check (Fig. 2 team-RC over `S_n`, as in E2/E11).
-    pub system: String,
-    /// Crash budget of the (independent, post-decide) adversary.
-    pub crash_budget: usize,
-    /// The `max_states` cap this row ran under (the default cap unless
-    /// the row demonstrates cap-exceed behaviour).
-    pub max_states: usize,
-    /// `"off"` (plain serial DFS) or `"on"` (process-symmetry reduction).
-    pub symmetry: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — canonical representatives when
-    /// symmetry is on.
-    pub states: usize,
-    /// Complete executions enumerated; symmetry-on rows weight each
-    /// canonical leaf by its permutation-class size, so Verified rows
-    /// match the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(on)` for the on rows (1.0 for off rows);
-    /// for the cap-exceed demonstration the off side is a lower bound.
-    pub reduction: f64,
-}
-
-/// The E12/E13 sweeps' shared measurement policy — lighter repetition
-/// than E11 (min one run, 200 ms floor, 30-run cap): their headline
-/// figures are the deterministic state counts; the throughput columns
-/// are secondary. Returns the verdict string, state and leaf counts and
-/// the best run's wall clock. Panics on a violation (both sweeps check
-/// correct systems only), naming `experiment`.
-fn measure_sweep_run(
-    experiment: &str,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> (String, usize, usize, std::time::Duration) {
-    use rc_runtime::ExploreOutcome;
-    use std::time::{Duration, Instant};
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    let mut outcome;
-    let mut runs = 0u32;
-    loop {
-        let start = Instant::now();
-        outcome = Some(run_once());
-        let elapsed = start.elapsed();
-        total += elapsed;
-        best = best.min(elapsed);
-        runs += 1;
-        if runs >= 30 || total >= Duration::from_millis(200) {
-            break;
-        }
-    }
-    match outcome.expect("at least one run") {
-        ExploreOutcome::Verified { states, leaves } => {
-            ("Verified".to_string(), states, leaves, best)
-        }
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0, best),
-        ExploreOutcome::Violation { schedule, .. } => panic!(
-            "{experiment} systems are correct; violation after {} actions",
-            schedule.len()
-        ),
-    }
-}
-
-fn e12_measure(
-    system: &str,
-    budget: usize,
-    symmetry: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E12Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E12", run_once);
-    E12Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        symmetry,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-    }
 }
 
 /// E12: process-symmetry reduction — states visited and states/sec with
@@ -1053,107 +1174,55 @@ fn e12_measure(
 /// `(n−1)!` states per class. Verdicts and (weighted) leaf counts are
 /// asserted identical between the off and on rows of every
 /// both-verifying configuration.
-pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<E12Row>) {
+pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<Measured>) {
     let sweep: &[(usize, &[usize])] = if fast {
         &[(3, &[1, 2]), (4, &[1])]
     } else {
-        &[(3, &[1, 2]), (4, &[1, 2]), (5, &[0, 1]), (6, &[0, 1])]
+        // The last instance is the cap-exceed demonstration (full sweep
+        // only — its off side costs a cap-length run).
+        &[
+            (3, &[1, 2]),
+            (4, &[1, 2]),
+            (5, &[0, 1]),
+            (6, &[0, 1]),
+            (8, &[0]),
+        ]
     };
     let mut rows = Vec::new();
-    let sweep_one = |n: usize, budget: usize, config: &ExploreConfig| -> (E12Row, E12Row) {
+    for &(n, budgets) in sweep {
         let (ty, w) = sn_witness(n);
         let inputs = team_inputs(&w.assignment);
         let system = format!("S_{n}");
-        let config = ExploreConfig {
-            crash: CrashModel::independent(budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..config.clone()
-        };
-        let off = e12_measure(&system, budget, "off", &config, &|| {
-            explore(&|| build_team_rc_system(ty.clone(), &w, &inputs), &config)
-        });
-        let mut on = e12_measure(&system, budget, "on", &config, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &config,
-            )
-        });
-        on.reduction = off.states as f64 / on.states as f64;
-        (off, on)
-    };
-    for &(n, budgets) in sweep {
+        let plain = || build_team_rc_system(ty.clone(), &w, &inputs);
+        let sym = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
         for &budget in budgets {
-            let (off, on) = sweep_one(n, budget, &ExploreConfig::default());
-            assert_eq!(
-                off.verdict, on.verdict,
-                "S_{n}/{budget}: verdicts must agree"
-            );
-            assert_eq!(
-                off.leaves, on.leaves,
-                "S_{n}/{budget}: weighted leaf counts must agree"
-            );
-            assert!(
-                on.states < off.states,
-                "S_{n}/{budget}: symmetry must reduce states"
-            );
+            let config = sweep_config(CrashModel::independent(budget), &inputs);
+            let off = measure(&system, "off", Factory::Plain(&plain), &config);
+            let mut on = measure(&system, "on", Factory::Symmetric(&sym), &config);
+            against_off(&off, std::slice::from_mut(&mut on));
+            if n == 8 {
+                assert_eq!(
+                    off.verdict(),
+                    "Truncated",
+                    "S_8/0 must exceed the default cap"
+                );
+                assert_eq!(on.verdict(), "Verified", "S_8/0 must verify under symmetry");
+            } else {
+                assert_eq!(
+                    off.verdict(),
+                    on.verdict(),
+                    "S_{n}/{budget}: verdicts must agree"
+                );
+                assert!(
+                    on.states() < off.states(),
+                    "S_{n}/{budget}: symmetry must reduce states"
+                );
+            }
             rows.push(off);
             rows.push(on);
         }
     }
-    // The cap-exceed demonstration (full sweep only — the off side costs
-    // a cap-length run): S_8/budget-0 truncates at the default cap
-    // without symmetry and verifies exactly with it.
-    if !fast {
-        let (off, on) = sweep_one(8, 0, &ExploreConfig::default());
-        assert_eq!(
-            off.verdict, "Truncated",
-            "S_8/0 must exceed the default cap"
-        );
-        assert_eq!(on.verdict, "Verified", "S_8/0 must verify under symmetry");
-        rows.push(off);
-        rows.push(on);
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "symmetry",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.symmetry.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            if r.symmetry == "on" {
-                format!("{:.1}×", r.reduction)
-            } else {
-                "1.0×".into()
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.symmetry == "on" && r.verdict == "Verified")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+    let headline = largest_reduction(&rows, |r| r.mode == "on" && r.outcome.is_verified());
     let cap_note = if fast {
         "(the S_8 cap-exceed demonstration runs in the full sweep only)"
     } else {
@@ -1166,72 +1235,12 @@ pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<E12Row>) {
          largest recorded reduction: {:.1}× on {}/budget-{}; verdicts and weighted \
          leaf counts are identical with symmetry off and on (asserted), witness \
          schedules stay in original process ids, and {cap_note}.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(E12_COLUMNS, &rows),
+        headline.reduction,
+        headline.system,
+        headline.crash_budget(),
     );
     (report, rows)
-}
-
-/// One measured configuration of the E13 full-state symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E13Row {
-    /// System under check: `"masked S_n"` (the input-masked Fig. 2
-    /// team-RC system — per-process mask registers, the introduction's
-    /// transformation) or `"SimultaneousRc n=k"` (Fig. 4 over atomic
-    /// consensus objects).
-    pub system: String,
-    /// Crash budget (independent + post-decide for the masked systems,
-    /// simultaneous + post-decide for Fig. 4).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (plain engine), `"slots"` (the strongest *slots-only*
-    /// declaration PR 4 allowed — singleton orbits on these systems, so
-    /// byte-identical to off; asserted) or `"rebind"` (owned-cell orbits
-    /// with `Program::rebind`).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — canonical representatives under
-    /// `rebind`.
-    pub states: usize,
-    /// Weighted executions enumerated; Verified `rebind` rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`; a **lower bound** when the off
-    /// side truncated at the cap (see `reduction_is_lower_bound`).
-    pub reduction: f64,
-    /// Whether `reduction` is a lower bound (off side hit the cap).
-    pub reduction_is_lower_bound: bool,
-}
-
-fn e13_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E13Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E13", run_once);
-    E13Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-        reduction_is_lower_bound: false,
-    }
 }
 
 /// E13: **full-state** symmetry via `Program::rebind` — the systems
@@ -1259,12 +1268,12 @@ fn e13_measure(
 /// *scalarset* kind instead (E17); here the all-distinct inputs leave
 /// every orbit a singleton, so the family is inert and the sym row is
 /// byte-identical to `off`.
-pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
-    // (n, budgets, slots_row, off_row) per masked S_n instance: the off
-    // search of S_7/S_8 at budget 0 is a cap-length run (~5M states), so
-    // the fast sweep skips those sizes entirely and the full sweep
-    // measures the (identical-by-construction) slots rows only where the
-    // off side verifies quickly.
+pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<Measured>) {
+    // (n, budgets, slots_row) per masked S_n instance: the off search of
+    // S_7/S_8 at budget 0 is a cap-length run (~5M states), so the fast
+    // sweep skips those sizes entirely and the full sweep measures the
+    // (identical-by-construction) slots rows only where the off side
+    // verifies quickly.
     let masked_sweep: &[(usize, &[usize], bool)] = if fast {
         &[(4, &[0, 1], true), (5, &[0], false)]
     } else {
@@ -1275,67 +1284,59 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
             (8, &[0], false),
         ]
     };
-    let mut rows: Vec<E13Row> = Vec::new();
+    let mut rows = Vec::new();
     for &(n, budgets, measure_slots) in masked_sweep {
         let (ty, w) = sn_witness(n);
         let inputs = team_inputs(&w.assignment);
         let system = format!("masked S_{n}");
+        let plain = || build_masked_team_rc_system(ty.clone(), &w, &inputs);
+        let sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let slots = || {
+            let (mem, programs) = plain();
+            let n = programs.len();
+            (mem, programs, rc_runtime::SymmetrySpec::trivial(n))
+        };
         for &budget in budgets {
-            let config = ExploreConfig {
-                crash: CrashModel::independent(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            let off = e13_measure(&system, budget, "off", &config, &|| {
-                explore(
-                    &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                    &config,
-                )
-            });
+            let config = sweep_config(CrashModel::independent(budget), &inputs);
+            let off = measure(&system, "off", Factory::Plain(&plain), &config);
+            let mut reduced = Vec::new();
             if measure_slots {
-                let slots = e13_measure(&system, budget, "slots", &config, &|| {
-                    rc_runtime::explore_symmetric(
-                        &|| {
-                            let (mem, programs) =
-                                build_masked_team_rc_system(ty.clone(), &w, &inputs);
-                            let n = programs.len();
-                            (mem, programs, rc_runtime::SymmetrySpec::trivial(n))
-                        },
-                        &config,
-                    )
-                });
+                reduced.push(measure(
+                    &system,
+                    "slots",
+                    Factory::Symmetric(&slots),
+                    &config,
+                ));
+            }
+            reduced.push(measure(
+                &system,
+                "rebind",
+                Factory::Symmetric(&sym),
+                &config,
+            ));
+            against_off(&off, &mut reduced);
+            let rebind = reduced.pop().expect("rebind row");
+            if let Some(slots) = reduced.first() {
                 assert_eq!(
-                    (&slots.verdict, slots.states, slots.leaves),
-                    (&off.verdict, off.states, off.leaves),
+                    (slots.verdict(), slots.states(), slots.leaves()),
+                    (off.verdict(), off.states(), off.leaves()),
                     "{system}/{budget}: slots-only is the identity on masked systems"
                 );
-                rows.push(slots);
             }
-            let mut on = e13_measure(&system, budget, "rebind", &config, &|| {
-                rc_runtime::explore_symmetric(
-                    &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                    &config,
-                )
-            });
             assert_eq!(
-                on.verdict, "Verified",
+                rebind.verdict(),
+                "Verified",
                 "{system}/{budget} must verify under rebind"
             );
-            if off.verdict == "Verified" {
-                assert_eq!(
-                    on.leaves, off.leaves,
-                    "{system}/{budget}: weighted leaf counts must agree"
-                );
+            if off.outcome.is_verified() {
                 assert!(
-                    on.states < off.states,
+                    rebind.states() < off.states(),
                     "{system}/{budget}: rebind must reduce states"
                 );
-            } else {
-                on.reduction_is_lower_bound = true;
             }
-            on.reduction = off.states as f64 / on.states as f64;
+            rows.extend(reduced);
             rows.push(off);
-            rows.push(on);
+            rows.push(rebind);
         }
     }
     // Fig. 4 rows: off and the certified scalarset declaration under
@@ -1343,87 +1344,25 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
     // is inert here and the quotient is the identity (the E14 audit
     // warns exactly this); E17 measures the acting-orbit instances,
     // where the same declaration reduces.
-    {
-        let n = 3;
-        let budget = 1;
-        let factory = ConsensusObjectFactory { domain: 4 };
-        let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let horizon = 4;
-        let system = format!("SimultaneousRc n={n}");
-        let config = ExploreConfig {
-            crash: CrashModel::simultaneous(budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
-        };
-        let off = e13_measure(&system, budget, "off", &config, &|| {
-            explore(
-                &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                &config,
-            )
-        });
-        let slots = e13_measure(&system, budget, "slots", &config, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_simultaneous_rc_system_sym(&factory, &inputs, horizon),
-                &config,
-            )
-        });
-        assert_eq!(
-            (&slots.verdict, slots.states, slots.leaves),
-            (&off.verdict, off.states, off.leaves),
-            "distinct inputs leave the scalarset family inert, so outcomes \
-             are identical"
-        );
-        rows.push(off);
-        rows.push(slots);
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            match (r.mode, r.reduction_is_lower_bound) {
-                ("rebind", true) => format!("≥{:.1}×", r.reduction),
-                ("rebind", false) => format!("{:.1}×", r.reduction),
-                _ => "1.0×".into(),
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "rebind")
-        .map(|r| {
-            (
-                r.reduction,
-                r.reduction_is_lower_bound,
-                r.system.clone(),
-                r.crash_budget,
-            )
-        })
-        .fold((0.0f64, false, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+    let objects = ConsensusObjectFactory { domain: 4 };
+    let inputs: Vec<Value> = (0..3).map(Value::Int).collect();
+    let horizon = 4;
+    let system = "SimultaneousRc n=3";
+    let config = sweep_config(CrashModel::simultaneous(1), &inputs);
+    let plain = || build_simultaneous_rc_system(&objects, &inputs, horizon);
+    let sym = || build_simultaneous_rc_system_sym(&objects, &inputs, horizon);
+    let off = measure(system, "off", Factory::Plain(&plain), &config);
+    let mut slots = measure(system, "slots", Factory::Symmetric(&sym), &config);
+    against_off(&off, std::slice::from_mut(&mut slots));
+    assert_eq!(
+        (slots.verdict(), slots.states(), slots.leaves()),
+        (off.verdict(), off.states(), off.leaves()),
+        "distinct inputs leave the scalarset family inert, so outcomes \
+         are identical"
+    );
+    rows.push(off);
+    rows.push(slots);
+    let headline = largest_reduction(&rows, |r| r.mode == "rebind");
     let cap_note = if fast {
         "(the Truncated-without-rebind demonstrations on masked S_7/S_8 run \
          in the full sweep only)"
@@ -1437,7 +1376,7 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
          team-RC: per-process mask registers permute with their owners; \
          slots-only must keep masked processes in singleton orbits, so it \
          equals off — asserted):\n{}\n\
-         largest recorded reduction: {}{:.1}× on {}/budget-{}; Verified \
+         largest recorded reduction: {} on {}/budget-{}; Verified \
          rebind rows match off verdicts and weighted leaf counts exactly \
          (asserted), witnesses replay in original pids (tested), and \
          {cap_note}. Fig. 4 (SimultaneousRc) rows stay slots-only here: \
@@ -1446,105 +1385,12 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
          owner-only soundness validation (tested in rc-core) — the \
          registers reduce under the certified *scalarset* fragment \
          instead (E17).\n",
-        t.render(),
-        if headline.1 { "≥" } else { "" },
-        headline.0,
-        headline.2,
-        headline.3,
+        render(SWEEP_COLUMNS, &rows),
+        (REDUCTION.1)(headline),
+        headline.system,
+        headline.crash_budget(),
     );
     (report, rows)
-}
-
-/// One measured configuration of the E15 partial-order-reduction sweep.
-#[derive(Clone, Debug)]
-pub struct E15Row {
-    /// System under check: `"masked S_n"` (the input-masked Fig. 2
-    /// team-RC system, as in E13) or `"SimultaneousRc n=k"` (Fig. 4 over
-    /// atomic consensus objects — the system no owned-cell orbit is
-    /// sound for, so symmetry cannot reduce it and POR is the only
-    /// reducer that applies).
-    pub system: String,
-    /// Crash budget (independent + post-decide for the masked systems,
-    /// simultaneous + post-decide for Fig. 4).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (plain engine), `"por"` (persistent + sleep sets,
-    /// `ExploreConfig::por`), `"rebind"` (full-state symmetry, as in
-    /// E13) or `"por+rebind"` (both reducers composed).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — sleep-annotated under `por`, canonical
-    /// representatives under `rebind`, both under `por+rebind`.
-    pub states: usize,
-    /// Weighted executions enumerated; Verified reduced rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`; a **lower bound** when the off
-    /// side truncated at the cap (see `reduction_is_lower_bound`).
-    pub reduction: f64,
-    /// Whether `reduction` is a lower bound (off side hit the cap).
-    pub reduction_is_lower_bound: bool,
-}
-
-fn e15_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E15Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E15", run_once);
-    E15Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-        reduction_is_lower_bound: false,
-    }
-}
-
-/// Finishes one E15 instance: computes reductions against the off row
-/// and asserts the invariants every reduced mode must satisfy — when
-/// the off side verified, every reduced row verifies with the same
-/// weighted leaf count. State counts are *not* monotone under POR: the
-/// sleep mask is part of node identity (that is what keeps the engines
-/// deterministic), so a state re-reached along paths with incomparable
-/// sleep sets splits into several entries, and the sweep honestly
-/// records the configurations where that cost outweighs the pruning
-/// (reduction below 1.0×).
-fn e15_finish(off: E15Row, mut reduced: Vec<E15Row>) -> Vec<E15Row> {
-    for r in &mut reduced {
-        if off.verdict == "Verified" {
-            assert_eq!(
-                r.verdict, "Verified",
-                "{}/{} {}: must verify when off verifies",
-                off.system, off.crash_budget, r.mode
-            );
-            assert_eq!(
-                r.leaves, off.leaves,
-                "{}/{} {}: weighted leaf counts must agree",
-                off.system, off.crash_budget, r.mode
-            );
-        } else {
-            r.reduction_is_lower_bound = true;
-        }
-        r.reduction = off.states as f64 / r.states as f64;
-    }
-    let mut rows = vec![off];
-    rows.append(&mut reduced);
-    rows
 }
 
 /// E15: footprint-driven **partial-order reduction** (persistent +
@@ -1573,9 +1419,9 @@ fn e15_finish(off: E15Row, mut reduced: Vec<E15Row>) -> Vec<E15Row> {
 /// paths with incomparable sleep sets and the splitting outweighs the
 /// pruning. Verified reduced rows are asserted to match the off rows'
 /// verdicts and weighted leaf counts exactly in every mode.
-pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
-    // Masked team-RC instances, `(n, crash model, budget)` per row
-    // group. Budget-0 rows show POR's crash-free interleaving reduction
+pub fn e15_por_reduction(fast: bool) -> (String, Vec<Measured>) {
+    // Masked team-RC instances, `(n, budget, CrashAll)` per row group.
+    // Budget-0 rows show POR's crash-free interleaving reduction
     // cleanly and compose multiplicatively with rebind. The independent
     // budget-1 rows are the honest negative datapoint: each of the many
     // single-process crash children seeds the post-crash layer along
@@ -1583,202 +1429,118 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
     // splitting outweighs the pruning (reduction below 1.0×). The
     // CrashAll (simultaneous) budget-1 rows restore the payoff — one
     // all-reset child per pre-crash state keeps the entry points few —
-    // and carry the ISSUE's masked S_7/S_8 budget-1 composition
-    // demonstration: off and por alone exceed the default 5M-state cap,
-    // rebind and por+rebind verify exactly, por+rebind strictly below
-    // rebind (asserted).
-    struct MaskedInstance {
-        n: usize,
-        crash: CrashModel,
-        budget: usize,
-        simultaneous: bool,
-    }
-    let masked = |n: usize, budget: usize, simultaneous: bool| MaskedInstance {
-        n,
-        crash: if simultaneous {
-            CrashModel::simultaneous(budget).after_decide(true)
-        } else {
-            CrashModel::independent(budget).after_decide(true)
-        },
-        budget,
-        simultaneous,
-    };
-    let masked_sweep: Vec<MaskedInstance> = if fast {
-        vec![masked(4, 0, false), masked(4, 1, false), masked(4, 1, true)]
+    // and carry the masked S_7/S_8 budget-1 composition demonstration:
+    // off and por alone exceed the default 5M-state cap, rebind and
+    // por+rebind verify exactly, por+rebind strictly below rebind
+    // (asserted).
+    let masked_sweep: &[(usize, usize, bool)] = if fast {
+        &[(4, 0, false), (4, 1, false), (4, 1, true)]
     } else {
-        vec![
-            masked(5, 0, false),
-            masked(5, 1, false),
-            masked(5, 1, true),
-            masked(7, 1, true),
-            masked(8, 1, true),
+        &[
+            (5, 0, false),
+            (5, 1, false),
+            (5, 1, true),
+            (7, 1, true),
+            (8, 1, true),
         ]
     };
-    let mut rows: Vec<E15Row> = Vec::new();
-    for inst in &masked_sweep {
-        let n = inst.n;
-        let budget = inst.budget;
+    let mut rows = Vec::new();
+    for &(n, budget, simultaneous) in masked_sweep {
         let (ty, w) = sn_witness(n);
         let inputs = team_inputs(&w.assignment);
-        let system = if inst.simultaneous {
-            format!("masked S_{n} (CrashAll)")
+        let (system, crash) = if simultaneous {
+            (
+                format!("masked S_{n} (CrashAll)"),
+                CrashModel::simultaneous(budget),
+            )
         } else {
-            format!("masked S_{n}")
+            (format!("masked S_{n}"), CrashModel::independent(budget))
         };
-        let base = ExploreConfig {
-            crash: inst.crash,
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
-        };
+        let base = sweep_config(crash, &inputs);
         let por_cfg = ExploreConfig {
             por: true,
             analysis_id: Some(format!("bench/e15/masked-S_{n}")),
             ..base.clone()
         };
-        let off = e15_measure(&system, budget, "off", &base, &|| {
-            explore(
-                &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                &base,
-            )
-        });
-        let por = e15_measure(&system, budget, "por", &por_cfg, &|| {
-            explore(
-                &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                &por_cfg,
-            )
-        });
-        let rebind = e15_measure(&system, budget, "rebind", &base, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &base,
-            )
-        });
-        let both = e15_measure(&system, budget, "por+rebind", &por_cfg, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &por_cfg,
-            )
-        });
+        let plain = || build_masked_team_rc_system(ty.clone(), &w, &inputs);
+        let sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let off = measure(&system, "off", Factory::Plain(&plain), &base);
+        let mut reduced = [
+            measure(&system, "por", Factory::Plain(&plain), &por_cfg),
+            measure(&system, "rebind", Factory::Symmetric(&sym), &base),
+            measure(&system, "por+rebind", Factory::Symmetric(&sym), &por_cfg),
+        ];
+        against_off(&off, &mut reduced);
+        let [por, rebind, both] = &reduced;
         if budget == 0 {
             // Purely crash-free: POR must prune interleavings, and the
             // composition must beat symmetry alone.
             assert!(
-                por.states < off.states,
+                por.states() < off.states(),
                 "{system}/0: POR must reduce the crash-free search"
             );
             assert!(
-                both.states < rebind.states,
+                both.states() < rebind.states(),
                 "{system}/0: por+rebind must beat rebind alone"
             );
         }
-        if inst.simultaneous {
+        if simultaneous {
             // The multiplicative composition demonstration: the CrashAll
             // post-crash layer prunes like a crash-free search, so POR
             // stacks on top of the rebind orbit collapse.
             assert_eq!(
-                rebind.verdict, "Verified",
+                rebind.verdict(),
+                "Verified",
                 "{system}/{budget} must verify under rebind"
             );
             assert_eq!(
-                both.verdict, "Verified",
+                both.verdict(),
+                "Verified",
                 "{system}/{budget} must verify under por+rebind"
             );
             assert!(
-                both.states < rebind.states,
+                both.states() < rebind.states(),
                 "{system}/{budget}: por+rebind must beat rebind alone"
             );
-            if off.verdict == "Verified" {
+            if off.outcome.is_verified() {
                 assert!(
-                    por.states < off.states,
+                    por.states() < off.states(),
                     "{system}/{budget}: POR must reduce the CrashAll search"
                 );
             }
         }
-        rows.extend(e15_finish(off, vec![por, rebind, both]));
+        rows.push(off);
+        rows.extend(reduced);
     }
     // Fig. 4: owned-cell symmetry cannot touch it (the scalarset
     // fragment can — E17). POR's headroom comes from laggards — a
     // process still proposing to an already-settled round's consensus
     // object commutes with every process ahead of it (their crash-free
     // futures never revisit settled rounds).
-    {
-        let n = 3;
-        let factory = ConsensusObjectFactory { domain: 4 };
-        let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let horizon = 4;
-        let system = format!("SimultaneousRc n={n}");
-        let budgets: &[usize] = if fast { &[1] } else { &[0, 1] };
-        for &budget in budgets {
-            let base = ExploreConfig {
-                crash: CrashModel::simultaneous(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            let por_cfg = ExploreConfig {
-                por: true,
-                analysis_id: Some(format!("bench/e15/simultaneous-rc-n{n}-h{horizon}")),
-                ..base.clone()
-            };
-            let off = e15_measure(&system, budget, "off", &base, &|| {
-                explore(
-                    &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                    &base,
-                )
-            });
-            let por = e15_measure(&system, budget, "por", &por_cfg, &|| {
-                explore(
-                    &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                    &por_cfg,
-                )
-            });
-            assert!(
-                por.states < off.states,
-                "{system}/{budget}: POR must reduce the system symmetry cannot touch"
-            );
-            rows.extend(e15_finish(off, vec![por]));
-        }
+    let objects = ConsensusObjectFactory { domain: 4 };
+    let inputs: Vec<Value> = (0..3).map(Value::Int).collect();
+    let horizon = 4;
+    let system = "SimultaneousRc n=3";
+    let plain = || build_simultaneous_rc_system(&objects, &inputs, horizon);
+    let budgets: &[usize] = if fast { &[1] } else { &[0, 1] };
+    for &budget in budgets {
+        let base = sweep_config(CrashModel::simultaneous(budget), &inputs);
+        let por_cfg = ExploreConfig {
+            por: true,
+            analysis_id: Some(format!("bench/e15/simultaneous-rc-n3-h{horizon}")),
+            ..base.clone()
+        };
+        let off = measure(system, "off", Factory::Plain(&plain), &base);
+        let mut por = measure(system, "por", Factory::Plain(&plain), &por_cfg);
+        against_off(&off, std::slice::from_mut(&mut por));
+        assert!(
+            por.states() < off.states(),
+            "{system}/{budget}: POR must reduce the system symmetry cannot touch"
+        );
+        rows.push(off);
+        rows.push(por);
     }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            match (r.mode, r.reduction_is_lower_bound) {
-                ("off", _) => "1.0×".into(),
-                (_, true) => format!("≥{:.1}×", r.reduction),
-                (_, false) => format!("{:.1}×", r.reduction),
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "por" && r.verdict == "Verified")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+    let headline = largest_reduction(&rows, |r| r.mode == "por" && r.outcome.is_verified());
     let cap_note = if fast {
         "(the masked S_7/S_8 CrashAll budget-1 composition rows run in \
          the full sweep only)"
@@ -1806,96 +1568,12 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
          single-process crash children re-reach post-crash states with \
          incomparable sleep sets, and the node splitting outweighs the \
          pruning (below 1.0×). Also {cap_note}.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(SWEEP_COLUMNS, &rows),
+        headline.reduction,
+        headline.system,
+        headline.crash_budget(),
     );
     (report, rows)
-}
-
-/// One row of the E16 storage-tier scaling sweep.
-#[derive(Clone, Debug)]
-pub struct E16Row {
-    /// System under check: `"S_n"` (Fig. 2 team-RC, as in E11/E12) or
-    /// `"masked S_n"` (the input-masked variant, as in E13/E15).
-    pub system: String,
-    /// Independent crash budget (post-decide crashes enabled).
-    pub crash_budget: usize,
-    /// Visited-set backend: `flat`, `packed`, `packed+filter` or
-    /// `packed+spill` ([`rc_runtime::StorageTier`]). The `flat`
-    /// baseline row runs at the catalog's historical cap and re-records
-    /// its `Truncated` verdict.
-    pub tier: String,
-    /// `"unreduced"` (the plain search, the tier-parity grid) or
-    /// `"por+rebind"` (both reducers composed on the masked instance —
-    /// the storage tiers must stay exact under the reduced search too).
-    pub mode: &'static str,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// The `max_bytes` cap (0 = uncapped), charged in the DFS's
-    /// acceptance order.
-    pub max_bytes: usize,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — asserted identical across every tier
-    /// of an instance's lifted-cap rows.
-    pub states: usize,
-    /// Weighted executions enumerated — asserted identical across the
-    /// lifted-cap rows *and* against the catalog's reduced-engine
-    /// record of the same instance, where one exists.
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the (single) run — cap-scale searches
-    /// are too long for a best-of loop (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// Peak resident visited-set MiB ([`rc_runtime::ExploreStats::peak_table_bytes`]).
-    pub peak_table_mb: f64,
-    /// MiB frozen into on-disk spill runs (0 without the spill tier).
-    pub spilled_mb: f64,
-    /// Bloom prefilter bits set (0 without the filter tier).
-    pub filter_bits: usize,
-    /// MiB held by the compacted witness log.
-    pub witness_mb: f64,
-}
-
-fn e16_measure(
-    system: &str,
-    budget: usize,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> (rc_runtime::ExploreOutcome, rc_runtime::ExploreStats),
-) -> E16Row {
-    use rc_runtime::ExploreOutcome;
-    let start = std::time::Instant::now();
-    let (outcome, stats) = run_once();
-    let elapsed = start.elapsed();
-    let (verdict, states, leaves) = match outcome {
-        ExploreOutcome::Verified { states, leaves } => ("Verified".to_string(), states, leaves),
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0),
-        ExploreOutcome::Violation { schedule, .. } => panic!(
-            "E16 systems are correct; violation after {} actions",
-            schedule.len()
-        ),
-    };
-    const MB: f64 = (1 << 20) as f64;
-    E16Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        tier: config.storage.to_string(),
-        mode: "unreduced",
-        max_states: config.max_states,
-        max_bytes: config.max_bytes.unwrap_or(0),
-        verdict,
-        states,
-        leaves,
-        millis: elapsed.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / elapsed.as_secs_f64().max(1e-9),
-        peak_table_mb: stats.peak_table_bytes as f64 / MB,
-        spilled_mb: stats.spilled_bytes as f64 / MB,
-        filter_bits: stats.filter_occupancy,
-        witness_mb: stats.witness_bytes as f64 / MB,
-    }
 }
 
 /// E16: tiered, bit-packed state storage — the catalog instances the
@@ -1921,273 +1599,169 @@ fn e16_measure(
 /// would have found nothing and the spill tier compares full key bytes
 /// on disk, so — unlike bitstate/supertrace hashing — every tier
 /// returns the same exact verdict (see DESIGN §3).
-pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
-    struct Instance {
-        n: usize,
-        masked: bool,
-        budget: usize,
-        /// The cap the catalog row truncated at (shrunk in fast mode so
-        /// the sweep still demonstrates Truncated → Verified cheaply).
-        baseline_cap: usize,
-        lifted_cap: usize,
-        /// The instance's weighted leaf count as previously computed by
-        /// a *reduced* catalog run (E12 symmetry-on / E13 rebind).
-        expected_leaves: Option<usize>,
-    }
-    let sweep: Vec<Instance> = if fast {
-        vec![
-            Instance {
-                n: 4,
-                masked: true,
-                budget: 0,
-                baseline_cap: 1_000,
-                lifted_cap: 5_000_000,
-                expected_leaves: None,
-            },
-            Instance {
-                n: 4,
-                masked: false,
-                budget: 2,
-                baseline_cap: 1_000,
-                lifted_cap: 5_000_000,
-                expected_leaves: Some(12),
-            },
-        ]
+pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
+    // (n, masked, budget, the weighted leaf count a *reduced* catalog
+    // run — E12 symmetry-on / E13 rebind — computed for the instance).
+    let sweep: &[(usize, bool, usize, Option<usize>)] = if fast {
+        &[(4, true, 0, None), (4, false, 2, Some(12))]
     } else {
-        vec![
-            Instance {
-                n: 7,
-                masked: true,
-                budget: 0,
-                baseline_cap: 5_000_000,
-                lifted_cap: 20_000_000,
-                expected_leaves: Some(20),
-            },
-            Instance {
-                n: 8,
-                masked: false,
-                budget: 0,
-                baseline_cap: 5_000_000,
-                lifted_cap: 20_000_000,
-                expected_leaves: Some(23),
-            },
-        ]
+        &[(7, true, 0, Some(20)), (8, false, 0, Some(23))]
+    };
+    // The cap the catalog rows truncated at (shrunk in fast mode so the
+    // sweep still demonstrates Truncated → Verified cheaply), and the
+    // lifted cap.
+    let (baseline_cap, lifted_cap) = if fast {
+        (1_000, 5_000_000)
+    } else {
+        (5_000_000, 20_000_000)
     };
     // Small enough that every lifted-cap spill row freezes runs; run
     // probes stay cheap behind the per-run Blooms.
     let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
     let byte_cap: usize = if fast { 256 << 20 } else { 8 << 30 };
-    let mut rows: Vec<E16Row> = Vec::new();
-    for inst in &sweep {
-        let (ty, w) = sn_witness(inst.n);
+    let mut rows = Vec::new();
+    for &(n, masked, budget, expected_leaves) in sweep {
+        let (ty, w) = sn_witness(n);
         let inputs = team_inputs(&w.assignment);
-        let system = if inst.masked {
-            format!("masked S_{}", inst.n)
+        let system = if masked {
+            format!("masked S_{n}")
         } else {
-            format!("S_{}", inst.n)
+            format!("S_{n}")
         };
-        let factory = || {
-            if inst.masked {
+        let build = || {
+            if masked {
                 build_masked_team_rc_system(ty.clone(), &w, &inputs)
             } else {
                 build_team_rc_system(ty.clone(), &w, &inputs)
             }
         };
-        let base = ExploreConfig {
-            crash: CrashModel::independent(inst.budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
+        let plain = Factory::Plain(&build);
+        let base = sweep_config(CrashModel::independent(budget), &inputs);
+        let lifted = |tier: StorageTier| ExploreConfig {
+            max_states: lifted_cap,
+            storage: tier,
+            spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
+            ..base.clone()
         };
+        // The historical baseline ran on the flat table; it is the
+        // opt-out now that `ExploreConfig::storage` defaults to packed,
+        // so the row pins it explicitly.
         let baseline_cfg = ExploreConfig {
-            max_states: inst.baseline_cap,
-            // The historical baseline ran on the flat table; it is the
-            // opt-out now that `ExploreConfig::storage` defaults to
-            // packed, so the row pins it explicitly.
+            max_states: baseline_cap,
             storage: StorageTier::Flat,
             ..base.clone()
         };
-        let baseline = e16_measure(&system, inst.budget, &baseline_cfg, &|| {
-            explore_with_stats(&factory, &baseline_cfg)
-        });
+        let baseline = measure(&system, "unreduced", plain, &baseline_cfg);
         assert_eq!(
-            baseline.verdict, "Truncated",
-            "{system}/{}: the baseline cap must truncate",
-            inst.budget
+            baseline.verdict(),
+            "Truncated",
+            "{system}/{budget}: the baseline cap must truncate"
         );
         assert_eq!(
-            baseline.states, inst.baseline_cap,
-            "{system}/{}: Truncated reports exactly the cap",
-            inst.budget
+            baseline.states(),
+            baseline_cap,
+            "{system}/{budget}: Truncated reports exactly the cap"
         );
         rows.push(baseline);
-        let mut reference: Option<(usize, usize)> = None;
+        let grid_start = rows.len();
         for tier in StorageTier::ALL {
-            let cfg = ExploreConfig {
-                max_states: inst.lifted_cap,
-                storage: tier,
-                spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
-                ..base.clone()
-            };
-            let row = e16_measure(&system, inst.budget, &cfg, &|| {
-                explore_with_stats(&factory, &cfg)
-            });
+            let row = measure(&system, "unreduced", plain, &lifted(tier));
             assert_eq!(
-                row.verdict, "Verified",
-                "{system}/{}: the lifted cap must verify exactly under {tier}",
-                inst.budget
+                row.verdict(),
+                "Verified",
+                "{system}/{budget}: the lifted cap must verify exactly under {tier}"
             );
             assert!(
-                row.states > inst.baseline_cap,
-                "{system}/{}: the instance must really exceed the baseline cap",
-                inst.budget
+                row.states() > baseline_cap,
+                "{system}/{budget}: the instance must really exceed the baseline cap"
             );
-            if let Some(expected) = inst.expected_leaves {
+            if let Some(expected) = expected_leaves {
                 assert_eq!(
-                    row.leaves, expected,
-                    "{system}/{}: the unreduced search must reproduce the catalog's \
-                     reduced-search weighted leaf count",
-                    inst.budget
+                    row.leaves(),
+                    expected,
+                    "{system}/{budget}: the unreduced search must reproduce the catalog's \
+                     reduced-search weighted leaf count"
                 );
             }
-            match reference {
-                None => reference = Some((row.states, row.leaves)),
-                Some(r) => assert_eq!(
-                    (row.states, row.leaves),
-                    r,
-                    "{system}/{}: byte-identical outcomes across tiers ({tier})",
-                    inst.budget
-                ),
-            }
+            let first = rows.get(grid_start).unwrap_or(&row);
+            assert_eq!(
+                (row.states(), row.leaves()),
+                (first.states(), first.leaves()),
+                "{system}/{budget}: byte-identical outcomes across tiers ({tier})"
+            );
             if tier == StorageTier::PackedSpill {
                 assert!(
-                    row.spilled_mb > 0.0,
-                    "{system}/{}: the spill row must freeze runs",
-                    inst.budget
+                    row.stats.spilled_bytes > 0,
+                    "{system}/{budget}: the spill row must freeze runs"
                 );
             }
             if tier == StorageTier::PackedFilter {
                 assert!(
-                    row.filter_bits > 0,
-                    "{system}/{}: the filter row must populate the Bloom",
-                    inst.budget
+                    row.stats.filter_occupancy > 0,
+                    "{system}/{budget}: the filter row must populate the Bloom"
                 );
             }
             rows.push(row);
         }
+        let grid = (rows[grid_start].states(), rows[grid_start].leaves());
         let byte_cfg = ExploreConfig {
-            max_states: inst.lifted_cap,
-            storage: StorageTier::PackedSpill,
-            spill_threshold: Some(spill_threshold),
             max_bytes: Some(byte_cap),
-            ..base.clone()
+            ..lifted(StorageTier::PackedSpill)
         };
-        let byte_row = e16_measure(&system, inst.budget, &byte_cfg, &|| {
-            explore_with_stats(&factory, &byte_cfg)
-        });
+        let byte_row = measure(&system, "unreduced", plain, &byte_cfg);
         assert_eq!(
-            (byte_row.verdict.as_str(), byte_row.states, byte_row.leaves),
-            (
-                "Verified",
-                reference.expect("grid ran").0,
-                reference.expect("grid ran").1
-            ),
-            "{system}/{}: the byte-budgeted run must match the grid exactly",
-            inst.budget
+            (byte_row.verdict(), byte_row.states(), byte_row.leaves()),
+            ("Verified", grid.0, grid.1),
+            "{system}/{budget}: the byte-budgeted run must match the grid exactly"
         );
         rows.push(byte_row);
-        if inst.masked {
+        if masked {
             // The composed reducers (por+rebind, as in E15) on top of
             // the packed and spill tiers: the storage layer must stay
             // exact under the reduced search too — byte-identical
             // canonical state counts across tiers, and the same weighted
             // leaf count as the unreduced grid.
-            let mut reduced_ref: Option<(usize, usize)> = None;
-            for tier in [StorageTier::Packed, StorageTier::PackedSpill] {
+            let sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+            let mut reduced = [StorageTier::Packed, StorageTier::PackedSpill].map(|tier| {
                 let cfg = ExploreConfig {
-                    max_states: inst.lifted_cap,
-                    storage: tier,
-                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
                     por: true,
-                    analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
-                    ..base.clone()
+                    analysis_id: Some(format!("bench/e16/masked-S_{n}")),
+                    ..lifted(tier)
                 };
-                let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
-                    rc_runtime::explore_symmetric_with_stats(
-                        &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                        &cfg,
-                    )
-                });
-                row.mode = "por+rebind";
-                assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: the reduced run must verify under {tier}",
-                    inst.budget
-                );
-                assert_eq!(
-                    row.leaves,
-                    reference.expect("grid ran").1,
-                    "{system}/{}: reduced weighted leaves must match the unreduced grid",
-                    inst.budget
-                );
+                measure(&system, "por+rebind", Factory::Symmetric(&sym), &cfg)
+            });
+            let packed = rows[grid_start..]
+                .iter()
+                .find(|r| r.config.storage == StorageTier::Packed)
+                .expect("the grid has a packed row");
+            // Verified, with the unreduced grid's weighted leaves.
+            against_off(packed, &mut reduced);
+            for row in &reduced {
+                let tier = row.config.storage;
                 assert!(
-                    row.states < reference.expect("grid ran").0,
-                    "{system}/{}: por+rebind must visit fewer states than unreduced",
-                    inst.budget
+                    row.states() < grid.0,
+                    "{system}/{budget}: por+rebind must visit fewer states than unreduced"
                 );
-                match reduced_ref {
-                    None => reduced_ref = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: reduced outcomes byte-identical across tiers ({tier})",
-                        inst.budget
-                    ),
-                }
-                rows.push(row);
+                assert_eq!(
+                    (row.states(), row.leaves()),
+                    (reduced[0].states(), reduced[0].leaves()),
+                    "{system}/{budget}: reduced outcomes byte-identical across tiers ({tier})"
+                );
             }
+            rows.extend(reduced);
         }
-    }
-    let mut t = Table::new(&[
-        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves", "ms",
-        "peak MB", "spill MB", "filter", "wit MB",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.tier.clone(),
-            r.mode.to_string(),
-            r.max_states.to_string(),
-            if r.max_bytes == 0 {
-                "—".into()
-            } else {
-                format!("{}M", r.max_bytes >> 20)
-            },
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.0}", r.millis),
-            format!("{:.1}", r.peak_table_mb),
-            format!("{:.1}", r.spilled_mb),
-            r.filter_bits.to_string(),
-            format!("{:.1}", r.witness_mb),
-        ]);
     }
     let largest = rows
         .iter()
-        .filter(|r| r.verdict == "Verified")
-        .max_by_key(|r| r.states)
+        .filter(|r| r.outcome.is_verified())
+        .max_by_key(|r| r.states())
         .expect("grid rows exist");
-    let flat_peak = rows
-        .iter()
-        .filter(|r| r.tier == "flat" && r.verdict == "Verified")
-        .map(|r| r.peak_table_mb)
-        .fold(0.0f64, f64::max);
-    let packed_peak = rows
-        .iter()
-        .filter(|r| r.tier == "packed" && r.verdict == "Verified")
-        .map(|r| r.peak_table_mb)
-        .fold(0.0f64, f64::max);
+    let peak = |tier: StorageTier| {
+        rows.iter()
+            .filter(|r| r.config.storage == tier && r.outcome.is_verified())
+            .map(|r| r.stats.peak_table_bytes as f64 / (1 << 20) as f64)
+            .fold(0.0f64, f64::max)
+    };
     let cap_note = if fast {
         "(fast mode shrinks both caps; the full sweep lifts the real 5M \
          catalog cap on masked S_7 and S_8)"
@@ -2216,67 +1790,14 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
          unreduced grid (asserted) — the packed default \
          (`ExploreConfig::storage`) rests on this parity. Also \
          {cap_note}.\n",
-        t.render(),
-        largest.states,
+        render(E16_COLUMNS, &rows),
+        largest.states(),
         largest.system,
-        largest.crash_budget,
-        flat_peak,
-        packed_peak,
+        largest.crash_budget(),
+        peak(StorageTier::Flat),
+        peak(StorageTier::Packed),
     );
     (report, rows)
-}
-
-/// One measured configuration of the E17 scalarset-symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E17Row {
-    /// System under check: `"SimultaneousRc n=k [inputs]"` — Fig. 4
-    /// over atomic consensus objects, the system E13/E15 recorded as
-    /// untouchable by owned-cell symmetry (reduction pinned at 1.0×).
-    pub system: String,
-    /// Simultaneous crash budget (post-decide crashes enabled).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (plain search), `"scalarset"` (the certified scalarset
-    /// family permutes with the process orbits) or `"scalarset+por"`
-    /// (composed with partial-order reduction).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited (canonical representatives under the
-    /// scalarset modes).
-    pub states: usize,
-    /// Weighted executions enumerated; Verified reduced rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`.
-    pub reduction: f64,
-}
-
-fn e17_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E17Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E17", run_once);
-    E17Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-    }
 }
 
 /// E17: **scalarset symmetry for Fig. 4** — the reduction E13 and E15
@@ -2300,153 +1821,66 @@ fn e17_measure(
 /// strictly reduces (Fig. 4 leaves 1.0× behind); and scalarset+por
 /// strictly beats scalarset alone wherever POR alone reduced (E15's
 /// 2.1× composes).
-pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
-    struct Instance {
-        inputs: Vec<Value>,
-        label: &'static str,
-        budget: usize,
-        horizon: usize,
-    }
-    let inst = |inputs: Vec<i64>, label, budget, horizon| Instance {
-        inputs: inputs.into_iter().map(Value::Int).collect(),
-        label,
-        budget,
-        horizon,
-    };
-    // Equal inputs put every process in one orbit (the full symmetric
-    // group acts); the mixed instance keeps a singleton orbit alongside
-    // — the family still permutes under the acting orbit only.
-    let sweep: Vec<Instance> = if fast {
-        vec![inst(vec![0, 0, 1], "inputs 0,0,1", 1, 4)]
+pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<Measured>) {
+    // (inputs, budget) per instance, all at horizon 4. Equal inputs put
+    // every process in one orbit (the full symmetric group acts); the
+    // mixed instance keeps a singleton orbit alongside — the family
+    // still permutes under the acting orbit only.
+    let sweep: &[([i64; 3], usize)] = if fast {
+        &[([0, 0, 1], 1)]
     } else {
-        vec![
-            inst(vec![0, 0, 0], "inputs 0,0,0", 1, 4),
-            inst(vec![0, 0, 1], "inputs 0,0,1", 1, 4),
-            inst(vec![0, 0, 0], "inputs 0,0,0", 0, 4),
-        ]
+        &[([0, 0, 0], 1), ([0, 0, 1], 1), ([0, 0, 0], 0)]
     };
-    let factory = ConsensusObjectFactory { domain: 4 };
-    let mut rows: Vec<E17Row> = Vec::new();
-    for inst in &sweep {
-        let n = inst.inputs.len();
-        let system = format!("SimultaneousRc n={n} ({})", inst.label);
-        let analysis_id = format!(
-            "bench/e17/simultaneous-rc-n{n}-{}-h{}",
-            inst.label, inst.horizon
-        );
+    let horizon = 4;
+    let objects = ConsensusObjectFactory { domain: 4 };
+    let mut rows = Vec::new();
+    for &(inputs, budget) in sweep {
+        let label = format!("inputs {},{},{}", inputs[0], inputs[1], inputs[2]);
+        let system = format!("SimultaneousRc n=3 ({label})");
+        let inputs = inputs.map(Value::Int);
         let base = ExploreConfig {
-            crash: CrashModel::simultaneous(inst.budget).after_decide(true),
-            inputs: Some(inst.inputs.clone()),
-            analysis_id: Some(analysis_id.clone()),
-            ..ExploreConfig::default()
+            analysis_id: Some(format!("bench/e17/simultaneous-rc-n3-{label}-h{horizon}")),
+            ..sweep_config(CrashModel::simultaneous(budget), &inputs)
         };
         let por_cfg = ExploreConfig {
             por: true,
             ..base.clone()
         };
-        let mut per_mode: Vec<(usize, usize)> = Vec::new(); // (states, leaves) per mode
-        for (mode, cfg, symmetric) in [
-            ("off", &base, false),
-            ("scalarset", &base, true),
-            ("scalarset+por", &por_cfg, true),
-        ] {
-            let row = e17_measure(&system, inst.budget, mode, cfg, &|| {
-                if symmetric {
-                    rc_runtime::explore_symmetric(
-                        &|| build_simultaneous_rc_system_sym(&factory, &inst.inputs, inst.horizon),
-                        cfg,
-                    )
-                } else {
-                    explore(
-                        &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
-                        cfg,
-                    )
-                }
-            });
+        let plain = || build_simultaneous_rc_system(&objects, &inputs, horizon);
+        let sym = || build_simultaneous_rc_system_sym(&objects, &inputs, horizon);
+        let off = measure(&system, "off", Factory::Plain(&plain), &base);
+        let mut reduced = [
+            measure(&system, "scalarset", Factory::Symmetric(&sym), &base),
+            measure(&system, "scalarset+por", Factory::Symmetric(&sym), &por_cfg),
+        ];
+        against_off(&off, &mut reduced);
+        for row in std::iter::once(&off).chain(&reduced) {
             assert_eq!(
-                row.verdict, "Verified",
-                "{system}/{}: every E17 row must verify ({mode})",
-                inst.budget
+                row.verdict(),
+                "Verified",
+                "{system}/{budget}: every E17 row must verify ({})",
+                row.mode
             );
-            per_mode.push((row.states, row.leaves));
-            rows.push(row);
         }
-        let (off, scal, both) = (per_mode[0], per_mode[1], per_mode[2]);
-        assert_eq!(
-            scal.1, off.1,
-            "{system}/{}: scalarset weighted leaves must match off",
-            inst.budget
-        );
-        assert_eq!(
-            both.1, off.1,
-            "{system}/{}: scalarset+por weighted leaves must match off",
-            inst.budget
+        let [scal, both] = &reduced;
+        assert!(
+            scal.states() < off.states(),
+            "{system}/{budget}: the certified scalarset must reduce the search \
+             ({} vs {} states)",
+            scal.states(),
+            off.states()
         );
         assert!(
-            scal.0 < off.0,
-            "{system}/{}: the certified scalarset must reduce the search \
+            both.states() < scal.states(),
+            "{system}/{budget}: scalarset+por must beat scalarset alone \
              ({} vs {} states)",
-            inst.budget,
-            scal.0,
-            off.0
+            both.states(),
+            scal.states()
         );
-        assert!(
-            both.0 < scal.0,
-            "{system}/{}: scalarset+por must beat scalarset alone \
-             ({} vs {} states)",
-            inst.budget,
-            both.0,
-            scal.0
-        );
-        let off_states = off.0;
-        for row in rows.iter_mut().rev() {
-            if row.system != system || row.crash_budget != inst.budget {
-                break;
-            }
-            row.reduction = off_states as f64 / row.states as f64;
-        }
+        rows.push(off);
+        rows.extend(reduced);
     }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            if r.mode == "off" {
-                "1.0×".into()
-            } else {
-                format!("{:.1}×", r.reduction)
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "scalarset+por")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+    let headline = largest_reduction(&rows, |r| r.mode == "scalarset+por");
     let report = format!(
         "E17 — scalarset symmetry for Fig. 4 (SimultaneousRc): the line-44 \
          termination scan, remodeled as an order-insensitive fold over a \
@@ -2462,16 +1896,16 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
          strictly below off, and scalarset+por strictly below scalarset \
          (all asserted) — the reducers compound on the system E13/E15 \
          recorded at 1.0× under owned-cell symmetry.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(SWEEP_COLUMNS, &rows),
+        headline.reduction,
+        headline.system,
+        headline.crash_budget(),
     );
     (report, rows)
 }
 
 /// One catalog system of the E18 swarm-verification sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E18Row {
     /// Swarm catalog id (`swarm run --system <id>`).
     pub system: String,
@@ -2503,6 +1937,48 @@ pub struct E18Row {
     /// Executions per second (machine-dependent).
     pub runs_per_sec: f64,
 }
+
+impl E18Row {
+    /// The row as the snapshot writes it (`null` witness columns on
+    /// clean rows).
+    pub fn json(&self) -> JsonRow {
+        let int = |v: usize| Json::Int(v as u64);
+        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::Int);
+        vec![
+            ("system", Json::Str(self.system.clone())),
+            ("crash", Json::Str(self.crash.clone())),
+            ("crash_prob", Json::Fixed(self.crash_prob, 2)),
+            ("seeds", Json::Int(self.seeds)),
+            ("threads", int(self.threads)),
+            ("distinct_finals", int(self.distinct_finals)),
+            ("violations", int(self.violations)),
+            ("first_violating_seed", opt(self.first_violating_seed)),
+            ("original_len", opt(self.original_len.map(|v| v as u64))),
+            ("min_witness", opt(self.min_witness.map(|v| v as u64))),
+            ("millis", Json::Fixed(self.millis, 1)),
+            ("runs_per_sec", Json::Fixed(self.runs_per_sec, 0)),
+        ]
+    }
+}
+
+const E18_COLUMNS: &[Column<E18Row>] = &[
+    ("system", |r| r.system.clone()),
+    ("adversary", |r| r.crash.clone()),
+    ("p", |r| format!("{:.2}", r.crash_prob)),
+    ("seeds", |r| r.seeds.to_string()),
+    ("thr", |r| r.threads.to_string()),
+    ("finals", |r| r.distinct_finals.to_string()),
+    ("viol", |r| r.violations.to_string()),
+    ("first", |r| {
+        r.first_violating_seed
+            .map_or_else(|| "—".into(), |s| s.to_string())
+    }),
+    ("witness", |r| match (r.original_len, r.min_witness) {
+        (Some(o), Some(m)) => format!("{o}→{m}"),
+        _ => "—".into(),
+    }),
+    ("runs/s", |r| format!("{:.0}", r.runs_per_sec)),
+];
 
 /// E18: the swarm-verification sweep — every system of the swarm
 /// catalog under its default adversary, seeded schedules fanned across
@@ -2602,36 +2078,6 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
             runs_per_sec: report.runs_per_sec,
         });
     }
-    let mut t = Table::new(&[
-        "system",
-        "adversary",
-        "p",
-        "seeds",
-        "thr",
-        "finals",
-        "viol",
-        "first",
-        "witness",
-        "runs/s",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash.clone(),
-            format!("{:.2}", r.crash_prob),
-            r.seeds.to_string(),
-            r.threads.to_string(),
-            r.distinct_finals.to_string(),
-            r.violations.to_string(),
-            r.first_violating_seed
-                .map_or_else(|| "—".into(), |s| s.to_string()),
-            match (r.original_len, r.min_witness) {
-                (Some(o), Some(m)) => format!("{o}→{m}"),
-                _ => "—".into(),
-            },
-            format!("{:.0}", r.runs_per_sec),
-        ]);
-    }
     let bug = rows
         .iter()
         .find(|r| r.violations > 0)
@@ -2648,198 +2094,131 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
         bug.first_violating_seed.expect("violating seed recorded"),
         bug.original_len.expect("original length recorded"),
         bug.min_witness.expect("witness length recorded"),
-        t.render(),
+        render(E18_COLUMNS, &rows),
     );
     (report, rows)
 }
 
-/// Renders the E11 + E12 + E13 + E15 + E16 + E17 + E18 rows as the
-/// `BENCH_explore.json` snapshot: a stable, diff-friendly record of the
-/// engine trajectory across PRs. The host core count is recorded so
-/// trajectory points from different machines stay comparable (it
-/// matters for the swarm's E18 rates; the exhaustive searches run on one
-/// core) — the CI `bench-record` job regenerates the snapshot and
-/// uploads it as an artifact.
-///
-/// Schema migration: version 6 drops `engine` and `vs_serial` from
-/// `e11_rows` and `threads` from `e16_rows` and `e17_rows` (the
-/// exhaustive checker has one engine, the DFS, so those columns carried
-/// nothing but the deleted parallel frontier); version 5 added `e18_rows` (the swarm-verification
-/// sweep; `first_violating_seed`, `original_len` and `min_witness` are
-/// `null` on clean rows) and requires `e18` in the regenerate command;
-/// version 4 added `e17_rows` (the scalarset-symmetry sweep) and a
-/// `mode` field on `e16_rows` (the por+rebind tier-parity rows);
-/// version 3 added `e16_rows` (the storage-tier scaling sweep);
-/// version 2 added the `schema` field itself plus `e15_rows` (the POR
-/// sweep). Up to version 5 earlier row sets were unchanged in shape at
-/// each step; version 6 is the first to remove keys, so a reader of the
-/// dropped columns must treat them as absent.
-pub fn snapshot_json(
-    e11: &[E11Row],
-    e12: &[E12Row],
-    e13: &[E13Row],
-    e15: &[E15Row],
-    e16: &[E16Row],
-    e17: &[E17Row],
-    e18: &[E18Row],
-) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 6,\n");
-    out.push_str(
-        "  \"regenerate\": \"cargo run -p rc-bench --release --bin tables -- e11 e12 e13 e15 \
-         e16 e17 e18 --snapshot\",\n",
-    );
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(
-        "  \"note\": \"states and leaves are deterministic; millis, states_per_sec, \
-         runs_per_sec and reduction are machine-dependent\",\n",
-    );
-    out.push_str("  \"e11_rows\": [\n");
-    for (i, r) in e11.iter().enumerate() {
+/// A JSON value as the snapshot writer emits it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// A string, escaped on output.
+    Str(String),
+    /// A non-negative integer.
+    Int(u64),
+    /// A number with a fixed count of decimals (`null` if not finite).
+    Fixed(f64, usize),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Str(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    match c {
+                        '"' | '\\' => write!(f, "\\{c}")?,
+                        '\n' => f.write_str("\\n")?,
+                        '\t' => f.write_str("\\t")?,
+                        c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+                        c => f.write_char(c)?,
+                    }
+                }
+                f.write_char('"')
+            }
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Fixed(v, decimals) if v.is_finite() => write!(f, "{v:.*}", decimals),
+            Json::Fixed(..) | Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// One snapshot row: its keys, in writing order, with their values.
+pub type JsonRow = Vec<(&'static str, Json)>;
+
+/// `"key": value` members joined by `separator`.
+fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
+    fields
+        .iter()
+        .map(|(key, value)| format!("{}: {value}", Json::Str(key.to_string())))
+        .collect::<Vec<_>>()
+        .join(separator)
+}
+
+/// The `BENCH_explore.json` schema [`snapshot_json`] writes.
+const SNAPSHOT_SCHEMA: u64 = 7;
+
+/// The workspace root, where `BENCH_explore.json` lives.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The commit checked out at `root`, read from `.git/HEAD` and the ref
+/// it names (loose or packed); `"unknown"` outside a checkout.
+pub fn git_rev(root: &Path) -> String {
+    let read = |path: &str| std::fs::read_to_string(root.join(".git").join(path)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(rev) = read(reference) {
+        return rev.trim().to_string();
+    }
+    read("packed-refs")
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                let (rev, name) = line.split_once(' ')?;
+                (name == reference).then(|| rev.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Writes the `BENCH_explore.json` snapshot: how it was produced
+/// (schema, regenerate command, git rev, host cores), then one
+/// `<id>_rows` array per experiment, one row object per line. E11–E17
+/// rows all have the shape of [`Measured::json`], E18 rows that of
+/// [`E18Row::json`]; `millis` is the best of `runs` timed runs and
+/// `median_millis` their median.
+pub fn snapshot_json(git_rev: &str, experiments: &[(&str, Vec<JsonRow>)]) -> String {
+    let header = [
+        ("schema", Json::Int(SNAPSHOT_SCHEMA)),
+        (
+            "regenerate",
+            Json::Str("cargo run -p rc-bench --release --bin tables -- --snapshot".into()),
+        ),
+        ("git_rev", Json::Str(git_rev.into())),
+        ("host_cores", Json::Int(host_cores() as u64)),
+        (
+            "note",
+            Json::Str(
+                "runs, millis, median_millis, states_per_sec, threads and runs_per_sec \
+                 depend on the host; every other field is deterministic"
+                    .into(),
+            ),
+        ),
+    ];
+    let mut out = format!("{{\n  {}", json_members(&header, ",\n  "));
+    for (id, rows) in experiments {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|row| format!("    {{{}}}", json_members(row, ", ")))
+            .collect();
         out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"verdict\": \"{}\", \
-             \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            if i + 1 == e11.len() { "" } else { "," }
+            ",\n  {}: [\n{}\n  ]",
+            Json::Str(format!("{id}_rows")),
+            rows.join(",\n")
         ));
     }
-    out.push_str("  ],\n  \"e12_rows\": [\n");
-    for (i, r) in e12.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"symmetry\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.symmetry,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            if i + 1 == e12.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e13_rows\": [\n");
-    for (i, r) in e13.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}, \
-             \"reduction_is_lower_bound\": {}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            r.reduction_is_lower_bound,
-            if i + 1 == e13.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e15_rows\": [\n");
-    for (i, r) in e15.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}, \
-             \"reduction_is_lower_bound\": {}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            r.reduction_is_lower_bound,
-            if i + 1 == e15.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e16_rows\": [\n");
-    for (i, r) in e16.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"tier\": \"{}\", \
-             \"mode\": \"{}\", \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
-             \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
-             \"peak_table_mb\": {:.1}, \"spilled_mb\": {:.1}, \"filter_bits\": {}, \
-             \"witness_mb\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.tier,
-            r.mode,
-            r.max_states,
-            r.max_bytes,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.peak_table_mb,
-            r.spilled_mb,
-            r.filter_bits,
-            r.witness_mb,
-            if i + 1 == e16.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e17_rows\": [\n");
-    for (i, r) in e17.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            if i + 1 == e17.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e18_rows\": [\n");
-    let or_null = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |x| x.to_string());
-    for (i, r) in e18.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash\": \"{}\", \"crash_prob\": {:.2}, \
-             \"seeds\": {}, \"threads\": {}, \"distinct_finals\": {}, \"violations\": {}, \
-             \"first_violating_seed\": {}, \"original_len\": {}, \"min_witness\": {}, \
-             \"millis\": {:.1}, \"runs_per_sec\": {:.0}}}{}\n",
-            r.system,
-            r.crash,
-            r.crash_prob,
-            r.seeds,
-            r.threads,
-            r.distinct_finals,
-            r.violations,
-            or_null(r.first_violating_seed),
-            or_null(r.original_len.map(|v| v as u64)),
-            or_null(r.min_witness.map(|v| v as u64)),
-            r.millis,
-            r.runs_per_sec,
-            if i + 1 == e18.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n}\n");
     out
 }
 
@@ -2975,7 +2354,7 @@ pub fn lint_catalog() -> Vec<(String, LintSystemFn)> {
 }
 
 /// One catalog system's audit result.
-pub struct E14Row {
+pub struct CatalogLintRow {
     /// Catalog entry name (`(sym)` marks audited symmetry declarations).
     pub system: String,
     /// Number of processes.
@@ -3033,7 +2412,7 @@ pub struct E14Row {
 /// Panics if the footprint analysis itself fails on a catalog system
 /// (budget exhaustion or a contract violation) — the catalog is sized to
 /// be analyzable, so a failure is a defect, not a verdict.
-pub fn catalog_lint_rows() -> Vec<E14Row> {
+pub fn catalog_lint_rows() -> Vec<CatalogLintRow> {
     use rc_runtime::{
         analyze_system, lint_ample, lint_with_analysis, system_analysis_cached, AnalysisBudget,
         StaticIndependence,
@@ -3070,7 +2449,7 @@ pub fn catalog_lint_rows() -> Vec<E14Row> {
                 fp.per_process.iter().map(|p| p.cells.len()).sum()
             };
             let indep = StaticIndependence::from_footprint(&report.footprint);
-            E14Row {
+            CatalogLintRow {
                 system,
                 n: programs.len(),
                 cells: mem.len(),
@@ -3112,7 +2491,7 @@ pub fn catalog_lint_rows() -> Vec<E14Row> {
 /// soundness violation: a divergent pruned interleaving, an escaped
 /// crash future or a broken symmetry equivariance would make POR
 /// unsound *if enabled*, and the catalog must never ship that).
-fn ample_verdict(row: &E14Row) -> Result<String, String> {
+fn ample_verdict(row: &CatalogLintRow) -> Result<String, String> {
     let ineligible_only = row
         .ample_errors
         .iter()
@@ -3143,7 +2522,7 @@ fn ample_verdict(row: &E14Row) -> Result<String, String> {
 /// them), `Err(verdict)` fails it: the engines refuse to permute an
 /// uncertified family at search start, but the catalog must never ship
 /// a declaration the certifier rejects.
-fn scalarset_verdict(row: &E14Row) -> Result<String, String> {
+fn scalarset_verdict(row: &CatalogLintRow) -> Result<String, String> {
     if !row.has_scalarsets {
         Ok("—".to_string())
     } else if !row.scalarset_errors.is_empty() {
@@ -3275,6 +2654,7 @@ pub fn e14_catalog_lint() -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn experiments_run_small() {
@@ -3300,131 +2680,232 @@ mod tests {
         assert!(e10_headline(3).contains("T_4"));
     }
 
-    /// The symmetry sweep's own invariants (identical verdicts and
-    /// weighted leaf counts, strict state reduction) are asserted inside
-    /// the experiment; the fast sweep exercises them.
-    #[test]
-    fn symmetry_sweep_runs_fast() {
-        let (report, rows) = e12_symmetry_reduction(true);
-        assert!(report.contains("E12"));
-        assert!(rows.iter().any(|r| r.symmetry == "on" && r.reduction > 1.0));
+    /// `tables e11 e12 e13 e15 e16 e17 e18 --fast`, row by row: each
+    /// row's key (system, budget, tier, mode, caps) and its deterministic
+    /// columns (verdict, states, leaves; for E18 finals, violations, first
+    /// seed and witness lengths). Each sweep asserts its own invariants
+    /// while it runs.
+    const E11_FAST: &[&str] = &[
+        "S_2 | 0 | packed | off | 5000000 | — | Verified | 68 | 5",
+        "S_2 | 1 | packed | off | 5000000 | — | Verified | 279 | 6",
+        "S_2 | 2 | packed | off | 5000000 | — | Verified | 514 | 6",
+        "S_3 | 0 | packed | off | 5000000 | — | Verified | 561 | 8",
+        "S_3 | 1 | packed | off | 5000000 | — | Verified | 2161 | 9",
+        "S_3 | 2 | packed | off | 5000000 | — | Verified | 3981 | 9",
+        "S_4 | 0 | packed | off | 5000000 | — | Verified | 4315 | 11",
+        "S_4 | 1 | packed | off | 5000000 | — | Verified | 15557 | 12",
+    ];
+    const E12_FAST: &[&str] = &[
+        "S_3 | 1 | packed | off | 5000000 | — | Verified | 2161 | 9",
+        "S_3 | 1 | packed | on | 5000000 | — | Verified | 1258 | 9",
+        "S_3 | 2 | packed | off | 5000000 | — | Verified | 3981 | 9",
+        "S_3 | 2 | packed | on | 5000000 | — | Verified | 2328 | 9",
+        "S_4 | 1 | packed | off | 5000000 | — | Verified | 15557 | 12",
+        "S_4 | 1 | packed | on | 5000000 | — | Verified | 4037 | 12",
+    ];
+    const E13_FAST: &[&str] = &[
+        "masked S_4 | 0 | packed | slots | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | off | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | rebind | 5000000 | — | Verified | 2322 | 11",
+        "masked S_4 | 1 | packed | slots | 5000000 | — | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | off | 5000000 | — | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | rebind | 5000000 | — | Verified | 10978 | 12",
+        "masked S_5 | 0 | packed | off | 5000000 | — | Verified | 94781 | 14",
+        "masked S_5 | 0 | packed | rebind | 5000000 | — | Verified | 7610 | 14",
+        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | — | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | packed | slots | 5000000 | — | Verified | 175535 | 42",
+    ];
+    const E15_FAST: &[&str] = &[
+        "masked S_4 | 0 | packed | off | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | por | 5000000 | — | Verified | 6416 | 11",
+        "masked S_4 | 0 | packed | rebind | 5000000 | — | Verified | 2322 | 11",
+        "masked S_4 | 0 | packed | por+rebind | 5000000 | — | Verified | 1306 | 11",
+        "masked S_4 | 1 | packed | off | 5000000 | — | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | por | 5000000 | — | Verified | 56443 | 12",
+        "masked S_4 | 1 | packed | rebind | 5000000 | — | Verified | 10978 | 12",
+        "masked S_4 | 1 | packed | por+rebind | 5000000 | — | Verified | 12589 | 12",
+        "masked S_4 (CrashAll) | 1 | packed | off | 5000000 | — | Verified | 43239 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | por | 5000000 | — | Verified | 21205 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | rebind | 5000000 | — | Verified | 10287 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | por+rebind | 5000000 | — | Verified | 5213 | 11",
+        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | — | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | packed | por | 5000000 | — | Verified | 126453 | 42",
+    ];
+    const E16_FAST: &[&str] = &[
+        "masked S_4 | 0 | flat | unreduced | 1000 | — | Truncated | 1000 | 0",
+        "masked S_4 | 0 | flat | unreduced | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | unreduced | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed+filter | unreduced | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | — | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | 256M | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | por+rebind | 5000000 | — | Verified | 1306 | 11",
+        "masked S_4 | 0 | packed+spill | por+rebind | 5000000 | — | Verified | 1306 | 11",
+        "S_4 | 2 | flat | unreduced | 1000 | — | Truncated | 1000 | 0",
+        "S_4 | 2 | flat | unreduced | 5000000 | — | Verified | 28675 | 12",
+        "S_4 | 2 | packed | unreduced | 5000000 | — | Verified | 28675 | 12",
+        "S_4 | 2 | packed+filter | unreduced | 5000000 | — | Verified | 28675 | 12",
+        "S_4 | 2 | packed+spill | unreduced | 5000000 | — | Verified | 28675 | 12",
+        "S_4 | 2 | packed+spill | unreduced | 5000000 | 256M | Verified | 28675 | 12",
+    ];
+    const E17_FAST: &[&str] = &[
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | off | 5000000 | — | Verified | 116777 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset | 5000000 | — | Verified | 93963 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset+por | 5000000 | — | Verified | 67125 | 24",
+    ];
+    const E18_FAST: &[&str] = &[
+        "team-rc-s3 | 24 | 0 | — | —",
+        "team-rc-s4 | 34 | 0 | — | —",
+        "masked-team-rc-s3 | 25 | 0 | — | —",
+        "broken-team-rc | 7 | 17 | 1 | 14→10",
+        "team-consensus-t4 | 4 | 0 | — | —",
+        "tournament-rc-t6 | 48 | 0 | — | —",
+        "simultaneous-rc-n3 | 65 | 0 | — | —",
+    ];
+    const MEASURED_PIN: &[&str] = &[
+        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves",
+    ];
+    const E18_PIN: &[&str] = &["system", "finals", "viol", "first", "witness"];
+
+    /// A row's cells in the `keep` columns.
+    fn pin<R>(columns: &[Column<R>], keep: &[&str], row: &R) -> String {
+        let cells = columns.iter().filter(|c| keep.contains(&c.0));
+        cells.map(|c| (c.1)(row)).collect::<Vec<_>>().join(" | ")
     }
 
-    /// The full-state sweep's invariants (slots ≡ off on masked systems,
-    /// rebind reduces with identical weighted leaves) are asserted
-    /// inside the experiment; the fast sweep exercises them, and the
-    /// snapshot renderer accepts all three row sets.
-    #[test]
-    fn full_state_sweep_runs_fast() {
-        let (report, rows) = e13_full_state_symmetry(true);
-        assert!(report.contains("E13"));
-        assert!(rows.iter().any(|r| r.mode == "rebind" && r.reduction > 1.0));
-        assert!(rows.iter().any(|r| r.mode == "slots"));
-        let json = snapshot_json(&[], &[], &rows, &[], &[], &[], &[]);
-        assert!(json.contains("\"schema\": 6"));
-        assert!(json.contains("\"e13_rows\""));
-        assert!(json.contains("\"e15_rows\""));
-        assert!(json.contains("\"e16_rows\""));
-        assert!(json.contains("\"e17_rows\""));
-        assert!(json.contains("\"e18_rows\""));
-        assert!(json.contains("masked S_4"));
+    /// The keys of a JSON object written on one line: each string that
+    /// a `": ` follows.
+    fn object_keys(line: &str) -> Vec<String> {
+        line.match_indices("\": ")
+            .filter_map(|(end, _)| line[..end].rsplit('"').next().map(str::to_string))
+            .collect()
     }
 
-    /// The POR sweep's invariants (reduced rows match off verdicts and
-    /// weighted leaf counts, budget-0 POR strictly reduces, por+rebind
-    /// dominates rebind wherever POR alone reduced) are asserted inside
-    /// the experiment; the fast sweep exercises them, including the
-    /// acceptance-critical SimultaneousRc row — the system symmetry
-    /// cannot reduce.
-    #[test]
-    fn por_sweep_runs_fast() {
-        let (report, rows) = e15_por_reduction(true);
-        assert!(report.contains("E15"));
-        assert!(rows.iter().any(|r| r.mode == "por" && r.reduction > 1.0));
-        assert!(rows.iter().any(|r| r.mode == "por+rebind"));
-        assert!(rows.iter().any(|r| r.system.starts_with("SimultaneousRc")
-            && r.mode == "por"
-            && r.reduction > 1.0));
-        let json = snapshot_json(&[], &[], &[], &rows, &[], &[], &[]);
-        assert!(json.contains("\"e15_rows\""));
-        assert!(json.contains("por+rebind"));
+    /// A snapshot's top-level keys, in order.
+    fn top_level_keys(json: &str) -> Vec<String> {
+        json.lines()
+            .filter(|l| l.starts_with("  \""))
+            .flat_map(|l| object_keys(l).into_iter().take(1))
+            .collect()
     }
 
-    /// The storage sweep's invariants (baseline truncates at the cap,
-    /// every lifted-cap tier row verifies byte-identically,
-    /// the byte-budgeted run matches the grid, spill rows freeze runs,
-    /// filter rows populate the Bloom) are asserted inside the
-    /// experiment; the fast sweep exercises them, including the
-    /// acceptance-critical Truncated → Verified transition.
+    /// Each `<id>_rows` array of a snapshot, with the keys of each row.
+    fn snapshot_sections(json: &str) -> Vec<(String, Vec<BTreeSet<String>>)> {
+        let mut sections: Vec<(String, Vec<BTreeSet<String>>)> = Vec::new();
+        for line in json.lines().map(str::trim) {
+            if let Some(id) = line
+                .strip_prefix('"')
+                .and_then(|l| l.strip_suffix("_rows\": ["))
+            {
+                sections.push((id.to_string(), Vec::new()));
+            } else if line.starts_with('{') && line.len() > 1 {
+                let rows = &mut sections.last_mut().expect("rows inside an array").1;
+                rows.push(object_keys(line).into_iter().collect());
+            }
+        }
+        sections
+    }
+
+    /// The fast sweeps reproduce their pinned rows exactly — a dropped,
+    /// added or reordered row, a changed configuration or a changed
+    /// count fails — and the snapshot writer writes them: one non-empty
+    /// array per experiment, one key set for every E11–E17 row.
     #[test]
-    fn storage_sweep_runs_fast() {
-        let (report, rows) = e16_storage_scaling(true);
-        assert!(report.contains("E16"));
-        assert!(rows
+    fn fast_sweeps_reproduce_their_pinned_rows() {
+        type Sweep = fn(bool) -> (String, Vec<Measured>);
+        let sweeps: [(&str, Sweep, &[&str]); 6] = [
+            ("e11", e11_explore_scaling, E11_FAST),
+            ("e12", e12_symmetry_reduction, E12_FAST),
+            ("e13", e13_full_state_symmetry, E13_FAST),
+            ("e15", e15_por_reduction, E15_FAST),
+            ("e16", e16_storage_scaling, E16_FAST),
+            ("e17", e17_scalarset_symmetry, E17_FAST),
+        ];
+        let (measured, (swarm_report, swarm_rows)) = std::thread::scope(|s| {
+            let runs = sweeps.map(|(_, sweep, _)| s.spawn(move || sweep(true)));
+            let swarm = e18_swarm(true);
+            let measured = runs.map(|run| run.join().expect("the sweep's assertions hold"));
+            (measured, swarm)
+        });
+        let mut experiments = Vec::new();
+        for ((id, _, want), (report, rows)) in sweeps.iter().zip(&measured) {
+            assert!(report.starts_with(&id.to_uppercase()), "{report}");
+            let pins: Vec<_> = rows
+                .iter()
+                .map(|r| pin(E16_COLUMNS, MEASURED_PIN, r))
+                .collect();
+            assert_eq!(pins, *want, "{id}");
+            experiments.push((*id, rows.iter().map(Measured::json).collect()));
+        }
+        assert!(swarm_report.starts_with("E18"), "{swarm_report}");
+        let pins: Vec<_> = swarm_rows
             .iter()
-            .any(|r| r.tier == "flat" && r.verdict == "Truncated"));
-        assert!(rows
+            .map(|r| pin(E18_COLUMNS, E18_PIN, r))
+            .collect();
+        assert_eq!(pins, E18_FAST);
+        experiments.push(("e18", swarm_rows.iter().map(E18Row::json).collect()));
+
+        let sections = snapshot_sections(&snapshot_json("rev", &experiments));
+        let ids: Vec<&str> = sections.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(ids, crate::cli::SNAPSHOT_IDS);
+        for (id, rows) in &sections {
+            assert!(!rows.is_empty(), "{id}_rows is empty");
+        }
+        let shapes: BTreeSet<&BTreeSet<String>> = sections
             .iter()
-            .any(|r| r.tier == "packed+spill" && r.verdict == "Verified" && r.spilled_mb > 0.0));
-        assert!(rows.iter().any(|r| r.max_bytes > 0));
-        let json = snapshot_json(&[], &[], &[], &[], &rows, &[], &[]);
-        assert!(json.contains("\"e16_rows\""));
-        assert!(json.contains("packed+filter"));
+            .filter(|(id, _)| id != "e18")
+            .flat_map(|(_, rows)| rows)
+            .collect();
+        assert_eq!(shapes.len(), 1, "E11–E17 rows differ in shape: {shapes:?}");
+    }
+
+    /// The committed `BENCH_explore.json` is what the writer writes
+    /// today: the same schema and top-level keys, the snapshot
+    /// experiments in order, and rows carrying exactly the writer's keys.
+    /// Regenerate it with `tables --snapshot` when this fails.
+    #[test]
+    fn committed_snapshot_matches_the_writer() {
+        let committed = std::fs::read_to_string(workspace_root().join("BENCH_explore.json"))
+            .expect("BENCH_explore.json at the workspace root");
+        let (ty, w) = sn_witness(2);
+        let inputs = team_inputs(&w.assignment);
+        let build = || build_team_rc_system(ty.clone(), &w, &inputs);
+        let config = sweep_config(CrashModel::independent(0), &inputs);
+        let measured = measure("S_2", "off", Factory::Plain(&build), &config).json();
+        let experiments: Vec<(&str, Vec<JsonRow>)> = crate::cli::SNAPSHOT_IDS
+            .iter()
+            .map(|&id| match id {
+                "e18" => (id, vec![E18Row::default().json()]),
+                _ => (id, vec![measured.clone()]),
+            })
+            .collect();
+        let written = snapshot_json("rev", &experiments);
         assert!(
-            rows.iter().any(|r| r.mode == "por+rebind"),
-            "the rebind+POR parity rows joined the tier grid"
+            committed.contains(&format!("\n  \"schema\": {SNAPSHOT_SCHEMA},\n")),
+            "the committed schema is not the writer's {SNAPSHOT_SCHEMA}"
         );
+        assert_eq!(top_level_keys(&committed), top_level_keys(&written));
+        let want = snapshot_sections(&written);
+        let got = snapshot_sections(&committed);
+        assert_eq!(
+            got.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            want.iter().map(|(id, _)| id).collect::<Vec<_>>()
+        );
+        for ((id, rows), (_, want)) in got.iter().zip(&want) {
+            for (i, keys) in rows.iter().enumerate() {
+                assert_eq!(
+                    keys, &want[0],
+                    "{id}_rows[{i}] differs from the writer's keys"
+                );
+            }
+        }
     }
 
-    /// The scalarset sweep's invariants (every row Verified, reduced
-    /// weighted leaf counts equal to off, scalarset strictly below off,
-    /// scalarset+por strictly below scalarset) are asserted inside the
-    /// experiment; the fast sweep exercises them on the system E13/E15
-    /// recorded at 1.0× under owned-cell symmetry, and the snapshot
-    /// renderer accepts the rows.
     #[test]
-    fn scalarset_sweep_runs_fast() {
-        let (report, rows) = e17_scalarset_symmetry(true);
-        assert!(report.contains("E17"));
-        assert!(rows
-            .iter()
-            .any(|r| r.mode == "scalarset" && r.reduction > 1.0));
-        let scal = rows
-            .iter()
-            .find(|r| r.mode == "scalarset")
-            .expect("scalarset rows present");
-        let both = rows
-            .iter()
-            .find(|r| r.mode == "scalarset+por")
-            .expect("composed rows present");
-        assert!(
-            both.states < scal.states,
-            "POR composes on top of the scalarset reduction"
-        );
-        let json = snapshot_json(&[], &[], &[], &[], &[], &rows, &[]);
-        assert!(json.contains("\"e17_rows\""));
-        assert!(json.contains("scalarset+por"));
-    }
-
-    /// The swarm sweep's contract clauses (correct systems clean, the
-    /// seeded bug found / replayed / shrunk / witness-verified,
-    /// thread-count-invariant aggregates) are asserted inside the
-    /// experiment; the fast sweep exercises them, and the snapshot
-    /// renderer writes `null` for the witness columns of clean rows.
-    #[test]
-    fn swarm_sweep_runs_fast() {
-        let (report, rows) = e18_swarm(true);
-        assert!(report.contains("E18"));
-        assert!(rows
-            .iter()
-            .any(|r| r.system == "broken-team-rc" && r.violations > 0 && r.min_witness.is_some()));
-        assert!(rows
-            .iter()
-            .all(|r| r.system == "broken-team-rc" || r.violations == 0));
-        let json = snapshot_json(&[], &[], &[], &[], &[], &[], &rows);
-        assert!(json.contains("\"e18_rows\""));
-        assert!(json.contains("\"min_witness\": null"));
-        assert!(json.contains("broken-team-rc"));
+    fn json_strings_are_escaped() {
+        let s = Json::Str("a\"b\\c\n\u{1}é".into()).to_string();
+        assert_eq!(s, r#""a\"b\\c\n\u0001é""#);
+        assert_eq!(Json::Fixed(f64::NAN, 1).to_string(), "null");
+        assert_eq!(Json::Fixed(2.26, 1).to_string(), "2.3");
     }
 
     /// The per-state footprint analysis behind the declaration lint, the

@@ -29,8 +29,7 @@
 //! the valid list). `--bin tables -- lint` runs the E14 audit as a CI
 //! gate (exit non-zero if any catalog system fails). Criterion timing
 //! benches live in `benches/`; the E11–E18 engine trajectory is
-//! snapshotted in `BENCH_explore.json` via
-//! `--bin tables -- e11 e12 e13 e15 e16 e17 e18 --snapshot`.
+//! snapshotted in `BENCH_explore.json` via `--bin tables -- --snapshot`.
 //!
 //! The `swarm` binary is the randomized counterpart of `tables`: it
 //! sweeps millions of deterministically seeded schedules over the
