@@ -939,7 +939,6 @@ impl Measured {
             ),
             ("peak_table_mb", mib(self.stats.peak_table_bytes)),
             ("spilled_mb", mib(self.stats.spilled_bytes)),
-            ("filter_bits", int(self.stats.filter_occupancy)),
             ("witness_mb", mib(self.stats.witness_bytes)),
         ]
     }
@@ -1104,7 +1103,6 @@ const E16_COLUMNS: &[Column<Measured>] = &[
     ("ms", |r| format!("{:.0}", r.millis())),
     ("peak MB", |r| mib(r.stats.peak_table_bytes)),
     ("spill MB", |r| mib(r.stats.spilled_bytes)),
-    ("filter", |r| r.stats.filter_occupancy.to_string()),
     ("wit MB", |r| mib(r.stats.witness_bytes)),
 ];
 
@@ -1576,29 +1574,26 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<Measured>) {
     (report, rows)
 }
 
-/// E16: tiered, bit-packed state storage — the catalog instances the
+/// E16: bit-packed state storage at scale — the catalog instances the
 /// default cap recorded as `Truncated` (E12's `S_8`/budget-0 off row,
 /// E13's masked `S_7`/budget-0 off row), re-run **unreduced** with the
-/// cap lifted under every storage tier
+/// cap lifted under both storage tiers
 /// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)). Each
 /// instance records:
 ///
-/// * a `flat` **baseline** row at the historical 5M cap, re-recording
-///   the catalog's `Truncated` verdict (asserted);
 /// * a **lifted-cap grid** — one row per tier — every row asserted
-///   `Verified` with byte-identical state and weighted-leaf counts, and
-///   the leaf count asserted equal to what the catalog's *reduced*
-///   searches (rebind / symmetry-on) computed for the same instance:
-///   the full unreduced search independently confirms the reduction
-///   machinery's answer;
+///   `Verified` past the catalog's cap with byte-identical state and
+///   weighted-leaf counts, and the leaf count asserted equal to what the
+///   catalog's *reduced* searches (rebind / symmetry-on) computed for
+///   the same instance: the full unreduced search independently
+///   confirms the reduction machinery's answer;
 /// * one **byte-capped** row (`ExploreConfig::max_bytes` generous
 ///   enough to verify) exercising the deterministic byte budget at
 ///   scale, asserted identical to the grid.
 ///
-/// Exactness is the point: the filter tier can only *skip* probes that
-/// would have found nothing and the spill tier compares full key bytes
-/// on disk, so — unlike bitstate/supertrace hashing — every tier
-/// returns the same exact verdict (see DESIGN §3).
+/// Exactness is the point: the spill tier compares full key bytes on
+/// disk, so — unlike bitstate/supertrace hashing — both tiers return
+/// the same exact verdict (see DESIGN §3).
 pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     // (n, masked, budget, the weighted leaf count a *reduced* catalog
     // run — E12 symmetry-on / E13 rebind — computed for the instance).
@@ -1608,9 +1603,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
         &[(7, true, 0, Some(20)), (8, false, 0, Some(23))]
     };
     // The cap the catalog rows truncated at (shrunk in fast mode so the
-    // sweep still demonstrates Truncated → Verified cheaply), and the
-    // lifted cap.
-    let (baseline_cap, lifted_cap) = if fast {
+    // small instances still exceed it), and the lifted cap.
+    let (catalog_cap, lifted_cap) = if fast {
         (1_000, 5_000_000)
     } else {
         (5_000_000, 20_000_000)
@@ -1643,26 +1637,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
             spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
             ..base.clone()
         };
-        // The historical baseline ran on the flat table; it is the
-        // opt-out now that `ExploreConfig::storage` defaults to packed,
-        // so the row pins it explicitly.
-        let baseline_cfg = ExploreConfig {
-            max_states: baseline_cap,
-            storage: StorageTier::Flat,
-            ..base.clone()
-        };
-        let baseline = measure(&system, "unreduced", plain, &baseline_cfg);
-        assert_eq!(
-            baseline.verdict(),
-            "Truncated",
-            "{system}/{budget}: the baseline cap must truncate"
-        );
-        assert_eq!(
-            baseline.states(),
-            baseline_cap,
-            "{system}/{budget}: Truncated reports exactly the cap"
-        );
-        rows.push(baseline);
         let grid_start = rows.len();
         for tier in StorageTier::ALL {
             let row = measure(&system, "unreduced", plain, &lifted(tier));
@@ -1672,8 +1646,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
                 "{system}/{budget}: the lifted cap must verify exactly under {tier}"
             );
             assert!(
-                row.states() > baseline_cap,
-                "{system}/{budget}: the instance must really exceed the baseline cap"
+                row.states() > catalog_cap,
+                "{system}/{budget}: the instance must really exceed the catalog's cap"
             );
             if let Some(expected) = expected_leaves {
                 assert_eq!(
@@ -1693,12 +1667,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
                 assert!(
                     row.stats.spilled_bytes > 0,
                     "{system}/{budget}: the spill row must freeze runs"
-                );
-            }
-            if tier == StorageTier::PackedFilter {
-                assert!(
-                    row.stats.filter_occupancy > 0,
-                    "{system}/{budget}: the filter row must populate the Bloom"
                 );
             }
             rows.push(row);
@@ -1722,7 +1690,7 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
             // canonical state counts across tiers, and the same weighted
             // leaf count as the unreduced grid.
             let sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
-            let mut reduced = [StorageTier::Packed, StorageTier::PackedSpill].map(|tier| {
+            let mut reduced = StorageTier::ALL.map(|tier| {
                 let cfg = ExploreConfig {
                     por: true,
                     analysis_id: Some(format!("bench/e16/masked-S_{n}")),
@@ -1730,12 +1698,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
                 };
                 measure(&system, "por+rebind", Factory::Symmetric(&sym), &cfg)
             });
-            let packed = rows[grid_start..]
-                .iter()
-                .find(|r| r.config.storage == StorageTier::Packed)
-                .expect("the grid has a packed row");
-            // Verified, with the unreduced grid's weighted leaves.
-            against_off(packed, &mut reduced);
+            // Verified, with the unreduced packed row's weighted leaves.
+            against_off(&rows[grid_start], &mut reduced);
             for row in &reduced {
                 let tier = row.config.storage;
                 assert!(
@@ -1753,12 +1717,11 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     }
     let largest = rows
         .iter()
-        .filter(|r| r.outcome.is_verified())
         .max_by_key(|r| r.states())
         .expect("grid rows exist");
     let peak = |tier: StorageTier| {
         rows.iter()
-            .filter(|r| r.config.storage == tier && r.outcome.is_verified())
+            .filter(|r| r.config.storage == tier)
             .map(|r| r.stats.peak_table_bytes as f64 / (1 << 20) as f64)
             .fold(0.0f64, f64::max)
     };
@@ -1766,36 +1729,32 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
         "(fast mode shrinks both caps; the full sweep lifts the real 5M \
          catalog cap on masked S_7 and S_8)"
     } else {
-        "the baseline rows re-record the catalog's 5M-cap Truncated \
-         verdicts (E12 §S_8, E13 §masked S_7) that these grids move to \
-         exact Verified"
+        "every grid row exceeds the catalog's 5M cap, at which E12 §S_8 \
+         and E13 §masked S_7 record Truncated (asserted)"
     };
     let report = format!(
-        "E16 — tiered, bit-packed state storage (packed arena keys, \
-         Bloom prefilter, file-backed spill runs, byte budget): \
-         previously-Truncated catalog instances re-run unreduced with \
-         the cap lifted, across every storage tier:\n{}\n\
+        "E16 — bit-packed state storage (packed arena keys, file-backed \
+         spill runs, byte budget): catalog instances past the catalog's \
+         state cap, re-run unreduced with the cap lifted, on both storage \
+         tiers:\n{}\n\
          largest exact search: {} states ({}/budget-{}); outcomes \
-         byte-identical across all tiers, weighted leaf counts equal to \
+         byte-identical across both tiers, weighted leaf counts equal to \
          the catalog's reduced-search records, and the byte-budgeted run \
-         matches the grid (all asserted). Peak resident visited-set on \
-         the largest run: {:.0} MB flat \
-         vs {:.0} MB packed. Spill rows freeze resident arenas to disk \
-         behind per-run Blooms and stay exact — full key bytes are \
-         compared on disk, never hash fingerprints alone. The masked \
-         instance additionally re-runs with both reducers composed \
-         (por+rebind, as in E15) on the packed and spill tiers: the \
+         matches the grid (all asserted). Peak resident visited-set: \
+         {:.0} MB packed vs {:.0} MB packed+spill. Spill rows freeze \
+         resident arenas to disk behind per-run Blooms and stay exact — \
+         full key bytes are compared on disk, never hash fingerprints \
+         alone. The masked instance additionally re-runs with both \
+         reducers composed (por+rebind, as in E15) on both tiers: the \
          reduced search's canonical state counts are byte-identical \
-         across tiers and its weighted leaves match the \
-         unreduced grid (asserted) — the packed default \
-         (`ExploreConfig::storage`) rests on this parity. Also \
-         {cap_note}.\n",
+         across tiers and its weighted leaves match the unreduced grid \
+         (asserted). Also {cap_note}.\n",
         render(E16_COLUMNS, &rows),
         largest.states(),
         largest.system,
         largest.crash_budget(),
-        peak(StorageTier::Flat),
         peak(StorageTier::Packed),
+        peak(StorageTier::PackedSpill),
     );
     (report, rows)
 }
@@ -2151,7 +2110,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 7;
+const SNAPSHOT_SCHEMA: u64 = 8;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {
@@ -2732,18 +2691,12 @@ mod tests {
         "SimultaneousRc n=3 | 1 | packed | por | 5000000 | — | Verified | 126453 | 42",
     ];
     const E16_FAST: &[&str] = &[
-        "masked S_4 | 0 | flat | unreduced | 1000 | — | Truncated | 1000 | 0",
-        "masked S_4 | 0 | flat | unreduced | 5000000 | — | Verified | 9909 | 11",
         "masked S_4 | 0 | packed | unreduced | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed+filter | unreduced | 5000000 | — | Verified | 9909 | 11",
         "masked S_4 | 0 | packed+spill | unreduced | 5000000 | — | Verified | 9909 | 11",
         "masked S_4 | 0 | packed+spill | unreduced | 5000000 | 256M | Verified | 9909 | 11",
         "masked S_4 | 0 | packed | por+rebind | 5000000 | — | Verified | 1306 | 11",
         "masked S_4 | 0 | packed+spill | por+rebind | 5000000 | — | Verified | 1306 | 11",
-        "S_4 | 2 | flat | unreduced | 1000 | — | Truncated | 1000 | 0",
-        "S_4 | 2 | flat | unreduced | 5000000 | — | Verified | 28675 | 12",
         "S_4 | 2 | packed | unreduced | 5000000 | — | Verified | 28675 | 12",
-        "S_4 | 2 | packed+filter | unreduced | 5000000 | — | Verified | 28675 | 12",
         "S_4 | 2 | packed+spill | unreduced | 5000000 | — | Verified | 28675 | 12",
         "S_4 | 2 | packed+spill | unreduced | 5000000 | 256M | Verified | 28675 | 12",
     ];

@@ -94,7 +94,7 @@ use crate::intern::ValueInterner;
 use crate::memory::{Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::Action;
-use crate::storage::{packed_key_len, StorageTier, VisitedTable, WitnessLog};
+use crate::storage::{packed_key_len, PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -145,12 +145,12 @@ pub struct ExploreConfig {
     /// their row labels); `None` analyzes uncached.
     pub analysis_id: Option<String>,
     /// Which storage backend holds the visited set (see
-    /// [`StorageTier`]). Every tier is exact; verdicts, state counts,
-    /// leaf counts and witnesses are byte-identical across tiers — the
-    /// tiers trade probe cost against resident memory. Default:
-    /// [`StorageTier::Packed`] (the bit-packed arena; parity with the
-    /// historical flat layout is asserted across the E16 tier grid);
-    /// [`StorageTier::Flat`] remains available as the opt-out.
+    /// [`StorageTier`]). Both tiers are exact; verdicts, state counts,
+    /// leaf counts and witnesses are byte-identical across them. Default:
+    /// [`StorageTier::Packed`], the bit-packed arena held in RAM;
+    /// [`StorageTier::PackedSpill`] also freezes it to disk at
+    /// [`spill_threshold`](Self::spill_threshold), bounding resident
+    /// memory at the cost of slower probes.
     pub storage: StorageTier,
     /// Cap on *accounted* visited-set bytes, alongside
     /// [`max_states`](Self::max_states). The account is a deterministic
@@ -221,9 +221,9 @@ pub struct ExploreStats {
     /// payloads plus per-entry overhead). Deterministic: a pure
     /// function of the interned values.
     pub interned_bytes: usize,
-    /// Resident visited-set bytes at search end (accounted model:
-    /// arena/index/filter for packed tiers, key words + map overhead
-    /// for the flat tier).
+    /// Resident visited-set bytes at search end (accounted model: the
+    /// packed arena, its index and entry metadata, plus the spill runs'
+    /// in-RAM Blooms).
     pub table_bytes: usize,
     /// High-water resident visited-set bytes (differs from
     /// [`table_bytes`](Self::table_bytes) only when the spill tier
@@ -231,8 +231,6 @@ pub struct ExploreStats {
     pub peak_table_bytes: usize,
     /// Total bytes written to spill runs (0 without the spill tier).
     pub spilled_bytes: usize,
-    /// Bits set across the Bloom prefilters (0 without a filter tier).
-    pub filter_occupancy: usize,
     /// Bytes held by the compacted witness log (parent links, interned
     /// permutations and parent→child key deltas).
     pub witness_bytes: usize,
@@ -1901,7 +1899,7 @@ struct SerialEngine<'a> {
     indep: Option<&'a StaticIndependence>,
     por: Option<&'a PorEngine>,
     interner: ValueInterner,
-    visited: VisitedTable,
+    visited: PackedStateTable,
     witness: WitnessLog,
     budget: ByteBudget,
     root_perm: Option<Box<[u8]>>,
@@ -1994,9 +1992,9 @@ fn explore_serial(
         indep: analysis.independence.as_ref(),
         por: por.as_ref(),
         interner,
-        visited: VisitedTable::new(
-            config.storage,
-            config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD),
+        visited: PackedStateTable::new(
+            (config.storage == StorageTier::PackedSpill)
+                .then(|| config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD)),
         ),
         witness: WitnessLog::new(),
         budget: ByteBudget::new(config.max_bytes),
@@ -2081,7 +2079,6 @@ fn explore_serial(
         table_bytes: engine.visited.resident_bytes(),
         peak_table_bytes: engine.visited.peak_resident_bytes(),
         spilled_bytes: engine.visited.spilled_bytes(),
-        filter_occupancy: engine.visited.filter_bits_set(),
         witness_bytes: engine.witness.bytes(),
     };
     (outcome, stats)

@@ -1,4 +1,4 @@
-//! Hash-consing for [`Value`]s and model-checker state keys.
+//! Hash-consing for [`Value`]s, and the hash behind the checker's tables.
 //!
 //! The exhaustive checker ([`explore`](crate::explore)) memoizes every
 //! reached system state. Structural keys — cloned `Vec<Value>` tuples —
@@ -6,22 +6,20 @@
 //! entire shared memory, every program's volatile state and the decided
 //! value, then hashed those deep structures with the default `SipHash`.
 //!
-//! This module replaces that with two layers:
+//! [`ValueInterner`] replaces them: it hash-conses [`Value`]s into dense
+//! `u32` ids. Each distinct value is cloned **once** ever; subsequent
+//! probes hash the (typically tiny) value and compare ids. Interning is
+//! injective: `intern(a) == intern(b)` **iff** `a == b` — so keys built
+//! from ids are exactly as collision-free as the structural tuples they
+//! replace (property-tested in `tests/proptest_runtime.rs`). The engine
+//! builds flat `&[u32]` state keys from these ids (interned memory
+//! cells, program keys, packed decided bits, crash count, decided value)
+//! and deduplicates them in the packed visited set
+//! ([`PackedStateTable`](crate::PackedStateTable)).
 //!
-//! * [`ValueInterner`] — hash-conses [`Value`]s into dense `u32` ids.
-//!   Each distinct value is cloned **once** ever; subsequent probes hash
-//!   the (typically tiny) value and compare ids. Interning is injective:
-//!   `intern(a) == intern(b)` **iff** `a == b` — so keys built from ids
-//!   are exactly as collision-free as the structural tuples they replace
-//!   (property-tested in `tests/proptest_runtime.rs`).
-//! * [`StateTable`] — deduplicates flat `&[u32]` state keys (interned
-//!   memory cells, program keys, packed decided bits, crash count,
-//!   decided value) into dense node indices, which double as the parent
-//!   pointers the checker uses to reconstruct violation schedules.
-//!
-//! Both use [`FxHasher`], the Firefox/rustc multiply-rotate hash — far
-//! cheaper than `SipHash` for short keys and not exposed to untrusted
-//! input here.
+//! The interner and the visited set hash with [`FxHasher`], the
+//! Firefox/rustc multiply-rotate hash — far cheaper than `SipHash` for
+//! short keys and not exposed to untrusted input here.
 
 use rc_spec::Value;
 use std::collections::HashMap;
@@ -136,6 +134,10 @@ impl ValueInterner {
     /// [`intern`](Self::intern).
     pub const NONE: u32 = u32::MAX;
 
+    /// Approximate per-entry map overhead beyond the value payload:
+    /// the `u32` id and hash-bucket slack.
+    const ENTRY_OVERHEAD: usize = 40;
+
     /// Creates an empty interner.
     pub fn new() -> Self {
         ValueInterner::default()
@@ -155,7 +157,7 @@ impl ValueInterner {
         }
         let id = u32::try_from(self.ids.len()).expect("interner overflow");
         assert!(id < Self::NONE, "interner overflow");
-        self.bytes += approx_value_bytes(value) + StateTable::ENTRY_OVERHEAD;
+        self.bytes += approx_value_bytes(value) + Self::ENTRY_OVERHEAD;
         self.ids.insert(value.clone(), id);
         id
     }
@@ -174,74 +176,6 @@ impl ValueInterner {
     }
 
     /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// Deduplicates flat `u32` state keys into dense node indices.
-///
-/// The checker's visited set: [`insert`](Self::insert) returns the
-/// node's index plus whether it was new. Indices are handed out in
-/// insertion order, so they directly index the checker's witness log.
-#[derive(Clone, Debug, Default)]
-pub struct StateTable {
-    ids: FxHashMap<Box<[u32]>, u32>,
-    /// Approximate resident bytes: key words plus per-entry map
-    /// overhead, accumulated on insert (see
-    /// [`approx_bytes`](Self::approx_bytes)).
-    bytes: usize,
-}
-
-impl StateTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        StateTable::default()
-    }
-
-    /// Looks up `key` without inserting.
-    pub fn get(&self, key: &[u32]) -> Option<u32> {
-        self.ids.get(key).copied()
-    }
-
-    /// Inserts `key`, returning `(index, was_new)`. The key slice is
-    /// boxed only when new.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` distinct keys are inserted.
-    pub fn insert(&mut self, key: &[u32]) -> (u32, bool) {
-        if let Some(&id) = self.ids.get(key) {
-            return (id, false);
-        }
-        let id = u32::try_from(self.ids.len()).expect("state table overflow");
-        self.bytes += key.len() * 4 + Self::ENTRY_OVERHEAD;
-        self.ids.insert(key.into(), id);
-        (id, true)
-    }
-
-    /// Approximate per-entry map overhead beyond the key words: the
-    /// boxed slice's pointer + length, the `u32` id and hash-bucket
-    /// slack.
-    const ENTRY_OVERHEAD: usize = 40;
-
-    /// Approximate resident bytes of the table (key words + per-entry
-    /// overhead). Deterministic — a pure function of the inserted keys —
-    /// so it can feed the memory counters in
-    /// [`ExploreStats`](crate::ExploreStats) without perturbing
-    /// cross-engine equivalence.
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Number of distinct keys inserted.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the table is empty. Kept for API symmetry with
-    /// [`len`](Self::len); only tests exercise it today.
-    #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
@@ -281,19 +215,6 @@ mod tests {
         let again: Vec<u32> = zoo.iter().map(|v| interner.intern(v)).collect();
         assert_eq!(ids, again);
         assert_eq!(interner.len(), zoo.len());
-    }
-
-    #[test]
-    fn state_table_dedups_and_indexes_in_insertion_order() {
-        let mut table = StateTable::new();
-        assert!(table.is_empty());
-        assert_eq!(table.insert(&[1, 2, 3]), (0, true));
-        assert_eq!(table.insert(&[1, 2, 4]), (1, true));
-        assert_eq!(table.insert(&[1, 2, 3]), (0, false));
-        assert_eq!(table.insert(&[]), (2, true));
-        assert_eq!(table.len(), 3);
-        assert_eq!(table.get(&[1, 2, 4]), Some(1));
-        assert_eq!(table.get(&[9]), None);
     }
 
     #[test]

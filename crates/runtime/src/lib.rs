@@ -34,8 +34,8 @@
 //!   worklist DFS over *all* interleavings and crash placements (up to a
 //!   crash budget) with hash-consed full-fidelity state memoization
 //!   ([`ValueInterner`]), exact `max_states`/`max_bytes` caps cut in its
-//!   acceptance order, tiered visited-set storage ([`StorageTier`]) and
-//!   opt-in process-symmetry reduction
+//!   acceptance order, one packed visited-set table with an optional
+//!   disk tier ([`StorageTier`]) and opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
 //!   symmetry, where declared per-process cells permute with their
 //!   owners and relocated programs are rebound ([`Program::rebind`] +
@@ -139,11 +139,12 @@ pub use intern::ValueInterner;
 pub use memory::{Addr, Cell, MemOps, Memory};
 pub use program::{Pid, Program, Rebinding, Step};
 pub use scalarset::{lint_scalarset, ScalarsetReport};
-// The tiered storage layer: the packed-key codec and prefilter are
-// exported for the property suite in tests/proptest_runtime.rs;
-// `StorageTier` is the `ExploreConfig` knob selecting the visited-set
-// backend; `WitnessLog` is the compacted parent-link log the engine and
-// the swarm's witness replay build (and tests replay).
+// The storage layer: the packed-key codec and the spill runs' Bloom
+// filter are exported for the property suite in
+// tests/proptest_runtime.rs; `StorageTier` is the `ExploreConfig` knob
+// switching the visited set's disk tier on; `WitnessLog` is the
+// compacted parent-link log the engine and the swarm's witness replay
+// build (and tests replay).
 pub use storage::{
     delta_decode, delta_encode, hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key,
     KeyFilter, PackedStateTable, StorageTier, WitnessLog,

@@ -1,10 +1,8 @@
-//! Tiered, bit-packed state storage for the exhaustive checker.
+//! Bit-packed state storage for the exhaustive checker.
 //!
-//! The visited set is the model checker's scaling wall: one flat
-//! `Box<[u32]>` per state (plus `FxHashMap` bucket overhead) caps exact
-//! verification at whatever fits in RAM. This module re-architects that
-//! storage as **tiers**, each exact, each opt-in via
-//! [`StorageTier`](crate::StorageTier):
+//! The visited set is the model checker's scaling wall. It lives in one
+//! table, [`PackedStateTable`], with one optional disk tier selected by
+//! [`StorageTier`](crate::StorageTier). Every part is exact:
 //!
 //! * **Packed keys** — [`pack_key`] encodes each `u32` key slot as a
 //!   canonical LEB128-style varint. Interned value ids are dense and
@@ -20,23 +18,20 @@
 //! * **[`PackedStateTable`]** — an arena of packed keys plus an
 //!   8-bytes-per-slot, hash-tagged open-addressing index (kept at most
 //!   half full; the tag screens non-matching slots without touching the
-//!   arena), replacing the one-allocation-per-state `FxHashMap`. Entry
-//!   ids are handed out in insertion order, exactly like `StateTable`,
-//!   so they double as node indices.
-//! * **[`KeyFilter`]** — a seeded, deterministic Bloom prefilter in
-//!   front of the exact probes. A *miss* ("definitely never inserted")
-//!   short-circuits the probe; a *maybe* *always* falls through to the
-//!   exact tier. Verdicts therefore never depend on filter behaviour —
-//!   the filter can only skip work that would have found nothing, which
-//!   is what keeps this exact rather than bitstate/supertrace-style
-//!   approximate.
+//!   arena). Entry ids are handed out in insertion order, so they double
+//!   as node indices. The index picks a key's slot from the low bits of
+//!   [`hash_packed`], which folds the hash's high half into its low half
+//!   so that those bits depend on every key byte.
 //! * **Spill runs** — when the resident arena crosses a threshold it is
 //!   frozen into an immutable, hash-sorted *run* on disk (full packed
 //!   key bytes included, so probes compare exactly — fingerprints alone
 //!   would be approximate) and the resident tier restarts empty. The
-//!   exact set is then bounded by disk, not RAM. Spill files live in the
-//!   system temp directory and are unlinked at creation (the handle
-//!   keeps them alive), so nothing persists past the search.
+//!   exact set is then bounded by disk, not RAM. Each run keeps a seeded
+//!   Bloom filter ([`KeyFilter`]) in RAM that screens out probes for keys
+//!   it does not hold; a *maybe* always falls through to the exact
+//!   on-disk search. Spill files live in the system temp directory and
+//!   are unlinked at creation (the handle keeps them alive), so nothing
+//!   persists past the search.
 //! * **[`WitnessLog`]** — parent links compacted into an append-only
 //!   log: one packed `u64` per node (parent, action code, deduplicated
 //!   permutation id) plus the node's key [`delta_encode`]d against its
@@ -50,31 +45,24 @@
 //! order — so outcomes stay byte-identical across runs and storage tiers
 //! (asserted end to end in `tests/explore_engine.rs`).
 
-use crate::intern::{FxHashMap, FxHasher, StateTable};
+use crate::intern::{FxHashMap, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which storage backend the visited set uses. Every tier is **exact**
-/// — identical verdicts, state counts, leaf counts and witnesses — the
-/// tiers trade probe cost against resident memory. See the module docs
-/// for the exactness argument.
+/// Which storage backend the visited set uses. Both tiers are **exact**
+/// — identical verdicts, state counts, leaf counts and witnesses — and
+/// both hold the keys in a [`PackedStateTable`]; the spill tier trades
+/// probe cost for a resident footprint bounded by its threshold. See the
+/// module docs for the exactness argument.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageTier {
-    /// The flat `FxHashMap<Box<[u32]>, u32>` table (the historical
-    /// layout; one heap allocation per state). The opt-out from the
-    /// packed default.
-    Flat,
-    /// Bit-packed keys in an arena behind an open-addressing index.
-    /// The [`ExploreConfig`](crate::ExploreConfig) default — parity
-    /// with `Flat` is asserted across the E16 tier × thread grid.
+    /// Bit-packed keys in an arena behind an open-addressing index, all
+    /// resident. The [`ExploreConfig`](crate::ExploreConfig) default.
     #[default]
     Packed,
-    /// [`Packed`](Self::Packed) plus a seeded Bloom prefilter in front
-    /// of the exact probes.
-    PackedFilter,
     /// [`Packed`](Self::Packed) plus the file-backed spill tier: the
     /// resident arena freezes into hash-sorted on-disk runs at a
     /// threshold, bounding the exact set by disk instead of RAM.
@@ -82,21 +70,13 @@ pub enum StorageTier {
 }
 
 impl StorageTier {
-    /// Every tier, in the order the CI storage axis names them.
-    pub const ALL: [StorageTier; 4] = [
-        StorageTier::Flat,
-        StorageTier::Packed,
-        StorageTier::PackedFilter,
-        StorageTier::PackedSpill,
-    ];
+    /// Both tiers, the default first.
+    pub const ALL: [StorageTier; 2] = [StorageTier::Packed, StorageTier::PackedSpill];
 
-    /// Parses the CI/CLI spelling: `flat`, `packed`, `packed+filter`,
-    /// `packed+spill`.
+    /// Parses the CI/CLI spelling: `packed`, `packed+spill`.
     pub fn parse(s: &str) -> Option<StorageTier> {
         match s {
-            "flat" => Some(StorageTier::Flat),
             "packed" => Some(StorageTier::Packed),
-            "packed+filter" => Some(StorageTier::PackedFilter),
             "packed+spill" => Some(StorageTier::PackedSpill),
             _ => None,
         }
@@ -105,19 +85,9 @@ impl StorageTier {
     /// The CI/CLI spelling ([`parse`](Self::parse)'s inverse).
     pub fn as_str(self) -> &'static str {
         match self {
-            StorageTier::Flat => "flat",
             StorageTier::Packed => "packed",
-            StorageTier::PackedFilter => "packed+filter",
             StorageTier::PackedSpill => "packed+spill",
         }
-    }
-
-    fn filter(self) -> bool {
-        matches!(self, StorageTier::PackedFilter)
-    }
-
-    fn spill(self) -> bool {
-        matches!(self, StorageTier::PackedSpill)
     }
 }
 
@@ -273,25 +243,22 @@ pub fn delta_decode(parent: &[u32], delta: &[u8]) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------
-// Seeded Bloom prefilter
+// Seeded Bloom filter
 // ---------------------------------------------------------------------
 
 /// A seeded, deterministic Bloom filter over packed-key hashes: the
-/// probabilistic prefilter of the tiered visited set.
+/// in-RAM screen of each spill run.
 ///
 /// Semantics: [`maybe_contains`](Self::maybe_contains) returning `false`
 /// proves the key was never [`insert`](Self::insert)ed; `true` proves
 /// nothing and the caller **must** fall through to the exact tier. The
-/// filter is a pure function of `(seed, capacity, inserted set)` —
-/// insertion order never matters — so identically-built filters answer
-/// identically however the key set is partitioned across filters
-/// (property-tested in `tests/proptest_runtime.rs`).
-#[derive(Clone, Debug)]
+/// filter is a pure function of `(seed, size, inserted set)` — insertion
+/// order never matters (property-tested in `tests/proptest_runtime.rs`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyFilter {
     bits: Vec<u64>,
     /// Bit-index mask; `bits.len() * 64` is a power of two.
     mask: u64,
-    set: usize,
     seed: u64,
 }
 
@@ -312,7 +279,6 @@ impl KeyFilter {
         KeyFilter {
             bits: vec![0; words],
             mask: (1u64 << log2_bits) - 1,
-            set: 0,
             seed,
         }
     }
@@ -333,12 +299,7 @@ impl KeyFilter {
 
     #[inline]
     fn set_bit(&mut self, idx: u64) {
-        let word = &mut self.bits[(idx >> 6) as usize];
-        let mask = 1u64 << (idx & 63);
-        if *word & mask == 0 {
-            *word |= mask;
-            self.set += 1;
-        }
+        self.bits[(idx >> 6) as usize] |= 1u64 << (idx & 63);
     }
 
     /// Records a key hash (see [`hash_packed`]).
@@ -367,37 +328,27 @@ impl KeyFilter {
         self.maybe_contains(hash_packed(&pack_key(key)))
     }
 
-    /// Number of bits set (the occupancy surfaced in
-    /// [`ExploreStats`](crate::ExploreStats)).
-    pub fn bits_set(&self) -> usize {
-        self.set
-    }
-
-    /// Total capacity in bits.
-    pub fn capacity_bits(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    /// Whether occupancy crossed the growth threshold (12.5%, keeping
-    /// the false-positive rate a fraction of a percent). The table grows
-    /// the filter by rebuilding from its retained keys — deterministic,
-    /// because the threshold is checked after every insert in insertion
-    /// order.
-    pub fn should_grow(&self) -> bool {
-        self.set * 8 > self.capacity_bits() && self.capacity_bits() < (1 << 40)
-    }
-
     fn bytes(&self) -> usize {
         self.bits.len() * 8
     }
 }
 
-/// The [`FxHasher`] hash of a packed key's bytes — the shared key hash
-/// of the packed table, its index, the prefilter and the spill runs.
+/// The [`FxHasher`] hash of a packed key's bytes with its high half
+/// folded into its low half: the shared key hash of the packed index,
+/// the spill runs and their Blooms.
+///
+/// The fold is what keeps the index's probe runs short. `FxHasher` ends
+/// every round in a multiply, so the low bits of its raw hash depend
+/// only on the low bytes of each 8-byte chunk (plus a few rotated bits
+/// per round), while engine keys mostly differ in other bytes. The index
+/// and the Blooms read their first position from the low bits; unfolded,
+/// a half-empty index scanned over a hundred slots per probe (DESIGN.md
+/// §3). The fold leaves the high 32 bits, the index tag, unchanged.
 pub fn hash_packed(packed: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write(packed);
-    hasher.finish()
+    let hash = hasher.finish();
+    hash ^ (hash >> 32)
 }
 
 // ---------------------------------------------------------------------
@@ -503,29 +454,6 @@ impl SpillRun {
         }
         None
     }
-
-    /// Streams every record's hash (for deterministic filter rebuilds).
-    fn for_each_hash(&self, mut f: impl FnMut(u64)) {
-        const CHUNK: usize = 256;
-        let mut buf = vec![0u8; CHUNK * RECORD];
-        let mut at = 0u64;
-        while at < self.count {
-            let n = (self.count - at).min(CHUNK as u64) as usize;
-            let slice = &mut buf[..n * RECORD];
-            self.records
-                .read_at(slice, at * RECORD as u64)
-                .map(|read| assert_eq!(read, n * RECORD, "short spill scan"))
-                .expect("scanning spill records");
-            for i in 0..n {
-                f(u64::from_le_bytes(
-                    slice[i * RECORD..i * RECORD + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                ));
-            }
-            at += n as u64;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -546,16 +474,14 @@ fn meta_unpack(meta: u64) -> (usize, usize) {
     ((meta & ((1 << 40) - 1)) as usize, (meta >> 40) as usize)
 }
 
-/// The bit-packed, arena-backed drop-in for `StateTable`: deduplicates
-/// `&[u32]` state keys into dense insertion-order ids, holding the keys
-/// as canonical varint bytes in one arena behind an open-addressing
-/// index — with an optional Bloom prefilter and an optional file-backed
-/// spill tier (see the module docs).
+/// The visited set: deduplicates `&[u32]` state keys into dense
+/// insertion-order ids, holding the keys as canonical varint bytes in
+/// one arena behind an open-addressing index, with an optional
+/// file-backed spill tier (see the module docs).
 ///
-/// Identical observable behaviour to the flat table — same ids, same
-/// `(id, was_new)` results for the same insertion sequence — at a
-/// fraction of the resident bytes (property-tested against a reference
-/// map in `tests/proptest_runtime.rs`).
+/// Equal insertion sequences give equal `(id, was_new)` results whether
+/// or not the table spills (property-tested against a reference map in
+/// `tests/proptest_runtime.rs`).
 #[derive(Debug)]
 pub struct PackedStateTable {
     /// Packed key bytes of the resident entries, concatenated.
@@ -575,10 +501,11 @@ pub struct PackedStateTable {
     resident_start: u32,
     /// Total entries across resident + spilled tiers.
     len: u32,
-    filter: Option<KeyFilter>,
-    spill: Option<Vec<SpillRun>>,
-    /// Freeze the resident arena into a run when it crosses this.
-    spill_threshold: usize,
+    /// Frozen on-disk runs, oldest first (empty without the spill tier).
+    runs: Vec<SpillRun>,
+    /// Freeze the resident arena into a run when it reaches this many
+    /// bytes; `None` keeps every entry resident.
+    spill_threshold: Option<usize>,
     spilled_bytes: usize,
     peak_resident: usize,
     /// Reused packing buffer, so the per-insert hot path never
@@ -594,25 +521,23 @@ fn slot_pack(hash: u64, pos: usize) -> u64 {
 }
 
 impl PackedStateTable {
-    /// Filter seed: fixed, so filter behaviour (and therefore probe
-    /// *cost*, never outcomes) is reproducible across runs.
-    const FILTER_SEED: u64 = 0xcafe_f00d_d15e_a5e5;
+    /// Seed of the spill runs' Blooms: fixed, so their behaviour (and
+    /// therefore probe *cost*, never outcomes) is reproducible.
+    const BLOOM_SEED: u64 = 0xcafe_f00d_d15e_a5e5;
     const INITIAL_SLOTS: usize = 64;
-    const INITIAL_FILTER_LOG2: u32 = 16;
 
-    /// Creates a packed table: `filter`/`spill` switch the prefilter and
-    /// the disk tier on, `spill_threshold` is the resident arena size
-    /// that triggers a freeze (ignored without `spill`).
-    pub fn new(filter: bool, spill: bool, spill_threshold: usize) -> Self {
+    /// Creates a packed table. `spill_threshold` switches the disk tier
+    /// on: the resident arena size that triggers a freeze (`None` keeps
+    /// every entry resident).
+    pub fn new(spill_threshold: Option<usize>) -> Self {
         PackedStateTable {
             arena: Vec::new(),
             meta: Vec::new(),
             index: vec![0; Self::INITIAL_SLOTS],
             resident_start: 0,
             len: 0,
-            filter: filter.then(|| KeyFilter::new(Self::FILTER_SEED, Self::INITIAL_FILTER_LOG2)),
-            spill: spill.then(Vec::new),
-            spill_threshold: spill_threshold.max(1),
+            runs: Vec::new(),
+            spill_threshold: spill_threshold.map(|bytes| bytes.max(1)),
             spilled_bytes: 0,
             peak_resident: 0,
             scratch: Vec::new(),
@@ -646,30 +571,20 @@ impl PackedStateTable {
     }
 
     fn probe_spill(&self, hash: u64, packed: &[u8]) -> Option<u32> {
-        self.spill
-            .as_ref()?
-            .iter()
-            .find_map(|run| run.get(hash, packed))
+        self.runs.iter().find_map(|run| run.get(hash, packed))
     }
 
     /// Looks up `key` without inserting (exact across both tiers).
     pub fn get(&self, key: &[u32]) -> Option<u32> {
-        let mut packed = Vec::new();
-        pack_key_into(key, &mut packed);
+        let packed = pack_key(key);
         let hash = hash_packed(&packed);
-        if let Some(filter) = &self.filter {
-            if !filter.maybe_contains(hash) {
-                return None;
-            }
-        }
-        match self.probe_resident(hash, &packed) {
-            Ok(id) => Some(id),
-            Err(_) => self.probe_spill(hash, &packed),
-        }
+        self.probe_resident(hash, &packed)
+            .ok()
+            .or_else(|| self.probe_spill(hash, &packed))
     }
 
     /// Inserts `key`, returning `(id, was_new)` with ids in insertion
-    /// order — the exact `StateTable` contract.
+    /// order.
     ///
     /// # Panics
     ///
@@ -679,30 +594,15 @@ impl PackedStateTable {
         packed.clear();
         pack_key_into(key, &mut packed);
         let hash = hash_packed(&packed);
-        // A filter miss proves absence in *both* tiers (every insert
-        // recorded its hash), so only the free index slot is looked up;
-        // a maybe falls through to the exact probes.
-        let filter_maybe = self
-            .filter
-            .as_ref()
-            .map_or(true, |filter| filter.maybe_contains(hash));
-        let slot = if filter_maybe {
-            match self.probe_resident(hash, &packed) {
-                Ok(id) => {
-                    self.scratch = packed;
-                    return (id, false);
-                }
-                Err(slot) => {
-                    if let Some(id) = self.probe_spill(hash, &packed) {
-                        self.scratch = packed;
-                        return (id, false);
-                    }
-                    slot
-                }
+        let found = self
+            .probe_resident(hash, &packed)
+            .or_else(|slot| self.probe_spill(hash, &packed).ok_or(slot));
+        let slot = match found {
+            Ok(id) => {
+                self.scratch = packed;
+                return (id, false);
             }
-        } else {
-            self.probe_resident(hash, &packed)
-                .expect_err("filter miss cannot be resident")
+            Err(slot) => slot,
         };
         let id = self.len;
         assert!(id < u32::MAX, "state table overflow");
@@ -713,17 +613,14 @@ impl PackedStateTable {
         self.index[slot] = slot_pack(hash, self.meta.len());
         self.meta.push(meta_pack(offset, packed.len()));
         self.scratch = packed;
-        if let Some(filter) = &mut self.filter {
-            filter.insert(hash);
-            if filter.should_grow() {
-                self.grow_filter();
-            }
-        }
         if self.meta.len() * 2 >= self.index.len() {
             self.rehash(self.index.len() * 2);
         }
         self.peak_resident = self.peak_resident.max(self.resident_bytes());
-        if self.spill.is_some() && self.arena.len() >= self.spill_threshold {
+        if self
+            .spill_threshold
+            .is_some_and(|threshold| self.arena.len() >= threshold)
+        {
             self.freeze_run();
         }
         (id, true)
@@ -740,16 +637,12 @@ impl PackedStateTable {
     }
 
     /// Accounted resident bytes: arena + index slots + entry metadata +
-    /// filter bits + the spill runs' in-RAM Blooms.
+    /// the spill runs' in-RAM Blooms.
     pub fn resident_bytes(&self) -> usize {
         self.arena.len()
             + self.index.len() * 8
             + self.meta.len() * 8
-            + self.filter.as_ref().map_or(0, KeyFilter::bytes)
-            + self
-                .spill
-                .as_ref()
-                .map_or(0, |runs| runs.iter().map(|r| r.bloom.bytes()).sum())
+            + self.runs.iter().map(|run| run.bloom.bytes()).sum::<usize>()
     }
 
     /// Peak accounted resident bytes over the table's lifetime,
@@ -765,11 +658,6 @@ impl PackedStateTable {
         self.spilled_bytes
     }
 
-    /// Bits set in the prefilter (0 without one).
-    pub fn filter_bits_set(&self) -> usize {
-        self.filter.as_ref().map_or(0, KeyFilter::bits_set)
-    }
-
     fn rehash(&mut self, slots: usize) {
         self.index = vec![0; slots];
         let mask = slots - 1;
@@ -781,25 +669,6 @@ impl PackedStateTable {
             }
             self.index[slot] = slot_pack(hash, pos);
         }
-    }
-
-    /// Doubles the filter and rebuilds it from every retained key —
-    /// resident entries re-hash from the arena, spilled entries stream
-    /// their stored hashes from the run records. Deterministic: growth
-    /// triggers at a fixed occupancy checked in insertion order.
-    fn grow_filter(&mut self) {
-        let filter = self.filter.as_ref().expect("growing an absent filter");
-        let log2 = filter.capacity_bits().trailing_zeros() + 1;
-        let mut grown = KeyFilter::new(filter.seed, log2);
-        for pos in 0..self.meta.len() {
-            grown.insert(hash_packed(self.packed_entry(pos)));
-        }
-        if let Some(runs) = &self.spill {
-            for run in runs {
-                run.for_each_hash(|hash| grown.insert(hash));
-            }
-        }
-        self.filter = Some(grown);
     }
 
     /// Freezes the resident entries into one immutable hash-sorted
@@ -819,7 +688,7 @@ impl PackedStateTable {
             .next_power_of_two()
             .trailing_zeros()
             .clamp(6, 40);
-        let mut bloom = KeyFilter::new(Self::FILTER_SEED, bloom_log2);
+        let mut bloom = KeyFilter::new(Self::BLOOM_SEED, bloom_log2);
         let mut records = scratch_file("records");
         let mut keys = scratch_file("keys");
         let mut record_buf: Vec<u8> = Vec::with_capacity(order.len() * RECORD);
@@ -843,97 +712,34 @@ impl PackedStateTable {
             .write_all(&record_buf)
             .expect("writing spill records");
         self.spilled_bytes += record_buf.len() + key_offset as usize;
-        self.spill
-            .as_mut()
-            .expect("freeze without spill tier")
-            .push(SpillRun {
-                records,
-                keys,
-                count: order.len() as u64,
-                min_hash,
-                max_hash,
-                bloom,
-            });
+        self.runs.push(SpillRun {
+            records,
+            keys,
+            count: order.len() as u64,
+            min_hash,
+            max_hash,
+            bloom,
+        });
         self.arena.clear();
         self.meta.clear();
         self.index = vec![0; Self::INITIAL_SLOTS];
         self.resident_start = self.len;
     }
-}
 
-// ---------------------------------------------------------------------
-// The visited-set backend switch
-// ---------------------------------------------------------------------
-
-/// The visited set: the flat historical table or the packed tiered one,
-/// behind the `get`/`insert`/`len` contract both satisfy identically.
-#[derive(Debug)]
-pub(crate) enum VisitedTable {
-    /// The flat `FxHashMap` table.
-    Flat(StateTable),
-    /// The packed arena table (optionally filtered / spilled).
-    Packed(PackedStateTable),
-}
-
-impl VisitedTable {
-    pub(crate) fn new(tier: StorageTier, spill_threshold: usize) -> Self {
-        match tier {
-            StorageTier::Flat => VisitedTable::Flat(StateTable::new()),
-            tier => VisitedTable::Packed(PackedStateTable::new(
-                tier.filter(),
-                tier.spill(),
-                spill_threshold,
-            )),
+    /// Mean slots scanned by a successful resident probe: each entry's
+    /// distance from its home slot, plus one.
+    #[cfg(test)]
+    fn mean_probe_len(&self) -> f64 {
+        let mask = self.index.len() - 1;
+        let mut scanned = 0usize;
+        for (slot, &s) in self.index.iter().enumerate() {
+            if s != 0 {
+                let pos = (s as u32 - 1) as usize;
+                let home = hash_packed(self.packed_entry(pos)) as usize & mask;
+                scanned += (slot.wrapping_sub(home) & mask) + 1;
+            }
         }
-    }
-
-    pub(crate) fn get(&self, key: &[u32]) -> Option<u32> {
-        match self {
-            VisitedTable::Flat(t) => t.get(key),
-            VisitedTable::Packed(t) => t.get(key),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, key: &[u32]) -> (u32, bool) {
-        match self {
-            VisitedTable::Flat(t) => t.insert(key),
-            VisitedTable::Packed(t) => t.insert(key),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.len(),
-            VisitedTable::Packed(t) => t.len(),
-        }
-    }
-
-    pub(crate) fn resident_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.approx_bytes(),
-            VisitedTable::Packed(t) => t.resident_bytes(),
-        }
-    }
-
-    pub(crate) fn peak_resident_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.approx_bytes(),
-            VisitedTable::Packed(t) => t.peak_resident_bytes(),
-        }
-    }
-
-    pub(crate) fn spilled_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(_) => 0,
-            VisitedTable::Packed(t) => t.spilled_bytes(),
-        }
-    }
-
-    pub(crate) fn filter_bits_set(&self) -> usize {
-        match self {
-            VisitedTable::Flat(_) => 0,
-            VisitedTable::Packed(t) => t.filter_bits_set(),
-        }
+        scanned as f64 / self.meta.len().max(1) as f64
     }
 }
 
@@ -1088,6 +894,7 @@ impl WitnessLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn varint_round_trips_across_widths() {
@@ -1147,49 +954,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_table_matches_flat_semantics() {
-        let mut packed = PackedStateTable::new(false, false, usize::MAX);
-        let mut flat = StateTable::new();
-        let keys: Vec<Vec<u32>> = (0..200u32)
-            .map(|i| vec![i % 50, i / 3, 7, i % 2, 1 << (i % 31)])
-            .collect();
-        for key in keys.iter().chain(keys.iter()) {
-            assert_eq!(packed.insert(key), flat.insert(key));
+    /// The reference semantics: a std map handing out ids in insertion
+    /// order.
+    fn reference_insert(map: &mut HashMap<Vec<u32>, u32>, key: &[u32]) -> (u32, bool) {
+        if let Some(&id) = map.get(key) {
+            return (id, false);
         }
-        assert_eq!(packed.len(), flat.len());
-        for key in &keys {
-            assert_eq!(packed.get(key), flat.get(key));
-        }
-        assert_eq!(packed.get(&[9, 9, 9, 9, 9]), None);
+        let id = u32::try_from(map.len()).expect("fits u32");
+        map.insert(key.to_vec(), id);
+        (id, true)
     }
 
     #[test]
-    fn filter_and_spill_tiers_stay_exact() {
-        // A tiny threshold forces many freezes; filter + spill together
-        // also exercises the stream-from-disk filter rebuild.
-        for (filter, spill) in [(true, false), (false, true), (true, true)] {
-            let mut table = PackedStateTable::new(filter, spill, 64);
-            let mut flat = StateTable::new();
-            let keys: Vec<Vec<u32>> = (0..600u32).map(|i| vec![i, i ^ 0xab, i % 7]).collect();
-            for key in keys.iter().chain(keys.iter().rev()) {
-                assert_eq!(
-                    table.insert(key),
-                    flat.insert(key),
-                    "filter={filter} spill={spill}"
-                );
-            }
-            for key in &keys {
-                assert_eq!(table.get(key), flat.get(key));
-            }
-            assert_eq!(table.get(&[1, 2]), None);
-            if spill {
-                assert!(table.spilled_bytes() > 0, "threshold 64 must have spilled");
-            }
-            if filter {
-                assert!(table.filter_bits_set() > 0);
-            }
+    fn packed_table_matches_a_reference_map() {
+        let mut packed = PackedStateTable::new(None);
+        let mut reference = HashMap::new();
+        let keys: Vec<Vec<u32>> = (0..200u32)
+            .map(|i| vec![i % 50, i / 3, 7, i % 2, 1 << (i % 31)])
+            .collect();
+        assert!(packed.is_empty());
+        for key in keys.iter().chain(keys.iter()) {
+            assert_eq!(packed.insert(key), reference_insert(&mut reference, key));
         }
+        assert_eq!(packed.len(), reference.len());
+        for key in &keys {
+            assert_eq!(packed.get(key), reference.get(key).copied());
+        }
+        assert_eq!(packed.get(&[9, 9, 9, 9, 9]), None);
+        let next = u32::try_from(packed.len()).expect("fits u32");
+        assert_eq!(packed.insert(&[]), (next, true));
+        assert_eq!(packed.insert(&[]), (next, false));
+    }
+
+    #[test]
+    fn spill_tier_stays_exact() {
+        // A tiny threshold forces many freezes.
+        let mut table = PackedStateTable::new(Some(64));
+        let mut reference = HashMap::new();
+        let keys: Vec<Vec<u32>> = (0..600u32).map(|i| vec![i, i ^ 0xab, i % 7]).collect();
+        for key in keys.iter().chain(keys.iter().rev()) {
+            assert_eq!(table.insert(key), reference_insert(&mut reference, key));
+        }
+        for key in &keys {
+            assert_eq!(table.get(key), reference.get(key).copied());
+        }
+        assert_eq!(table.get(&[1, 2]), None);
+        assert!(table.spilled_bytes() > 0, "threshold 64 must have spilled");
+    }
+
+    /// `FxHasher`'s raw low bits see only the low bytes of each 8-byte
+    /// chunk: without the fold in [`hash_packed`], keys differing in
+    /// bytes 2–3 alone would all take one 12-bit slot.
+    #[test]
+    fn slot_bits_depend_on_every_key_byte() {
+        let slots: HashSet<u64> = (0..4096u16)
+            .map(|i| {
+                let mut bytes = [0u8; 8];
+                bytes[2..4].copy_from_slice(&i.to_le_bytes());
+                hash_packed(&bytes) & 0xfff
+            })
+            .collect();
+        assert!(slots.len() >= 1024, "{} distinct slots", slots.len());
+    }
+
+    /// Engine-shaped keys (mostly equal slots, a few varying) find
+    /// their entries within two slots on average; without the fold in
+    /// [`hash_packed`] these keys needed over a hundred.
+    #[test]
+    fn engine_shaped_keys_probe_short() {
+        let mut table = PackedStateTable::new(None);
+        for i in 0..50_000u32 {
+            let mut key = [1u32; 24];
+            key[5] = 1 + i % 37;
+            key[13] = 1 + i / 37 % 37;
+            key[21] = 1 + i / (37 * 37);
+            assert!(table.insert(&key).1);
+        }
+        let mean = table.mean_probe_len();
+        assert!(mean <= 2.0, "mean successful probe scans {mean:.2} slots");
     }
 
     #[test]
@@ -1203,7 +1045,7 @@ mod tests {
         for key in keys.iter().rev() {
             backward.insert_key(key);
         }
-        assert_eq!(forward.bits, backward.bits, "pure function of the set");
+        assert_eq!(forward, backward, "pure function of the set");
         for key in &keys {
             assert!(forward.maybe_contains_key(key), "no false negatives");
         }

@@ -247,7 +247,7 @@ pub fn swarm_with_progress(
     let violations_found = AtomicU64::new(0);
 
     let worker = || -> WorkerOutput {
-        let mut table = PackedStateTable::new(false, false, usize::MAX);
+        let mut table = PackedStateTable::new(None);
         let mut out = WorkerOutput {
             fresh_keys: Vec::new(),
             violations: Vec::new(),
@@ -339,7 +339,7 @@ pub fn swarm_with_progress(
     // Merge: set-union the per-worker fresh keys into one exact table
     // and sort the violating seeds — both order-independent, so the
     // deterministic fields cannot depend on thread count or scheduling.
-    let mut global = PackedStateTable::new(false, false, usize::MAX);
+    let mut global = PackedStateTable::new(None);
     let mut violations = Vec::new();
     let mut total_steps = 0u64;
     let mut total_crashes = 0u64;

@@ -867,8 +867,8 @@ proptest! {
 
 // The tiered-storage codec properties: the bit-packed key form and the
 // parent-delta encoding are exact (lossless and injective) and the
-// Bloom prefilter is deterministic — the foundations the storage tiers'
-// exactness argument rests on (see DESIGN §3).
+// spill runs' Bloom filter is deterministic — the foundations the
+// storage tiers' exactness argument rests on (see DESIGN §3).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -901,16 +901,14 @@ proptest! {
 
     /// The packed table is observationally identical to a flat map:
     /// same `(id, was_new)` on every insert (ids in insertion order),
-    /// same lookups — under every tier combination (filter, spill via a
-    /// tiny threshold, both).
+    /// same lookups — resident or spilling through a tiny threshold.
     #[test]
     fn packed_table_matches_the_flat_reference(
         keys in proptest::collection::vec(
             proptest::collection::vec(0u32..200, 1..8), 1..120),
-        filter in any::<bool>(),
         spill in any::<bool>(),
     ) {
-        let mut table = rc_runtime::PackedStateTable::new(filter, spill, 128);
+        let mut table = rc_runtime::PackedStateTable::new(spill.then_some(128));
         let mut reference: std::collections::HashMap<Vec<u32>, u32> =
             std::collections::HashMap::new();
         for key in &keys {
@@ -930,42 +928,28 @@ proptest! {
         prop_assert_eq!(table.len(), reference.len());
     }
 
-    /// Prefilter determinism across shard counts: however the key set
-    /// is partitioned into per-shard filters (1, 2, 4 or 8 shards,
-    /// routed by packed-key hash), every inserted key
-    /// answers "maybe" in its own shard — no false negatives, the
-    /// half of the Bloom contract exactness rests on — and each
-    /// filter's bit pattern is a pure function of its key set,
-    /// independent of insertion order.
+    /// The spill runs' Bloom filter: every inserted key answers "maybe"
+    /// — no false negatives, the half of the Bloom contract exactness
+    /// rests on — and the bit pattern is a pure function of the key
+    /// set, independent of insertion order.
     #[test]
-    fn prefilter_is_deterministic_across_shard_counts(
+    fn key_filter_is_exact_and_order_independent(
         keys in proptest::collection::vec(
             proptest::collection::vec(any::<u32>(), 1..8), 1..80),
         seed in any::<u64>(),
     ) {
-        for shards in [1usize, 2, 4, 8] {
-            let mut filters: Vec<rc_runtime::KeyFilter> =
-                (0..shards).map(|_| rc_runtime::KeyFilter::new(seed, 10)).collect();
-            let route = |key: &[u32]| {
-                (rc_runtime::hash_packed(&rc_runtime::pack_key(key)) % shards as u64) as usize
-            };
-            for key in &keys {
-                filters[route(key)].insert_key(key);
-            }
-            for key in &keys {
-                prop_assert!(filters[route(key)].maybe_contains_key(key), "{shards} shards");
-            }
-            // Order-independence: re-inserting the same shard's keys in
-            // reverse produces the identical occupancy.
-            let mut reversed: Vec<rc_runtime::KeyFilter> =
-                (0..shards).map(|_| rc_runtime::KeyFilter::new(seed, 10)).collect();
-            for key in keys.iter().rev() {
-                reversed[route(key)].insert_key(key);
-            }
-            for (f, r) in filters.iter().zip(&reversed) {
-                prop_assert_eq!(f.bits_set(), r.bits_set());
-            }
+        let mut forward = rc_runtime::KeyFilter::new(seed, 10);
+        for key in &keys {
+            forward.insert_key(key);
         }
+        for key in &keys {
+            prop_assert!(forward.maybe_contains_key(key));
+        }
+        let mut reversed = rc_runtime::KeyFilter::new(seed, 10);
+        for key in keys.iter().rev() {
+            reversed.insert_key(key);
+        }
+        prop_assert_eq!(forward, reversed);
     }
 }
 

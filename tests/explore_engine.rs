@@ -10,8 +10,8 @@
 //!
 //! The suite runs on the default storage tier
 //! (`ExploreConfig::default().storage`); `EXPLORE_TEST_STORAGE` ∈
-//! {`flat`, `packed`, `packed+filter`, `packed+spill`} reruns it on
-//! another tier (the CI storage axis). `tests/explore_oracle.rs` checks
+//! {`packed`, `packed+spill`} picks the tier explicitly (CI reruns the
+//! suite on `packed+spill`). `tests/explore_oracle.rs` checks
 //! the engine's state and leaf counts against an independent naive
 //! search.
 
@@ -47,15 +47,15 @@ enum SymMode {
 
 /// The storage tier the suite's searches run under: the shipped default
 /// (`ExploreConfig::default().storage`), or whatever
-/// `EXPLORE_TEST_STORAGE` names (`flat` / `packed` / `packed+filter` /
-/// `packed+spill`; the CI storage axis). Anything else fails loudly.
+/// `EXPLORE_TEST_STORAGE` names (`packed` / `packed+spill`; the CI
+/// storage axis). Anything else fails loudly.
 fn storage_tier() -> StorageTier {
     match std::env::var("EXPLORE_TEST_STORAGE") {
         Err(_) => ExploreConfig::default().storage,
         Ok(raw) => StorageTier::parse(raw.trim()).unwrap_or_else(|| {
             panic!(
-                "EXPLORE_TEST_STORAGE must be one of flat, packed, \
-                 packed+filter, packed+spill; got {raw:?}"
+                "EXPLORE_TEST_STORAGE must be one of packed, packed+spill; \
+                 got {raw:?}"
             )
         }),
     }
@@ -923,10 +923,10 @@ fn rebind_search_finds_the_masked_broken_guard_violation() {
     assert!(err.to_string().contains("agreement"), "{err}");
 }
 
-/// Every storage tier — flat, packed, packed+filter, packed+spill — is
-/// the *same* exact search: byte-identical `Verified` outcomes (state
-/// and leaf counts) on the E2 systems. The spill tier runs with a tiny
-/// threshold so resident entries genuinely freeze to disk mid-search.
+/// Both storage tiers — packed and packed+spill — run the *same* exact
+/// search: byte-identical `Verified` outcomes (state and leaf counts) on
+/// the E2 systems. The spill tier runs with a tiny threshold so resident
+/// entries genuinely freeze to disk mid-search.
 #[test]
 fn storage_tiers_agree_byte_identically() {
     let (ty, w, inputs) = sn_system(2);
@@ -953,9 +953,6 @@ fn storage_tiers_agree_byte_identically() {
                     stats.spilled_bytes > 0,
                     "threshold 512 must spill at budget {budget}"
                 );
-            }
-            if tier == StorageTier::PackedFilter {
-                assert!(stats.filter_occupancy > 0);
             }
         }
     }
