@@ -913,6 +913,11 @@ impl Measured {
         self.states() as f64 / (self.millis() / 1e3).max(1e-9)
     }
 
+    /// Nanoseconds per edge of the best run.
+    pub(crate) fn ns_per_edge(&self) -> f64 {
+        self.millis() * 1e6 / self.stats.edges.max(1) as f64
+    }
+
     /// The row as the snapshot writes it; every E11–E17 row has this
     /// one shape.
     pub fn json(&self) -> JsonRow {
@@ -928,6 +933,8 @@ impl Measured {
             ("verdict", Json::Str(self.verdict().into())),
             ("states", int(self.states())),
             ("leaves", int(self.leaves())),
+            ("edges", int(self.stats.edges)),
+            ("duplicates", int(self.stats.duplicates)),
             ("runs", int(self.samples.len())),
             ("millis", Json::Fixed(self.millis(), 1)),
             ("median_millis", Json::Fixed(self.median_millis(), 1)),
@@ -1057,6 +1064,8 @@ const STATES: Column<Measured> = ("states", |r| r.states().to_string());
 const LEAVES: Column<Measured> = ("leaves", |r| r.leaves().to_string());
 const MS: Column<Measured> = ("ms", |r| format!("{:.1}", r.millis()));
 const RATE: Column<Measured> = ("states/sec", |r| format!("{:.0}", r.states_per_sec()));
+const EDGES: Column<Measured> = ("edges", |r| r.stats.edges.to_string());
+const NS_PER_EDGE: Column<Measured> = ("ns/edge", |r| format!("{:.0}", r.ns_per_edge()));
 const REDUCTION: Column<Measured> = ("reduction", |r| {
     let bound = if r.reduction_is_lower_bound {
         "≥"
@@ -1065,6 +1074,18 @@ const REDUCTION: Column<Measured> = ("reduction", |r| {
     };
     format!("{bound}{:.1}×", r.reduction)
 });
+
+const E11_COLUMNS: &[Column<Measured>] = &[
+    SYSTEM,
+    BUDGET,
+    VERDICT,
+    STATES,
+    LEAVES,
+    EDGES,
+    MS,
+    RATE,
+    NS_PER_EDGE,
+];
 
 /// E12 names its mode column `symmetry` and prints reductions without
 /// the lower-bound mark.
@@ -1116,9 +1137,10 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// E11: model-checker scaling — states/sec and peak state counts of the
-/// DFS engine on the Fig. 2 team-RC workload (the E2 systems),
-/// `S_2..S_5` × crash budgets.
+/// E11: model-checker scaling — states/sec, peak state counts, edges
+/// and ns/edge of the DFS engine on the Fig. 2 team-RC workload (the E2
+/// systems), `S_2..S_5` × crash budgets. An edge is one action applied
+/// to a visited state.
 ///
 /// The adversary matches E2: independent crashes, post-decide crashes
 /// enabled, validity inputs declared. State and leaf counts are
@@ -1154,9 +1176,9 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<Measured>) {
     let report = format!(
         "E11 — model-checker scaling (Fig. 2 team-RC workload, independent \
          crashes, post-decide enabled; one DFS engine, host_cores = {}):\n{}\n\
-         states/leaves are deterministic, wall-clock is machine-dependent.\n",
+         states/leaves/edges are deterministic, wall-clock is machine-dependent.\n",
         host_cores(),
-        render(&[SYSTEM, BUDGET, VERDICT, STATES, LEAVES, MS, RATE], &rows)
+        render(E11_COLUMNS, &rows)
     );
     (report, rows)
 }
@@ -2110,7 +2132,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 8;
+const SNAPSHOT_SCHEMA: u64 = 9;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {

@@ -62,8 +62,10 @@
 //! ## Canonical representative
 //!
 //! Within each orbit, processes are ordered by a total *signature* —
-//! structurally, by `(program state key, decided bit)`, never by
-//! interner ids, so the representative choice is identical across
+//! `(program state key, decided bit)`, plus the sleep bit and owned and
+//! family contents where they apply — compared structurally (the checker
+//! reads them as interned ids, but unequal ids compare their values, never
+//! their id order), so the representative choice is identical across
 //! runs and storage tiers. Sorting is a true
 //! canonical form: two states have equal canonical keys **iff** they are
 //! related by an orbit permutation (property-tested in
@@ -71,6 +73,7 @@
 
 use crate::memory::Addr;
 use crate::program::Pid;
+use std::cmp::Ordering;
 
 /// One orbit: a set of interchangeable process ids.
 #[derive(Clone, Debug)]
@@ -342,31 +345,48 @@ impl SymmetrySpec {
     }
 
     /// The canonical-representative permutation for the state whose
-    /// per-process signature is `sig(p)`: within each orbit, members are
-    /// sorted by signature (ties keep ascending pid order). Returns
-    /// `perm` with `perm[i] = s` meaning canonical slot `i` takes slot
-    /// `s`'s payload, or `None` when the state is already canonical.
+    /// processes `cmp` orders by signature: within each orbit, members
+    /// are sorted by `cmp` (ties keep ascending pid order). Returns
+    /// whether the state needs moving; if so, `perm` holds the
+    /// permutation, `perm[i] = s` meaning canonical slot `i` takes slot
+    /// `s`'s payload. An orbit already in order is left alone, so a
+    /// canonical state costs one comparison per adjacent pair of orbit
+    /// members and writes nothing.
     ///
-    /// The signature must be *total* over everything the permutation
+    /// `cmp` must be a total order over everything the permutation
     /// moves — program state, decided flag and (when declared) the
     /// values of the process's owned cells — or sorting would not be a
     /// canonical form.
-    pub fn canonical_perm_with<K: Ord>(&self, mut sig: impl FnMut(Pid) -> K) -> Option<Box<[u8]>> {
-        let mut perm: Option<Box<[u8]>> = None;
+    pub fn canonical_perm_by(
+        &self,
+        perm: &mut Vec<u8>,
+        mut cmp: impl FnMut(Pid, Pid) -> Ordering,
+    ) -> bool {
+        let mut moved = false;
         for pids in self.acting_orbits() {
-            let mut ranked: Vec<(K, Pid)> = pids.iter().map(|&p| (sig(p), p)).collect();
-            // Stable, and pids are ascending, so equal signatures keep
-            // their slot order — sorted output is the canonical form.
-            ranked.sort_by(|a, b| a.0.cmp(&b.0));
-            if ranked.iter().zip(pids).all(|(r, &p)| r.1 == p) {
+            if pids.windows(2).all(|w| cmp(w[0], w[1]).is_le()) {
                 continue;
             }
-            let perm = perm.get_or_insert_with(|| identity(self.n));
-            for (i, &slot) in pids.iter().enumerate() {
-                perm[slot] = ranked[i].1 as u8;
+            if !moved {
+                perm.clear();
+                perm.extend((0..self.n).map(|i| i as u8));
+                moved = true;
+            }
+            // Stable insertion sort of the orbit's payloads over its
+            // slots: equal signatures keep their slot order, so the
+            // sorted output is the canonical form, and a state one step
+            // away from canonical sorts in one pass.
+            for i in 1..pids.len() {
+                let mut j = i;
+                while j > 0
+                    && cmp(perm[pids[j - 1]] as Pid, perm[pids[j]] as Pid) == Ordering::Greater
+                {
+                    perm.swap(pids[j - 1], pids[j]);
+                    j -= 1;
+                }
             }
         }
-        perm
+        moved
     }
 
     /// The number of concrete states in the canonical state's
@@ -402,11 +422,6 @@ impl SymmetrySpec {
     }
 }
 
-/// The identity permutation on `n` slots.
-pub(crate) fn identity(n: usize) -> Box<[u8]> {
-    (0..n).map(|i| i as u8).collect()
-}
-
 /// Composition `m ∘ π`: `result[i] = m[π[i]]`. Used by the witness
 /// reconstruction to accumulate canonical→original pid maps along a
 /// parent-link path.
@@ -438,23 +453,40 @@ mod tests {
         assert!(SymmetrySpec::from_classes(&[1, 2, 3]).is_trivial());
     }
 
+    /// The canonical permutation for signatures `sigs`, or `None` when
+    /// the state is already canonical.
+    fn perm_of(spec: &SymmetrySpec, sigs: &[u32]) -> Option<Vec<u8>> {
+        let mut perm = Vec::new();
+        spec.canonical_perm_by(&mut perm, |a, b| sigs[a].cmp(&sigs[b]))
+            .then_some(perm)
+    }
+
     #[test]
     fn canonical_perm_sorts_within_orbits_only() {
         // Processes 1..4 interchangeable, 0 fixed.
         let spec = SymmetrySpec::new(4, vec![vec![1, 2, 3]]);
         // Signatures out of order in the orbit.
-        let sigs = [9, 7, 5, 6];
-        let perm = spec.canonical_perm_with(|p| sigs[p]).expect("non-identity");
+        let perm = perm_of(&spec, &[9, 7, 5, 6]).expect("non-identity");
         // Canonical slots 1, 2, 3 take payloads of slots 2, 3, 1.
-        assert_eq!(&perm[..], &[0, 2, 3, 1]);
+        assert_eq!(perm, [0, 2, 3, 1]);
         // Already-sorted signatures are canonical.
-        assert!(spec.canonical_perm_with(|p| [9, 1, 2, 3][p]).is_none());
+        assert_eq!(perm_of(&spec, &[9, 1, 2, 3]), None);
     }
 
     #[test]
     fn canonical_perm_is_stable_on_ties() {
         let spec = SymmetrySpec::full(3);
-        assert!(spec.canonical_perm_with(|_| 0).is_none());
+        assert_eq!(perm_of(&spec, &[0, 0, 0]), None);
+        // Equal signatures keep their slot order around a moved member.
+        assert_eq!(perm_of(&spec, &[1, 0, 1]), Some(vec![1, 0, 2]));
+    }
+
+    #[test]
+    fn canonical_perm_sorts_non_contiguous_orbits() {
+        // Orbits {0, 2, 4} and {1, 3}, interleaved.
+        let spec = SymmetrySpec::from_classes(&["a", "b", "a", "b", "a"]);
+        let perm = perm_of(&spec, &[5, 8, 3, 7, 4]).expect("non-identity");
+        assert_eq!(perm, [2, 3, 4, 1, 0]);
     }
 
     #[test]

@@ -26,11 +26,21 @@
 //! The checker is an **iterative worklist DFS** over an arena of
 //! explicit frames — no recursion, so deep crash budgets (very long
 //! executions) cannot overflow the call stack. State keys are built from
-//! interned `u32` ids ([`ValueInterner`]): probing the visited set
-//! allocates nothing for already-seen values, where the seed engine
-//! cloned the entire memory and every program key per probe. Violation
-//! schedules are reconstructed from per-node **parent links** instead of
-//! a live schedule vector.
+//! interned `u32` ids ([`ValueInterner`]), and each child's key is built
+//! **before** its state: the engine patches the parent's key from a
+//! per-search **step memo** — (action, program-state id, id of the one
+//! cell the step accesses) → the step's outcome, already interned — or
+//! from the precomputed post-crash programs, canonicalizes it under
+//! symmetry, and probes the visited set. Most edges reach a visited
+//! state, and such a duplicate costs that probe and nothing else; a
+//! child state (a copy-on-write clone of its parent, with the memo's
+//! shared program and written cell spliced in) is built only for a new
+//! key. The memo steps each repeated local transition once. It relies on
+//! the [`Program`] contract: a step makes at most one shared-memory
+//! access (enforced: a second access panics), and programs with equal
+//! `state_key` in one slot behave the same. Violation schedules are
+//! reconstructed from per-node **parent links** instead of a live
+//! schedule vector.
 //!
 //! The DFS is the **only** engine. Every search — symmetric, reduced,
 //! byte-capped, on any storage tier — runs on it, in one deterministic
@@ -58,11 +68,11 @@
 //! factorials, leaf counts stay identical (canonical leaves are weighted
 //! by their class size), and violation witnesses are reported in
 //! *original* process ids by threading the inverse permutations through
-//! the parent links. Canonical representatives are chosen by
-//! *structural* signature ordering — never by interner ids — so the
-//! representative of a state does not depend on which values happened
-//! to be interned first. See the [`canon`](crate::canon) module for the
-//! soundness argument.
+//! the parent links. Signatures are read from the child's key as
+//! interned ids, but unequal ids compare their values *structurally* —
+//! never by id order — so the representative of a state does not depend
+//! on which values happened to be interned first. See the
+//! [`canon`](crate::canon) module for the soundness argument.
 //!
 //! ## Partial-order reduction
 //!
@@ -90,13 +100,15 @@ use crate::footprint::{
     analyze_system, analyze_system_states, system_analysis_cached, AnalysisBudget, CellSet,
     LocalStateInfo, StaticIndependence, SystemAnalysis, SystemFootprint,
 };
-use crate::intern::ValueInterner;
-use crate::memory::{Cell, MemOps, Memory};
+use crate::intern::{FxHashMap, ValueInterner};
+use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::Action;
 use crate::storage::{packed_key_len, PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Configuration for [`explore`].
@@ -217,6 +229,12 @@ pub struct ExploreStats {
     pub por: bool,
     /// Which storage tier held the visited set.
     pub storage: StorageTier,
+    /// Edges the search took: one per action applied to a visited
+    /// state. Deterministic. A `Verified` search has
+    /// `edges == states - 1 + duplicates`.
+    pub edges: usize,
+    /// Edges whose child key was already visited. Deterministic.
+    pub duplicates: usize,
     /// Approximate bytes held by the value interner (structural value
     /// payloads plus per-entry overhead). Deterministic: a pure
     /// function of the interned values.
@@ -314,83 +332,108 @@ pub type SymmetricSystemFactory<'a> =
     dyn Fn() -> (Memory, Vec<Box<dyn Program>>, SymmetrySpec) + 'a;
 
 /// A copy-on-write shared memory for the search: cell payloads live
-/// behind `Arc`s, so branching a state bumps refcounts instead of
-/// deep-cloning every register and object state — only the cell a child
-/// actually writes is cloned (`Arc::make_mut`), and only while shared.
-/// Semantically identical to [`Memory`] (same atomicity, same
-/// type-confusion panics).
+/// behind `Rc`s, so branching a state bumps refcounts instead of
+/// deep-cloning every register and object state. The engine never steps
+/// a program against it: a step runs once per memoized local transition,
+/// against a [`StepOverlay`] of its parent's cells, and each child built
+/// afterwards takes the one written cell as a shared payload. With the
+/// overlay it is semantically identical to [`Memory`] (same atomicity,
+/// same type-confusion panics).
 #[derive(Clone)]
 enum CowCell {
-    Register(Arc<Value>),
+    Register(Rc<Value>),
     Object {
         ty: rc_spec::TypeHandle,
-        state: Arc<Value>,
+        state: Rc<Value>,
     },
+}
+
+impl CowCell {
+    fn value(&self) -> &Value {
+        match self {
+            CowCell::Register(v) => v,
+            CowCell::Object { state, .. } => state,
+        }
+    }
 }
 
 #[derive(Clone)]
 struct CowMemory {
     cells: Vec<CowCell>,
-    /// The cell written by the last step, for incremental key updates.
-    /// `Program::step` performs at most one shared-memory access, so one
-    /// slot suffices; a second write in one step panics (it would make
-    /// the incremental keys unsound and the contract is explicit).
-    dirty: Option<usize>,
 }
 
 impl CowMemory {
     fn from_memory(mem: &Memory) -> Self {
         let cells = (0..mem.len())
             .map(|i| match mem.peek_cell(crate::memory::Addr(i)) {
-                Cell::Register(v) => CowCell::Register(Arc::new(v)),
+                Cell::Register(v) => CowCell::Register(Rc::new(v)),
                 Cell::Object { ty, state } => CowCell::Object {
                     ty,
-                    state: Arc::new(state),
+                    state: Rc::new(state),
                 },
             })
             .collect();
-        CowMemory { cells, dirty: None }
+        CowMemory { cells }
     }
 
     fn value_ref(&self, index: usize) -> &Value {
-        match &self.cells[index] {
-            CowCell::Register(v) => v,
-            CowCell::Object { state, .. } => state,
-        }
-    }
-
-    fn mark_dirty(&mut self, index: usize) {
-        assert!(
-            self.dirty.is_none() || self.dirty == Some(index),
-            "Program::step performed more than one shared-memory write; \
-             the step contract allows at most one access"
-        );
-        self.dirty = Some(index);
-    }
-
-    fn take_dirty(&mut self) -> Option<usize> {
-        self.dirty.take()
+        self.cells[index].value()
     }
 }
 
-impl MemOps for CowMemory {
+/// A read-only view of a parent state's memory that one step runs
+/// against. It records the one cell the step accesses and captures a
+/// write or `apply` as the cell's new content instead of performing it,
+/// so stepping never touches the parent and the outcome is exactly
+/// (accessed cell, new content). A second access of any kind panics:
+/// the step memo keys outcomes on the value of the one accessed cell
+/// ([`Program::step`]'s contract), so a second access would make it
+/// unsound.
+struct StepOverlay<'a> {
+    cells: &'a [CowCell],
+    access: Option<usize>,
+    write: Option<CowCell>,
+}
+
+impl<'a> StepOverlay<'a> {
+    fn new(cells: &'a [CowCell]) -> Self {
+        StepOverlay {
+            cells,
+            access: None,
+            write: None,
+        }
+    }
+
+    /// Records the step's one access, to `addr`.
+    fn touch(&mut self, addr: crate::memory::Addr) -> &'a CowCell {
+        assert!(
+            self.access.is_none(),
+            "Program::step performed more than one shared-memory access; \
+             the step contract allows at most one"
+        );
+        self.access = Some(addr.0);
+        let cells = self.cells;
+        &cells[addr.0]
+    }
+}
+
+impl MemOps for StepOverlay<'_> {
     fn read_register(&mut self, addr: crate::memory::Addr) -> Value {
-        match &self.cells[addr.0] {
+        match self.touch(addr) {
             CowCell::Register(v) => (**v).clone(),
             CowCell::Object { .. } => panic!("{addr} is an object, not a register"),
         }
     }
 
     fn write_register(&mut self, addr: crate::memory::Addr, value: Value) {
-        match &mut self.cells[addr.0] {
-            CowCell::Register(v) => *Arc::make_mut(v) = value,
+        match self.touch(addr) {
+            CowCell::Register(_) => self.write = Some(CowCell::Register(Rc::new(value))),
             CowCell::Object { .. } => panic!("{addr} is an object, not a register"),
         }
-        self.mark_dirty(addr.0);
     }
 
     fn read_object(&mut self, addr: crate::memory::Addr) -> Value {
-        match &self.cells[addr.0] {
+        match self.touch(addr) {
             CowCell::Object { ty, state } => {
                 assert!(
                     ty.is_readable(),
@@ -404,26 +447,27 @@ impl MemOps for CowMemory {
     }
 
     fn apply(&mut self, addr: crate::memory::Addr, op: &Operation) -> Value {
-        let response = match &mut self.cells[addr.0] {
+        match self.touch(addr) {
             CowCell::Object { ty, state } => {
                 let t = ty.apply(state, op);
-                *Arc::make_mut(state) = t.next;
+                self.write = Some(CowCell::Object {
+                    ty: ty.clone(),
+                    state: Rc::new(t.next),
+                });
                 t.response
             }
             CowCell::Register(_) => panic!("{addr} is a register, not an object"),
-        };
-        self.mark_dirty(addr.0);
-        response
+        }
     }
 }
 
 /// Clone-on-write access to one program slot: clones the program only
-/// when its `Arc` is shared with sibling states.
-fn program_mut(slot: &mut Arc<Box<dyn Program>>) -> &mut dyn Program {
-    if Arc::get_mut(slot).is_none() {
-        *slot = Arc::new(slot.boxed_clone());
+/// when its `Rc` is shared with other states.
+fn program_mut(slot: &mut Rc<Box<dyn Program>>) -> &mut dyn Program {
+    if Rc::get_mut(slot).is_none() {
+        *slot = Rc::new(slot.boxed_clone());
     }
-    &mut **Arc::get_mut(slot).expect("just made unique")
+    &mut **Rc::get_mut(slot).expect("just made unique")
 }
 
 /// One system state: shared memory, every process's volatile state, the
@@ -432,7 +476,7 @@ fn program_mut(slot: &mut Arc<Box<dyn Program>>) -> &mut dyn Program {
 #[derive(Clone)]
 struct SysState {
     mem: CowMemory,
-    programs: Vec<Arc<Box<dyn Program>>>,
+    programs: Vec<Rc<Box<dyn Program>>>,
     /// Bit `p` set — process `p`'s current run has decided. Packed so
     /// branching clones a word, not a heap vector.
     decided: u64,
@@ -450,7 +494,7 @@ impl SysState {
         );
         SysState {
             mem: CowMemory::from_memory(&mem),
-            programs: programs.into_iter().map(Arc::new).collect(),
+            programs: programs.into_iter().map(Rc::new).collect(),
             decided: 0,
             crashes_used: 0,
             decided_value: None,
@@ -503,30 +547,19 @@ impl SysState {
     }
 }
 
-/// Where [`apply_to_child`] gets post-crash program objects from.
-trait CrashSource {
-    fn crashed(&mut self, parent: &SysState, p: usize) -> Arc<Box<dyn Program>>;
-}
-
-/// Step actions never crash anyone; this source is unreachable.
-struct NoCrashes;
-
-impl CrashSource for NoCrashes {
-    fn crashed(&mut self, _: &SysState, _: usize) -> Arc<Box<dyn Program>> {
-        unreachable!("step actions do not crash programs")
-    }
-}
-
 /// Slot offsets of the flat interned state key:
 /// `[cells | program keys | packed decided bits | crashes | decided value
 /// | sleep words (POR only)]`.
 ///
-/// Keys are built **incrementally**: a child's key is a copy of its
-/// parent's with only the slots the action touched re-interned — the one
-/// dirty memory cell (a step performs at most one access), the stepped
-/// or crashed program's key, the decided bit, the crash count and the
-/// decided value. Unchanged slots keep their parent's ids, which is
-/// sound because interned ids are stable and injective.
+/// Keys are built **before** states: a child's key is a copy of its
+/// parent's with only the slots the action touched replaced — the one
+/// written memory cell, the stepped or crashed program's key, the
+/// decided bit, the crash count and the decided value — all read from
+/// the step memo ([`StepMemo`]) or the [`CrashedSet`] as interned ids,
+/// then canonicalized in place under symmetry. Unchanged slots keep
+/// their parent's ids, which is sound because interned ids are stable
+/// and injective. The engine probes the visited set with this key and
+/// builds the child [`SysState`] only when the key is new.
 ///
 /// With [`ExploreConfig::por`] the key gains trailing **sleep words**
 /// holding the node's packed sleep mask raw (never interner ids): node
@@ -580,6 +613,20 @@ impl KeyLayout {
         self.decided_value() + 1 + self.sleep_words
     }
 
+    /// The node's decided flags, read back from its key.
+    fn read_decided(&self, key: &[u32]) -> u64 {
+        (0..self.decided_words()).fold(0, |mask, w| {
+            mask | u64::from(key[self.cells + self.n + w]) << (32 * w)
+        })
+    }
+
+    /// Writes `decided` into the key's decided words.
+    fn write_decided(&self, key: &mut [u32], decided: u64) {
+        for w in 0..self.decided_words() {
+            key[self.cells + self.n + w] = (decided >> (32 * w)) as u32;
+        }
+    }
+
     /// The node's sleep mask, read back from its key (`0` without POR).
     fn read_sleep(&self, key: &[u32]) -> u64 {
         let mut mask = 0u64;
@@ -597,139 +644,109 @@ impl KeyLayout {
     }
 }
 
-/// Where a pending key slot's value comes from; resolved against the
-/// child state with the interner in hand, so no `Value` is ever cloned
-/// for key building.
-#[derive(Clone, Copy)]
-enum Slot {
-    Cell(usize),
-    Prog(usize),
-    DecidedValue,
-}
-
-/// A child's key: the patched copy of the parent's key plus the slots
-/// still needing the interner.
-struct ChildKey {
-    key: Vec<u32>,
-    pending: Vec<(usize, Slot)>,
-}
-
-impl ChildKey {
-    /// The root's key: an all-pending template (decided bits and crash
-    /// count are zero, which the template already holds).
-    fn root(layout: &KeyLayout) -> Self {
-        let mut pending = Vec::with_capacity(layout.cells + layout.n + 1);
-        pending.extend((0..layout.cells).map(|i| (i, Slot::Cell(i))));
-        pending.extend((0..layout.n).map(|p| (layout.prog(p), Slot::Prog(p))));
-        pending.push((layout.decided_value(), Slot::DecidedValue));
-        ChildKey {
-            key: vec![0; layout.len()],
-            pending,
-        }
+/// The root's key, interned slot by slot in layout order: cells, program
+/// keys, then the (absent) decided value. Decided bits and the crash
+/// count start at zero.
+fn root_key(state: &SysState, layout: &KeyLayout, interner: &mut ValueInterner) -> Vec<u32> {
+    let mut key = vec![0; layout.len()];
+    for (i, cell) in state.mem.cells.iter().enumerate() {
+        key[i] = interner.intern(cell.value());
     }
+    for (p, prog) in state.programs.iter().enumerate() {
+        key[layout.prog(p)] = interner.intern(&prog.state_key());
+    }
+    key[layout.decided_value()] = ValueInterner::NONE;
+    key
+}
 
-    /// Fills the pending slots from `state`, leaving `key` final.
-    fn resolve(&mut self, state: &SysState, interner: &mut ValueInterner) -> &[u32] {
-        for &(pos, slot) in &self.pending {
-            self.key[pos] = match slot {
-                Slot::Cell(i) => interner.intern(state.mem.value_ref(i)),
-                Slot::Prog(p) => interner.intern(&state.programs[p].state_key()),
-                Slot::DecidedValue => match &state.decided_value {
-                    Some(v) => interner.intern(v),
-                    None => ValueInterner::NONE,
-                },
-            };
-        }
-        self.pending.clear();
-        &self.key
+/// One step of a state's process, run on a clone of its program against
+/// a [`StepOverlay`] of the state's memory.
+struct Stepped {
+    prog: Box<dyn Program>,
+    /// The cell the step accessed, if any.
+    access: Option<usize>,
+    /// The written cell and its new content, if the step wrote one.
+    write: Option<(usize, CowCell)>,
+    step: Step,
+}
+
+fn run_step(parent: &SysState, action: Action) -> Stepped {
+    let (Action::Step(p) | Action::Branch(p, _)) = action else {
+        unreachable!("crashes are not steps")
+    };
+    let mut prog = parent.programs[p].boxed_clone();
+    let mut overlay = StepOverlay::new(&parent.mem.cells);
+    let step = match action {
+        Action::Branch(_, choice) => prog.step_choice(&mut overlay, choice),
+        _ => prog.step(&mut overlay),
+    };
+    Stepped {
+        prog,
+        access: overlay.access,
+        write: overlay
+            .write
+            .map(|content| (overlay.access.expect("a write is an access"), content)),
+        step,
     }
 }
 
-/// Clones `parent` and applies `action`. Returns the child, the cell it
-/// wrote (if any) and the value it decided (if any) — `decided_value` is
-/// deliberately left at the parent's value so the caller can check the
-/// decision against it. Crash branches take the shared post-crash
-/// program from `crashed` instead of cloning.
-fn apply_to_child(
-    parent: &SysState,
-    action: Action,
-    crashed: &mut dyn CrashSource,
-) -> (SysState, Option<usize>, Option<Value>) {
+/// `prog` after a crash: a fresh clone reset by [`Program::on_crash`].
+fn crashed(prog: &dyn Program) -> Box<dyn Program> {
+    let mut fresh = prog.boxed_clone();
+    fresh.on_crash();
+    fresh
+}
+
+/// Clones `parent` and applies `action`, stepping afresh — the child
+/// builder of the independence cross-validation and the ample lint,
+/// which replay action pairs in both orders. Returns the child and the
+/// value it decided (if any); `decided_value` is left at the parent's.
+fn apply_to_child(parent: &SysState, action: Action) -> (SysState, Option<Value>) {
     let mut child = parent.clone();
-    let mut newly_decided = None;
     match action {
         Action::Step(p) | Action::Branch(p, _) => {
-            let step = match action {
-                Action::Branch(_, choice) => {
-                    program_mut(&mut child.programs[p]).step_choice(&mut child.mem, choice)
-                }
-                _ => program_mut(&mut child.programs[p]).step(&mut child.mem),
-            };
-            if let Step::Decided(v) = step {
+            let stepped = run_step(parent, action);
+            child.programs[p] = Rc::new(stepped.prog);
+            if let Some((cell, content)) = stepped.write {
+                child.mem.cells[cell] = content;
+            }
+            if let Step::Decided(v) = stepped.step {
                 child.decided |= 1 << p;
-                newly_decided = Some(v);
+                return (child, Some(v));
             }
         }
         Action::Crash(p) => {
-            child.programs[p] = crashed.crashed(parent, p);
+            child.programs[p] = Rc::new(crashed(&**parent.programs[p]));
             child.decided &= !(1 << p);
             child.crashes_used += 1;
         }
         Action::CrashAll => {
-            for p in 0..child.programs.len() {
-                child.programs[p] = crashed.crashed(parent, p);
+            for (slot, prog) in child.programs.iter_mut().zip(&parent.programs) {
+                *slot = Rc::new(crashed(&***prog));
             }
             child.decided = 0;
             child.crashes_used += 1;
         }
     }
-    let dirty = child.mem.take_dirty();
-    (child, dirty, newly_decided)
+    (child, None)
 }
 
-/// Patches the action-independent raw slots (decided bits, crash count)
-/// of a child key already initialized to the parent's key.
-fn patch_raw_slots(key: &mut [u32], child: &SysState, action: Action, layout: &KeyLayout) {
-    match action {
-        Action::Step(p) | Action::Branch(p, _) => {
-            if child.is_decided(p) {
-                key[layout.decided_word(p)] |= 1 << (p % 32);
-            }
-        }
-        Action::Crash(p) => {
-            key[layout.decided_word(p)] &= !(1 << (p % 32));
-            key[layout.crashes()] =
-                u32::try_from(child.crashes_used).expect("crash budget fits u32");
-        }
-        Action::CrashAll => {
-            for w in 0..layout.decided_words() {
-                key[layout.cells + layout.n + w] = 0;
-            }
-            key[layout.crashes()] =
-                u32::try_from(child.crashes_used).expect("crash budget fits u32");
-        }
-    }
-}
-
-/// Checks a fresh decision against the parent's decided value and the
-/// validity inputs; on success records it on the child.
-fn settle_decision(
-    child: &mut SysState,
-    newly_decided: Option<Value>,
+/// Checks a fresh decision `v` against the decided value so far and the
+/// validity inputs, returning the violated property and the conflicting
+/// outputs.
+fn check_decision(
+    decided: Option<&Value>,
+    v: &Value,
     inputs: Option<&[Value]>,
-) -> Result<bool, (ViolationKind, Vec<Value>)> {
-    match newly_decided {
-        None => Ok(false),
-        Some(v) => {
-            // `child.decided_value` still holds the parent's decided
-            // value here; the new output is checked against it first.
-            if let Some(kind) = check_output(inputs, child.decided_value.as_ref(), &v) {
-                return Err((kind, violation_outputs(child.decided_value.as_ref(), v)));
-            }
-            child.decided_value = Some(v);
-            Ok(true)
-        }
-    }
+) -> Result<(), (ViolationKind, Vec<Value>)> {
+    let kind = if decided.is_some_and(|d| d != v) {
+        ViolationKind::Agreement
+    } else if inputs.is_some_and(|inputs| !inputs.contains(v)) {
+        ViolationKind::Validity
+    } else {
+        return Ok(());
+    };
+    Err((kind, decided.into_iter().chain([v]).cloned().collect()))
 }
 
 /// The post-crash program objects, one per process, precomputed **once**
@@ -741,7 +758,7 @@ fn settle_decision(
 /// already leans on (`on_crash` resets *everything* volatile;
 /// `state_key` is complete).
 struct CrashedSet {
-    progs: Vec<Arc<Box<dyn Program>>>,
+    progs: Vec<Rc<Box<dyn Program>>>,
     /// Interned id of each post-crash program key.
     ids: Vec<u32>,
 }
@@ -751,121 +768,134 @@ impl CrashedSet {
         let mut progs = Vec::with_capacity(root.programs.len());
         let mut ids = Vec::with_capacity(root.programs.len());
         for prog in &root.programs {
-            let mut fresh = prog.boxed_clone();
-            fresh.on_crash();
+            let fresh = crashed(&***prog);
             ids.push(interner.intern(&fresh.state_key()));
-            progs.push(Arc::new(fresh));
+            progs.push(Rc::new(fresh));
         }
         CrashedSet { progs, ids }
     }
 }
 
-/// [`CrashSource`] over a precomputed [`CrashedSet`]: crash children
-/// take a refcount bump, nothing else.
-struct FixedCrashes<'a>(&'a CrashedSet);
-
-impl CrashSource for FixedCrashes<'_> {
-    fn crashed(&mut self, _: &SysState, p: usize) -> Arc<Box<dyn Program>> {
-        self.0.progs[p].clone()
-    }
+/// What one memoized step does to its state, every value it produced
+/// already interned: the stepped program (shared by every child that
+/// takes this transition) and its key id, the written cell (index, new
+/// content, id) and the decided value with its id.
+struct StepOutcome {
+    prog: Rc<Box<dyn Program>>,
+    prog_id: u32,
+    write: Option<(usize, CowCell, u32)>,
+    decided: Option<(Value, u32)>,
 }
 
-/// A built child plus its canonicalization permutation (`None` =
-/// identity), as returned by [`make_child_serial`].
-type SerialChild = (SysState, Option<Box<[u8]>>);
+/// The per-search **step memo**: every local transition the search has
+/// taken, keyed by (action, program-state id, id of the accessed cell's
+/// value). It rests on two clauses of the [`Program`] contract:
+///
+/// * a step makes at most one shared-memory access, so *which* cell it
+///   accesses depends only on the local state (nothing has been read
+///   yet), and its outcome only on the value of that one cell;
+/// * programs with equal `state_key` in one slot behave the same — the
+///   visited set merges states on exactly this, and canonicalization
+///   keeps each slot's program bound to that slot's cells (rebinding
+///   preserves `state_key`).
+///
+/// A repeated transition is therefore never stepped, keyed, interned or
+/// cloned again. A miss steps a clone of the parent's program against a
+/// [`StepOverlay`], which enforces the first clause, and interns in the
+/// engine's fixed order — written cell, program key, decided value —
+/// only once the decision passed its checks. A value is always first
+/// produced on a miss, so ids, keys and every byte account are the ones
+/// stepping every edge would give.
+#[derive(Default)]
+struct StepMemo {
+    /// (action code, program-state id) → the cell the step accesses, or
+    /// [`NO_CELL`](Self::NO_CELL).
+    access: FxHashMap<u64, u32>,
+    /// (action code, program-state id), and the accessed cell's value id
+    /// ([`ValueInterner::NONE`] without an access) → index into
+    /// `outcomes`.
+    index: FxHashMap<(u64, u32), u32>,
+    outcomes: Vec<StepOutcome>,
+}
 
-/// The engine's child builder: the interner is at hand, so the
-/// final key is written straight into the reusable `scratch` buffer —
-/// children that turn out to be already-visited states allocate nothing
-/// beyond the copy-on-write state clone. With a [`SymmetrySpec`] the
-/// child is mapped to its canonical representative before the caller
-/// probes the visited set; the returned permutation goes on the child's
-/// parent link.
-#[allow(clippy::too_many_arguments)]
-fn make_child_serial(
-    parent: &SysState,
-    parent_key: &[u32],
-    action: Action,
-    child_sleep: u64,
-    layout: &KeyLayout,
-    crashes: &CrashedSet,
-    interner: &mut ValueInterner,
-    inputs: Option<&[Value]>,
-    scratch: &mut Vec<u32>,
-    spec: Option<&SymmetrySpec>,
-) -> Result<SerialChild, (ViolationKind, Vec<Value>)> {
-    let (mut child, dirty, newly_decided) = match action {
-        Action::Step(_) | Action::Branch(..) => apply_to_child(parent, action, &mut NoCrashes),
-        _ => apply_to_child(parent, action, &mut FixedCrashes(crashes)),
-    };
-    let decided = settle_decision(&mut child, newly_decided, inputs)?;
-    scratch.clear();
-    scratch.extend_from_slice(parent_key);
-    patch_raw_slots(scratch, &child, action, layout);
-    layout.write_sleep(scratch, child_sleep);
-    if let Some(cell) = dirty {
-        scratch[cell] = interner.intern(child.mem.value_ref(cell));
-    }
-    match action {
-        Action::Step(p) | Action::Branch(p, _) => {
-            scratch[layout.prog(p)] = interner.intern(&child.programs[p].state_key());
-        }
-        Action::Crash(p) => {
-            scratch[layout.prog(p)] = crashes.ids[p];
-        }
-        Action::CrashAll => {
-            for p in 0..layout.n {
-                scratch[layout.prog(p)] = crashes.ids[p];
+impl StepMemo {
+    const NO_CELL: u32 = u32::MAX;
+
+    /// The outcome of `action`, a step of process `p`, from the state
+    /// `parent` with key `parent_key` — as an index into `outcomes` — or
+    /// the violation its decision commits against the parent's decided
+    /// value or the declared inputs.
+    #[allow(clippy::too_many_arguments)]
+    fn outcome(
+        &mut self,
+        parent: &SysState,
+        parent_key: &[u32],
+        action: Action,
+        p: usize,
+        layout: &KeyLayout,
+        interner: &mut ValueInterner,
+        inputs: Option<&[Value]>,
+    ) -> Result<u32, (ViolationKind, Vec<Value>)> {
+        let local = u64::from(action_code(action)) << 32 | u64::from(parent_key[layout.prog(p)]);
+        let cell_id = |cell: u32| match cell {
+            Self::NO_CELL => ValueInterner::NONE,
+            cell => parent_key[cell as usize],
+        };
+        if let Some(&cell) = self.access.get(&local) {
+            if let Some(&i) = self.index.get(&(local, cell_id(cell))) {
+                if let Some((v, _)) = &self.outcomes[i as usize].decided {
+                    check_decision(parent.decided_value.as_ref(), v, inputs)?;
+                }
+                return Ok(i);
             }
         }
-    }
-    if decided {
-        scratch[layout.decided_value()] = match &child.decided_value {
-            Some(v) => interner.intern(v),
-            None => ValueInterner::NONE,
+        let stepped = run_step(parent, action);
+        let decided = match stepped.step {
+            Step::Decided(v) => {
+                check_decision(parent.decided_value.as_ref(), &v, inputs)?;
+                Some(v)
+            }
+            Step::Running => None,
         };
-    }
-    let perm = match spec {
-        None => None,
-        Some(spec) => canonicalize_child(&mut child, scratch, layout, spec),
-    };
-    Ok((child, perm))
-}
-
-fn check_output(
-    inputs: Option<&[Value]>,
-    decided: Option<&Value>,
-    v: &Value,
-) -> Option<ViolationKind> {
-    if let Some(d) = decided {
-        if d != v {
-            return Some(ViolationKind::Agreement);
-        }
-    }
-    if let Some(inputs) = inputs {
-        if !inputs.contains(v) {
-            return Some(ViolationKind::Validity);
-        }
-    }
-    None
-}
-
-fn violation_outputs(decided: Option<&Value>, v: Value) -> Vec<Value> {
-    match decided {
-        Some(d) => vec![d.clone(), v],
-        None => vec![v],
+        let write = stepped.write.map(|(cell, content)| {
+            let id = interner.intern(content.value());
+            (cell, content, id)
+        });
+        let prog_id = interner.intern(&stepped.prog.state_key());
+        let decided = decided.map(|v| {
+            let id = interner.intern(&v);
+            (v, id)
+        });
+        let cell = stepped.access.map_or(Self::NO_CELL, |cell| {
+            u32::try_from(cell).expect("cell index fits u32")
+        });
+        assert_eq!(
+            *self.access.entry(local).or_insert(cell),
+            cell,
+            "two programs with equal state_key in p{p}'s slot accessed \
+             different cells; Program::state_key must encode the complete \
+             volatile state"
+        );
+        let i = u32::try_from(self.outcomes.len()).expect("step memo fits u32");
+        self.index.insert((local, cell_id(cell)), i);
+        self.outcomes.push(StepOutcome {
+            prog: Rc::new(stepped.prog),
+            prog_id,
+            write,
+            decided,
+        });
+        Ok(i)
     }
 }
 
-/// One edge of the search tree: the parent node, the action that
-/// produced this node **in the parent's canonical coordinates**, and the
-/// canonicalization permutation applied to the raw child (`None` =
-/// identity). The permutations are what lets witness schedules be
-/// reported in original process ids.
-struct ParentLink {
-    parent: u32,
-    action: Action,
-    perm: Option<Box<[u8]>>,
+/// What an action changes in its parent state: a step of a process, by
+/// its memoized outcome (an index into the [`StepMemo`]), or a crash of
+/// one process or of all of them.
+#[derive(Clone, Copy)]
+enum Change {
+    Step(usize, u32),
+    Crash(usize),
+    CrashAll,
 }
 
 /// Encodes an [`Action`] into the [`WitnessLog`]'s 12-bit action code:
@@ -1667,8 +1697,8 @@ fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
             for &pa in p_acts {
                 for &qa in q_acts {
                     let both = |a: Action, b: Action| {
-                        let (mid, _, da) = apply_to_child(state, a, &mut NoCrashes);
-                        let (end, _, db) = apply_to_child(&mid, b, &mut NoCrashes);
+                        let (mid, da) = apply_to_child(state, a);
+                        let (end, db) = apply_to_child(&mid, b);
                         (end, da, db)
                     };
                     let (pq, p_first, q_second) = both(pa, qa);
@@ -1707,149 +1737,156 @@ fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
     }
 }
 
-/// Maps `child` (and its resolved key) to its canonical representative
-/// under `spec`'s orbit permutations. Program slots and decided bits
-/// move together; declared **owned cells** move with their owners and
-/// the relocated programs are rebound ([`Program::rebind`]) to their
-/// destination slots' cells — undeclared shared memory never moves (see
-/// the `canon` module docs for the soundness argument and the
-/// owner-only reference rule). The signature ordering is **structural**
-/// (state-key values and owned-cell `Value`s, never interner ids), so
-/// the representative choice is identical across runs and storage
-/// tiers.
+/// The key half of canonicalization: maps the child key `key` in place
+/// to its canonical representative under `spec`'s orbit permutations.
+/// Program slots, decided bits and sleep bits move together, and
+/// declared **owned cells** and scalarset family members move with their
+/// slots; undeclared shared memory never moves (see the `canon` module
+/// docs for the soundness argument and the owner-only reference rule).
+/// [`permute_state`] applies the same permutation to the state, once
+/// the key turned out to be new. `pinned(q)` is whether the child's
+/// program in slot `q` is [`Program::scalarset_pinned`].
 ///
-/// Returns the permutation applied (`perm[i]` = source slot of canonical
-/// slot `i`), or `None` if the state was already canonical.
-fn canonicalize_child(
-    child: &mut SysState,
+/// Orbit members are ordered by signature — program key, decided bit,
+/// sleep bit, owned-cell and family contents — all read from the key:
+/// equal ids compare equal, and unequal ids compare their interned
+/// values **structurally**, so the representative never depends on which
+/// value happened to be interned first and is identical across runs and
+/// storage tiers.
+///
+/// Returns whether processes moved; `perm` then holds the permutation
+/// (`perm[i]` = source slot of canonical slot `i`). `tmp` is a reusable
+/// buffer.
+fn canonicalize_key(
     key: &mut [u32],
+    perm: &mut Vec<u8>,
+    tmp: &mut Vec<u32>,
     layout: &KeyLayout,
     spec: &SymmetrySpec,
-) -> Option<Box<[u8]>> {
-    let scalarsets = spec.has_moving_scalarsets();
-    if scalarsets && child.programs.iter().any(|p| p.scalarset_pinned()) {
+    interner: &ValueInterner,
+    pinned: impl Fn(usize) -> bool,
+) -> bool {
+    if spec.has_moving_scalarsets() && (0..layout.n).any(pinned) {
         // A pinned program references scalarset family members
         // *positionally* (a mid-scan mask of checked positions);
         // permuting the family under it would dangle those references.
         // Identity is always sound — pinned states simply forgo
         // reduction, and the certifier guarantees the states that carry
         // leaf weights (decided ones) are never pinned.
-        return None;
+        return false;
     }
     // The sleep bit joins the signature (constant `false` with POR off,
     // so ties — and therefore representative choices — are unchanged):
     // under POR, node identity is `(state, sleep set)`, and the mask
     // permutes with its processes exactly like the decided bits.
+    let decided = layout.read_decided(key);
     let sleep = layout.read_sleep(key);
-    let perm = spec.canonical_perm_with(|p| {
-        // Owned-cell values are part of the signature: the permutation
-        // moves them, so the sort must be total over them (two members
-        // with equal program keys but different owned contents are
-        // *different* payloads). Slots-only specs own nothing and pay
-        // only an empty-Vec comparison. Scalarset family cells move with
-        // the slots exactly like owned cells, so their values join the
-        // signature the same way.
-        let owned: Vec<&Value> = spec
-            .owned(p)
-            .iter()
-            .map(|&a| child.mem.value_ref(a.index()))
-            .collect();
-        let family: Vec<&Value> = if scalarsets {
-            spec.scalarset_cells(p)
-                .map(|a| child.mem.value_ref(a.index()))
-                .collect()
+    let by_value = |a: u32, b: u32| {
+        if a == b {
+            Ordering::Equal
         } else {
-            Vec::new()
-        };
-        (
-            child.programs[p].state_key(),
-            child.is_decided(p),
-            sleep >> p & 1 != 0,
-            owned,
-            family,
-        )
-    })?;
-    // Gather every moved payload before writing anything: a slot may be
+            interner.value(a).cmp(interner.value(b))
+        }
+    };
+    let moved = spec.canonical_perm_by(perm, |a, b| {
+        // Owned-cell and family contents are part of the signature: the
+        // permutation moves them, so the order must be total over them
+        // (two members with equal program keys but different owned
+        // contents are *different* payloads).
+        by_value(key[layout.prog(a)], key[layout.prog(b)])
+            .then((decided >> a & 1).cmp(&(decided >> b & 1)))
+            .then((sleep >> a & 1).cmp(&(sleep >> b & 1)))
+            .then_with(|| {
+                moved_cells(spec, a, b)
+                    .map(|(x, y)| by_value(key[x.index()], key[y.index()]))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+    });
+    if !moved {
+        return false;
+    }
+    tmp.clear();
+    tmp.extend_from_slice(key);
+    for (i, &src) in perm.iter().enumerate() {
+        let src = usize::from(src);
+        if src != i {
+            key[layout.prog(i)] = tmp[layout.prog(src)];
+            for (from, to) in moved_cells(spec, src, i) {
+                key[to.index()] = tmp[from.index()];
+            }
+        }
+    }
+    layout.write_decided(key, permute_mask(decided, perm));
+    layout.write_sleep(key, permute_mask(sleep, perm));
+    true
+}
+
+/// The cells that travel when slot `src`'s payload moves to slot `dst`,
+/// as `(from, to)` pairs: `src`'s owned cells onto `dst`'s, position for
+/// position, then each scalarset family's member at position `src` onto
+/// position `dst`. Family members move with the slots even though they
+/// are cross-read — exactly what the scalarset certificate licenses (the
+/// scan is an order-insensitive fold, so every program is equivariant
+/// under the family permutation).
+fn moved_cells(
+    spec: &SymmetrySpec,
+    src: usize,
+    dst: usize,
+) -> impl Iterator<Item = (Addr, Addr)> + '_ {
+    let owned = spec.owned(src).iter().zip(spec.owned(dst));
+    let families = spec
+        .scalarset_families()
+        .iter()
+        .map(move |f| (f[src], f[dst]));
+    owned.map(|(&from, &to)| (from, to)).chain(families)
+}
+
+/// `mask` with each bit `perm[i]` moved to bit `i`.
+fn permute_mask(mask: u64, perm: &[u8]) -> u64 {
+    perm.iter()
+        .enumerate()
+        .fold(0, |out, (i, &src)| out | (mask >> src & 1) << i)
+}
+
+/// The state half of canonicalization: applies the permutation
+/// [`canonicalize_key`] chose to an admitted child. Programs and decided
+/// bits move between slots, owned cells and family members move with
+/// them, and each relocated program is rebound ([`Program::rebind`]) to
+/// its destination slot's cells.
+fn permute_state(state: &mut SysState, perm: &[u8], layout: &KeyLayout, spec: &SymmetrySpec) {
+    // Read every moved payload from the unpermuted copies: a slot may be
     // both a source and a destination within one orbit rotation.
-    let mut progs: Vec<(usize, Arc<Box<dyn Program>>)> = Vec::new();
-    let mut slots: Vec<(usize, u32)> = Vec::new(); // (new, value)
-    let mut cells: Vec<(usize, CowCell, u32)> = Vec::new(); // (new, content, value)
-    let mut decided = child.decided;
-    // Built lazily on the first owned-cell move: most canonicalizations
-    // of slots-only specs (and moves confined to cell-less orbits) never
-    // pay the O(cells) identity allocation.
+    let programs = state.programs.clone();
+    let cells = state.mem.cells.clone();
+    // Built lazily on the first cell move: slots-only specs never pay
+    // the O(cells) identity allocation.
     let mut rebinding: Option<Rebinding> = None;
     for (i, &src) in perm.iter().enumerate() {
-        let src = src as usize;
-        if src == i {
-            continue;
-        }
-        progs.push((i, child.programs[src].clone()));
-        decided = (decided & !(1 << i)) | ((child.decided >> src & 1) << i);
-        slots.push((layout.prog(i), key[layout.prog(src)]));
-        for (k, &dst_cell) in spec.owned(i).iter().enumerate() {
-            let src_cell = spec.owned(src)[k];
-            cells.push((
-                dst_cell.index(),
-                child.mem.cells[src_cell.index()].clone(),
-                key[src_cell.index()],
-            ));
-            // The program moving src → i holds src's owned cells; after
-            // the move it must hold i's (position for position).
-            rebinding
-                .get_or_insert_with(|| Rebinding::identity(layout.cells))
-                .map(src_cell, dst_cell);
-        }
-        // Scalarset family cells move with the slots too: the family
-        // member at position `src` becomes the member at position `i`.
-        // Unlike owned cells they are cross-read — which is exactly what
-        // the scalarset certificate licenses (the scan is an
-        // order-insensitive fold, so every program is equivariant under
-        // the family permutation).
-        if scalarsets {
-            for family in spec.scalarset_families() {
-                let (src_cell, dst_cell) = (family[src], family[i]);
-                cells.push((
-                    dst_cell.index(),
-                    child.mem.cells[src_cell.index()].clone(),
-                    key[src_cell.index()],
-                ));
+        let src = usize::from(src);
+        if src != i {
+            state.programs[i] = Rc::clone(&programs[src]);
+            for (from, to) in moved_cells(spec, src, i) {
+                state.mem.cells[to.index()] = cells[from.index()].clone();
                 rebinding
                     .get_or_insert_with(|| Rebinding::identity(layout.cells))
-                    .map(src_cell, dst_cell);
+                    .map(from, to);
             }
         }
     }
-    for (i, prog) in progs {
-        child.programs[i] = prog;
-        if let Some(map) = rebinding.as_ref() {
-            // A relocated program rebinds when its destination owns
-            // cells, or when family members moved with it (its own
-            // family handle relocated).
-            if scalarsets || !spec.owned(i).is_empty() {
-                program_mut(&mut child.programs[i]).rebind(map);
-            }
+    state.decided = permute_mask(state.decided, perm);
+    let Some(map) = rebinding else {
+        return;
+    };
+    let scalarsets = spec.has_moving_scalarsets();
+    for (i, &src) in perm.iter().enumerate() {
+        // A relocated program rebinds when its destination owns cells,
+        // or when family members moved with it (its own family handle
+        // relocated).
+        if usize::from(src) != i && (scalarsets || !spec.owned(i).is_empty()) {
+            program_mut(&mut state.programs[i]).rebind(&map);
         }
     }
-    child.decided = decided;
-    for &(new_pos, value) in &slots {
-        key[new_pos] = value;
-    }
-    for (new_pos, content, value) in cells {
-        child.mem.cells[new_pos] = content;
-        key[new_pos] = value;
-    }
-    for w in 0..layout.decided_words() {
-        key[layout.cells + layout.n + w] = (child.decided >> (32 * w)) as u32;
-    }
-    if layout.sleep_words > 0 {
-        let mut permuted = 0u64;
-        for (i, &src) in perm.iter().enumerate() {
-            permuted |= (sleep >> src & 1) << i;
-        }
-        layout.write_sleep(key, permuted);
-    }
-    Some(perm)
 }
 
 /// The leaf weight of an accepted canonical state: how many concrete
@@ -1899,50 +1936,175 @@ struct SerialEngine<'a> {
     indep: Option<&'a StaticIndependence>,
     por: Option<&'a PorEngine>,
     interner: ValueInterner,
+    crashes: CrashedSet,
+    memo: StepMemo,
     visited: PackedStateTable,
     witness: WitnessLog,
     budget: ByteBudget,
     root_perm: Option<Box<[u8]>>,
     leaves: usize,
+    edges: usize,
+    duplicates: usize,
     truncated: bool,
 }
 
 impl SerialEngine<'_> {
-    /// Enters the state whose resolved key is `key`: memoizes it and,
-    /// when new and non-terminal, returns the frame to push. Sets
-    /// `truncated` when the state is new but `max_states` is reached or
-    /// its cost would overflow `max_bytes`. `parent_key` is the parent's
-    /// resolved key (empty at the root), against which the witness log
-    /// delta-encodes this node's key.
-    fn enter(
+    /// What `action` changes in `parent`: a step's memoized outcome, or
+    /// the violation its decision commits.
+    fn change(
         &mut self,
-        state: SysState,
+        parent: &Frame,
+        action: Action,
+    ) -> Result<Change, (ViolationKind, Vec<Value>)> {
+        Ok(match action {
+            Action::Step(p) | Action::Branch(p, _) => {
+                let outcome = self.memo.outcome(
+                    &parent.state,
+                    &parent.key,
+                    action,
+                    p,
+                    &self.layout,
+                    &mut self.interner,
+                    self.config.inputs.as_deref(),
+                )?;
+                Change::Step(p, outcome)
+            }
+            Action::Crash(p) => Change::Crash(p),
+            Action::CrashAll => Change::CrashAll,
+        })
+    }
+
+    /// Writes into `key` the key of the child that `change` makes from
+    /// `parent`, with sleep mask `sleep`, canonical under symmetry — no
+    /// state is built. Returns whether canonicalization moved processes,
+    /// the permutation then being in `perm`.
+    fn child_key(
+        &self,
+        parent: &Frame,
+        change: Change,
+        sleep: u64,
+        key: &mut Vec<u32>,
+        perm: &mut Vec<u8>,
+        tmp: &mut Vec<u32>,
+    ) -> bool {
+        let layout = &self.layout;
+        key.clear();
+        key.extend_from_slice(&parent.key);
+        match change {
+            Change::Step(p, i) => {
+                let outcome = &self.memo.outcomes[i as usize];
+                key[layout.prog(p)] = outcome.prog_id;
+                if let Some((cell, _, id)) = outcome.write {
+                    key[cell] = id;
+                }
+                if let Some((_, id)) = outcome.decided {
+                    key[layout.decided_word(p)] |= 1 << (p % 32);
+                    key[layout.decided_value()] = id;
+                }
+            }
+            Change::Crash(p) => {
+                key[layout.prog(p)] = self.crashes.ids[p];
+                key[layout.decided_word(p)] &= !(1 << (p % 32));
+                key[layout.crashes()] += 1;
+            }
+            Change::CrashAll => {
+                key[layout.prog(0)..layout.prog(layout.n)].copy_from_slice(&self.crashes.ids);
+                layout.write_decided(key, 0);
+                key[layout.crashes()] += 1;
+            }
+        }
+        layout.write_sleep(key, sleep);
+        let Some(spec) = self.spec else {
+            return false;
+        };
+        canonicalize_key(key, perm, tmp, layout, spec, &self.interner, |q| {
+            // The child's program in slot `q`.
+            let prog: &dyn Program = match change {
+                Change::Step(p, i) if p == q => &**self.memo.outcomes[i as usize].prog,
+                Change::Crash(p) if p == q => &**self.crashes.progs[q],
+                Change::CrashAll => &**self.crashes.progs[q],
+                _ => &**parent.state.programs[q],
+            };
+            prog.scalarset_pinned()
+        })
+    }
+
+    /// Builds the child that `change` makes from `parent` — only ever
+    /// for an admitted key — and applies the canonicalization `perm`.
+    fn child_state(&self, parent: &SysState, change: Change, perm: Option<&[u8]>) -> SysState {
+        let mut child = parent.clone();
+        match change {
+            Change::Step(p, i) => {
+                let outcome = &self.memo.outcomes[i as usize];
+                child.programs[p] = Rc::clone(&outcome.prog);
+                if let Some((cell, content, _)) = &outcome.write {
+                    child.mem.cells[*cell] = content.clone();
+                }
+                if let Some((v, _)) = &outcome.decided {
+                    child.decided |= 1 << p;
+                    child.decided_value = Some(v.clone());
+                }
+            }
+            Change::Crash(p) => {
+                child.programs[p] = Rc::clone(&self.crashes.progs[p]);
+                child.decided &= !(1 << p);
+                child.crashes_used += 1;
+            }
+            Change::CrashAll => {
+                child.programs.clone_from_slice(&self.crashes.progs);
+                child.decided = 0;
+                child.crashes_used += 1;
+            }
+        }
+        if let (Some(perm), Some(spec)) = (perm, self.spec) {
+            permute_state(&mut child, perm, &self.layout, spec);
+        }
+        child
+    }
+
+    /// Admits the state whose key is `key`: memoizes it and, when new,
+    /// charges the byte budget, logs its witness link — `(parent node,
+    /// action, canonicalization)`, `None` at the root — and returns its
+    /// node index. `parent_key` is the parent's key (empty at the root),
+    /// against which the witness log delta-encodes this node's key.
+    /// Counts a known key as a duplicate, and sets `truncated` when the
+    /// state is new but `max_states` is reached or its cost would
+    /// overflow `max_bytes`.
+    fn admit(
+        &mut self,
         key: &[u32],
-        parent: Option<ParentLink>,
+        link: Option<(u32, Action, Option<&[u8]>)>,
         parent_key: &[u32],
-    ) -> Option<Frame> {
+    ) -> Option<u32> {
         if self.visited.len() >= self.config.max_states || self.budget.exceeds(key) {
             // Past a cap, only a *new* state means truncation.
-            if self.visited.get(key).is_none() {
+            if self.visited.get(key).is_some() {
+                self.duplicates += 1;
+            } else {
                 self.truncated = true;
             }
             return None;
         }
         let (idx, is_new) = self.visited.insert(key);
         if !is_new {
+            self.duplicates += 1;
             return None;
         }
         self.budget.charge(key);
-        match &parent {
+        match link {
             None => self.witness.push(None, 0, None, parent_key, key),
-            Some(link) => self.witness.push(
-                Some(link.parent),
-                action_code(link.action),
-                link.perm.as_deref(),
-                parent_key,
-                key,
-            ),
+            Some((parent, action, perm)) => {
+                self.witness
+                    .push(Some(parent), action_code(action), perm, parent_key, key);
+            }
         }
+        Some(idx)
+    }
+
+    /// Expands an admitted state: counts it as a leaf when terminal, and
+    /// otherwise returns the frame to push (none when POR pruned every
+    /// enabled step).
+    fn expand(&mut self, state: SysState, key: &[u32], idx: u32) -> Option<Frame> {
         let (actions, terminal) =
             expand_actions(&state, key, &self.layout, &self.config.crash, self.por);
         if terminal {
@@ -1971,6 +2133,12 @@ impl SerialEngine<'_> {
 /// Runs one rooted search on the DFS engine. A trivial
 /// [`SymmetrySpec`] is normalized away first, so the symmetry-off hot
 /// path stays untouched.
+///
+/// Each edge builds its child's key first, from the parent's key and the
+/// step memo (or the crash set), and probes the visited set with it; a
+/// child [`SysState`] is built only for a new key. A duplicate edge —
+/// most edges of every search — therefore costs a memo lookup, a key
+/// copy, canonicalization under symmetry, and one probe.
 fn explore_serial(
     mut root: SysState,
     config: &ExploreConfig,
@@ -1992,6 +2160,8 @@ fn explore_serial(
         indep: analysis.independence.as_ref(),
         por: por.as_ref(),
         interner,
+        crashes,
+        memo: StepMemo::default(),
         visited: PackedStateTable::new(
             (config.storage == StorageTier::PackedSpill)
                 .then(|| config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD)),
@@ -2000,46 +2170,48 @@ fn explore_serial(
         budget: ByteBudget::new(config.max_bytes),
         root_perm: None,
         leaves: 0,
+        edges: 0,
+        duplicates: 0,
         truncated: false,
     };
-    let mut scratch: Vec<u32> = Vec::with_capacity(layout.len());
+    let mut key = root_key(&root, &layout, &mut engine.interner);
+    let mut perm: Vec<u8> = Vec::with_capacity(layout.n);
+    let mut tmp: Vec<u32> = Vec::with_capacity(layout.len());
     let mut stack: Vec<Frame> = Vec::new();
-    let outcome = 'search: {
-        {
-            let mut root_key = ChildKey::root(&layout);
-            root_key.resolve(&root, &mut engine.interner);
-            if let Some(spec) = spec {
-                validate_symmetry(&root, spec, analysis.footprint.as_ref());
-                engine.root_perm = canonicalize_child(&mut root, &mut root_key.key, &layout, spec);
-            }
-            if let Some(frame) = engine.enter(root, &root_key.key, None, &[]) {
-                stack.push(frame);
-            }
+    if let Some(spec) = spec {
+        validate_symmetry(&root, spec, analysis.footprint.as_ref());
+        let pinned = |q: usize| root.programs[q].scalarset_pinned();
+        if canonicalize_key(
+            &mut key,
+            &mut perm,
+            &mut tmp,
+            &layout,
+            spec,
+            &engine.interner,
+            pinned,
+        ) {
+            permute_state(&mut root, &perm, &layout, spec);
+            engine.root_perm = Some(Box::from(&perm[..]));
         }
+    }
+    if let Some(idx) = engine.admit(&key, None, &[]) {
+        stack.extend(engine.expand(root, &key, idx));
+    }
+    let outcome = 'search: {
         while !stack.is_empty() && !engine.truncated {
             let top = stack.last_mut().expect("non-empty stack");
-            if top.cursor >= top.actions.len() {
+            let Some(&(action, sleep)) = top.actions.get(top.cursor) else {
                 stack.pop();
                 continue;
-            }
-            let (action, child_sleep) = top.actions[top.cursor];
+            };
             top.cursor += 1;
-            let parent_idx = top.idx;
-            match make_child_serial(
-                &top.state,
-                &top.key,
-                action,
-                child_sleep,
-                &layout,
-                &crashes,
-                &mut engine.interner,
-                config.inputs.as_deref(),
-                &mut scratch,
-                spec,
-            ) {
+            let top: &Frame = top;
+            engine.edges += 1;
+            let change = match engine.change(top, action) {
+                Ok(change) => change,
                 Err((kind, outputs)) => {
                     let (mut schedule, m) =
-                        schedule_to(&engine.witness, engine.root_perm.as_deref(), parent_idx);
+                        schedule_to(&engine.witness, engine.root_perm.as_deref(), top.idx);
                     schedule.push(rename_action(action, m.as_deref()));
                     break 'search ExploreOutcome::Violation {
                         kind,
@@ -2047,17 +2219,14 @@ fn explore_serial(
                         outputs,
                     };
                 }
-                Ok((child, perm)) => {
-                    let link = ParentLink {
-                        parent: parent_idx,
-                        action,
-                        perm,
-                    };
-                    if let Some(frame) = engine.enter(child, &scratch, Some(link), &top.key) {
-                        stack.push(frame);
-                    }
-                }
-            }
+            };
+            let moved = engine.child_key(top, change, sleep, &mut key, &mut perm, &mut tmp);
+            let perm = moved.then_some(&perm[..]);
+            let Some(idx) = engine.admit(&key, Some((top.idx, action, perm)), &top.key) else {
+                continue;
+            };
+            let child = engine.child_state(&top.state, change, perm);
+            stack.extend(engine.expand(child, &key, idx));
         }
         if engine.truncated {
             ExploreOutcome::Truncated {
@@ -2075,6 +2244,8 @@ fn explore_serial(
         symmetry: spec.is_some(),
         por: por.is_some(),
         storage: config.storage,
+        edges: engine.edges,
+        duplicates: engine.duplicates,
         interned_bytes: engine.interner.approx_bytes(),
         table_bytes: engine.visited.resident_bytes(),
         peak_table_bytes: engine.visited.peak_resident_bytes(),
@@ -2156,18 +2327,6 @@ impl AmpleLintReport {
     /// Whether every check passed.
     pub fn ok(&self) -> bool {
         self.errors.is_empty()
-    }
-}
-
-/// Crash source for the lint's spot-check walk: resets a clone of the
-/// parent's program (the walk has no precomputed [`CrashedSet`]).
-struct LintCrashes;
-
-impl CrashSource for LintCrashes {
-    fn crashed(&mut self, parent: &SysState, p: usize) -> Arc<Box<dyn Program>> {
-        let mut fresh = parent.programs[p].boxed_clone();
-        fresh.on_crash();
-        Arc::new(fresh)
     }
 }
 
@@ -2362,10 +2521,7 @@ fn spot_check_pruned(
             }
         }
         for &action in &enabled {
-            let (mut child, _, newly) = match action {
-                Action::Step(_) => apply_to_child(&state, action, &mut NoCrashes),
-                _ => apply_to_child(&state, action, &mut LintCrashes),
-            };
+            let (mut child, newly) = apply_to_child(&state, action);
             if let Some(v) = newly {
                 child.decided_value.get_or_insert(v);
             }
@@ -2402,8 +2558,8 @@ fn commute_divergence(state: &SysState, p: usize, q: usize) -> Option<String> {
     for &pa in &acts(p) {
         for &qa in &acts(q) {
             let both = |a: Action, b: Action| {
-                let (mid, _, da) = apply_to_child(state, a, &mut NoCrashes);
-                let (end, _, db) = apply_to_child(&mid, b, &mut NoCrashes);
+                let (mid, da) = apply_to_child(state, a);
+                let (end, db) = apply_to_child(&mid, b);
                 (end, da, db)
             };
             let (pq, p_first, q_second) = both(pa, qa);
@@ -2518,6 +2674,130 @@ mod tests {
         let addr = mem.alloc_register(Value::Bottom);
         let programs: Vec<Box<dyn Program>> = vec![Box::new(ForgetfulDecider { addr, pc: 0 })];
         (mem, programs)
+    }
+
+    /// Reads two registers in one step: a broken `Program::step`.
+    #[derive(Clone, Debug)]
+    struct TwoReads {
+        a: Addr,
+        b: Addr,
+    }
+    impl Program for TwoReads {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            let first = mem.read_register(self.a);
+            let _ = mem.read_register(self.b);
+            Step::Decided(first)
+        }
+        fn on_crash(&mut self) {}
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Reads one register and writes another in one step: also broken.
+    #[derive(Clone, Debug)]
+    struct ReadThenWrite {
+        from: Addr,
+        to: Addr,
+    }
+    impl Program for ReadThenWrite {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            let seen = mem.read_register(self.from);
+            mem.write_register(self.to, seen.clone());
+            Step::Decided(seen)
+        }
+        fn on_crash(&mut self) {}
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// A one-process system over two registers holding `0`.
+    fn two_register_system(
+        build: fn(Addr, Addr) -> Box<dyn Program>,
+    ) -> (Memory, Vec<Box<dyn Program>>) {
+        let mut mem = Memory::new();
+        let a = mem.alloc_register(Value::Int(0));
+        let b = mem.alloc_register(Value::Int(0));
+        (mem, vec![build(a, b)])
+    }
+
+    /// The step memo keys a step's outcome on the one cell it accesses,
+    /// so a step that reads two registers is refused, not memoized
+    /// unsoundly.
+    #[test]
+    #[should_panic(expected = "more than one shared-memory access")]
+    fn a_step_reading_two_registers_breaks_the_step_contract() {
+        let _ = explore(
+            &|| two_register_system(|a, b| Box::new(TwoReads { a, b })),
+            &ExploreConfig::default(),
+        );
+    }
+
+    /// A read followed by a write is two accesses as well.
+    #[test]
+    #[should_panic(expected = "more than one shared-memory access")]
+    fn a_step_reading_one_cell_and_writing_another_breaks_the_step_contract() {
+        let _ = explore(
+            &|| two_register_system(|from, to| Box::new(ReadThenWrite { from, to })),
+            &ExploreConfig::default(),
+        );
+    }
+
+    /// Writes `first` once, then reads `then` forever — but keys every
+    /// state `Unit`, so its state key misses the counter that picks the
+    /// access.
+    #[derive(Clone, Debug)]
+    struct IncompleteKey {
+        first: Addr,
+        then: Addr,
+        steps: u32,
+    }
+    impl Program for IncompleteKey {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            if self.steps == 0 {
+                mem.write_register(self.first, Value::Int(1));
+            } else {
+                let _ = mem.read_register(self.then);
+            }
+            self.steps += 1;
+            Step::Running
+        }
+        fn on_crash(&mut self) {
+            self.steps = 0;
+        }
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Two equal state keys in one slot that access different cells
+    /// expose an incomplete `state_key`, which the step memo would
+    /// otherwise merge unsoundly.
+    #[test]
+    #[should_panic(expected = "must encode the complete volatile state")]
+    fn a_state_key_that_misses_the_accessed_cell_is_refused() {
+        let _ = explore(
+            &|| {
+                two_register_system(|first, then| {
+                    Box::new(IncompleteKey {
+                        first,
+                        then,
+                        steps: 0,
+                    })
+                })
+            },
+            &ExploreConfig::default(),
+        );
     }
 
     #[test]

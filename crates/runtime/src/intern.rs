@@ -109,6 +109,9 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
     ids: FxHashMap<Value, u32>,
+    /// `values[id]` is the value interned as `id`: the way back from an
+    /// id, so the checker can order interned values structurally.
+    values: Vec<Value>,
     /// Approximate resident bytes of the interned values, accumulated
     /// at first sight (see [`approx_bytes`](Self::approx_bytes)).
     bytes: usize,
@@ -159,7 +162,18 @@ impl ValueInterner {
         assert!(id < Self::NONE, "interner overflow");
         self.bytes += approx_value_bytes(value) + Self::ENTRY_OVERHEAD;
         self.ids.insert(value.clone(), id);
+        self.values.push(value.clone());
         id
+    }
+
+    /// The value interned as `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never returned by [`intern`](Self::intern)
+    /// (including [`NONE`](Self::NONE)).
+    pub(crate) fn value(&self, id: u32) -> &Value {
+        &self.values[id as usize]
     }
 
     /// Approximate resident bytes of the interned values (payloads +
@@ -214,6 +228,10 @@ mod tests {
         // Stability: re-interning yields the same ids.
         let again: Vec<u32> = zoo.iter().map(|v| interner.intern(v)).collect();
         assert_eq!(ids, again);
+        // Every id leads back to the value it was interned for.
+        for (v, &id) in zoo.iter().zip(&ids) {
+            assert_eq!(interner.value(id), v);
+        }
         assert_eq!(interner.len(), zoo.len());
     }
 

@@ -19,9 +19,11 @@
 //! * [`Program`] — algorithms as explicit state machines; each
 //!   [`Program::step`] performs **at most one** shared-memory access, so a
 //!   scheduler can interleave and crash programs at every point the paper's
-//!   adversary can. [`Program::on_crash`] wipes local state (the input
-//!   value is retained across runs, matching the paper's assumption; the
-//!   `rc-core` input-masking transformation removes even that).
+//!   adversary can, and the model checker memoizes each step by slot,
+//!   state key and the value of the cell it accesses. [`Program::on_crash`]
+//!   wipes local state (the input value is retained across runs, matching
+//!   the paper's assumption; the `rc-core` input-masking transformation
+//!   removes even that).
 //! * [`sched`] — schedulers: seeded random (with crash injection),
 //!   round-robin, and fully scripted (for the paper's hand-crafted
 //!   adversarial scenarios).

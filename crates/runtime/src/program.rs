@@ -91,7 +91,11 @@ pub enum Step {
 ///   shared-memory access (one `MemOps` method call). This granularity is
 ///   what makes the simulated executions *exactly* the executions of the
 ///   paper's model — the scheduler can interleave processes and inject
-///   crashes between any two shared-memory accesses.
+///   crashes between any two shared-memory accesses. The exhaustive
+///   checker relies on it too: it memoizes each step by the process's
+///   slot, its [`state_key`](Program::state_key) and the value of the
+///   one cell the step accesses, and panics on a step that makes a
+///   second access.
 /// * [`on_crash`](Program::on_crash) models a process crash: it must reset
 ///   the program counter and all local variables to their initial values.
 ///   The paper's model reinitializes everything local; only the *input* is
@@ -113,6 +117,12 @@ pub enum Step {
 /// worker threads.
 pub trait Program: fmt::Debug + Send + Sync {
     /// Executes one step (at most one shared-memory access).
+    ///
+    /// Which cell the step accesses must depend only on the volatile
+    /// state, and its effect only on that state and the accessed cell's
+    /// value: the exhaustive checker steps each (slot, state key, cell
+    /// value) once and reuses the outcome for every state that repeats
+    /// it.
     ///
     /// For internally nondeterministic programs this must execute the
     /// *first* alternative of [`choices`](Program::choices) — schedulers

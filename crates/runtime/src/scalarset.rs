@@ -28,8 +28,8 @@
 //! 2. **Member exchange** — a bijection between the graphs of `i` and
 //!    `j` commuting with the full rename (family cells *and* owned
 //!    cells swapped), key-preserving on unpinned states: exactly the
-//!    shape [`canonicalize_child`](crate::explore) relies on when an
-//!    orbit permutation relocates the two programs.
+//!    shape the engine's canonicalization ([`crate::explore`]) relies
+//!    on when an orbit permutation relocates the two programs.
 //! 3. **Rebind fidelity** (dynamic) — for every local state of member
 //!    `i`, a rebound clone ([`Program::rebind`] with the pair's cell
 //!    swap) is re-executed and must step *identically* to member `j`'s

@@ -181,12 +181,21 @@ fn system(n: usize, work: u8, same_input: bool) -> (Memory, Vec<Box<dyn Program>
     (mem, programs)
 }
 
+/// A spec's canonical permutation for per-process signatures `sigs`,
+/// ordered by their `Ord` (the engine orders its signatures the same
+/// way, through interned ids); `None` when already canonical.
+fn canonical_perm<K: Ord>(spec: &SymmetrySpec, sigs: &[K]) -> Option<Vec<u8>> {
+    let mut perm = Vec::new();
+    spec.canonical_perm_by(&mut perm, |a, b| sigs[a].cmp(&sigs[b]))
+        .then_some(perm)
+}
+
 /// Applies a spec's canonical permutation to a signature vector — the
 /// canonical form the engine's state keys inherit.
-fn canonical_sigs(spec: &SymmetrySpec, sigs: &[u8]) -> Vec<u8> {
-    match spec.canonical_perm_with(|p| sigs[p]) {
+fn canonical_sigs<K: Ord + Clone>(spec: &SymmetrySpec, sigs: &[K]) -> Vec<K> {
+    match canonical_perm(spec, sigs) {
         None => sigs.to_vec(),
-        Some(perm) => perm.iter().map(|&s| sigs[s as usize]).collect(),
+        Some(perm) => perm.iter().map(|&s| sigs[s as usize].clone()).collect(),
     }
 }
 
@@ -433,7 +442,7 @@ proptest! {
     /// Full-state canonicalization — signatures enriched with owned-cell
     /// values, as the engine builds them for owned-cell orbits — is
     /// invariant under orbit permutations that move program payloads and
-    /// owned contents *together* (exactly what `canonicalize_child`
+    /// owned contents *together* (exactly what the engine's canonicalization
     /// does). The slots-only invariance test above is the owned = ∅
     /// special case.
     #[test]
@@ -464,13 +473,7 @@ proptest! {
         }
         // Program payload and owned-cell content travel together.
         let permuted: Vec<(u8, u8)> = (0..n).map(|i| sigs[perm[i]]).collect();
-        let canonical = |v: &[(u8, u8)]| -> Vec<(u8, u8)> {
-            match spec.canonical_perm_with(|p| v[p]) {
-                None => v.to_vec(),
-                Some(perm) => perm.iter().map(|&s| v[s as usize]).collect(),
-            }
-        };
-        prop_assert_eq!(canonical(&sigs), canonical(&permuted));
+        prop_assert_eq!(canonical_sigs(&spec, &sigs), canonical_sigs(&spec, &permuted));
     }
 
     /// On systems without owned cells the engine's enriched signature
@@ -486,10 +489,8 @@ proptest! {
         let n = labels.len();
         let spec = SymmetrySpec::from_classes(&labels);
         let sigs: Vec<u8> = (0..n).map(|i| sigs_seed[i % sigs_seed.len()]).collect();
-        let slots_only = spec.canonical_perm_with(|p| sigs[p]);
-        let empty_owned =
-            spec.canonical_perm_with(|p| (sigs[p], Vec::<u8>::new()));
-        prop_assert_eq!(slots_only, empty_owned);
+        let enriched: Vec<(u8, Vec<u8>)> = sigs.iter().map(|&s| (s, Vec::new())).collect();
+        prop_assert_eq!(canonical_perm(&spec, &sigs), canonical_perm(&spec, &enriched));
     }
 
     /// `rebind ∘ rebind⁻¹` is the identity on programs: remapping a

@@ -28,8 +28,9 @@ use rc_runtime::sched::{
 };
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
-    explore, explore_symmetric, explore_with_stats, run, CrashModel, ExploreConfig, ExploreOutcome,
-    MemOps, Memory, Program, RunOptions, Step, StorageTier,
+    explore_symmetric_with_stats, explore_with_stats, run, CrashModel, ExploreConfig,
+    ExploreOutcome, ExploreStats, MemOps, Memory, Program, RunOptions, Step, StorageTier,
+    SymmetricSystemFactory, SystemFactory,
 };
 use rc_spec::types::Sn;
 use rc_spec::{TypeHandle, Value};
@@ -43,6 +44,35 @@ enum SymMode {
     Off,
     Slots,
     Rebind,
+}
+
+/// Checks the edge counters of a finished search: a `Verified` search
+/// took one edge into each state but the root, plus one edge per
+/// duplicate.
+fn checked_edges(
+    (outcome, stats): (ExploreOutcome, ExploreStats),
+) -> (ExploreOutcome, ExploreStats) {
+    if let ExploreOutcome::Verified { states, .. } = outcome {
+        assert_eq!(
+            stats.edges,
+            states - 1 + stats.duplicates,
+            "edges must be new states past the root plus duplicates: {stats:?}"
+        );
+    }
+    (outcome, stats)
+}
+
+/// [`rc_runtime::explore`], with the edge counters checked.
+fn explore(factory: &SystemFactory<'_>, config: &ExploreConfig) -> ExploreOutcome {
+    checked_edges(explore_with_stats(factory, config)).0
+}
+
+/// [`rc_runtime::explore_symmetric`], with the edge counters checked.
+fn explore_symmetric(
+    factory: &SymmetricSystemFactory<'_>,
+    config: &ExploreConfig,
+) -> ExploreOutcome {
+    checked_edges(explore_symmetric_with_stats(factory, config)).0
 }
 
 /// The storage tier the suite's searches run under: the shipped default
@@ -709,7 +739,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
     let factory = ConsensusObjectFactory { domain: 4 };
     // Mixed inputs: a two-process orbit beside a singleton — the family
     // permutes under the acting orbit only, which is the harder case
-    // for `canonicalize_child` (E17 measures the larger budget-1
+    // for canonicalization (E17 measures the larger budget-1
     // instances in release mode).
     let inputs = vec![Value::Int(0), Value::Int(0), Value::Int(1)];
     let plain = || build_simultaneous_rc_system(&factory, &inputs, 4);
@@ -937,7 +967,7 @@ fn storage_tiers_agree_byte_identically() {
             inputs: Some(inputs.clone()),
             ..ExploreConfig::default()
         };
-        let reference = explore(&factory, &base);
+        let (reference, counts) = checked_edges(explore_with_stats(&factory, &base));
         assert!(reference.is_verified(), "{reference:?}");
         for tier in StorageTier::ALL {
             let config = ExploreConfig {
@@ -945,9 +975,14 @@ fn storage_tiers_agree_byte_identically() {
                 spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
                 ..base.clone()
             };
-            let (outcome, stats) = explore_with_stats(&factory, &config);
+            let (outcome, stats) = checked_edges(explore_with_stats(&factory, &config));
             assert_eq!(outcome, reference, "{tier} budget {budget}");
             assert_eq!(stats.storage, tier);
+            assert_eq!(
+                (stats.edges, stats.duplicates),
+                (counts.edges, counts.duplicates),
+                "{tier} budget {budget}: edge counts are deterministic"
+            );
             if tier == StorageTier::PackedSpill {
                 assert!(
                     stats.spilled_bytes > 0,
@@ -1042,7 +1077,7 @@ fn memory_counters_are_monotone_in_the_searched_space() {
             inputs: Some(inputs.clone()),
             ..test_config()
         };
-        let (outcome, stats) = explore_with_stats(&factory, &config);
+        let (outcome, stats) = checked_edges(explore_with_stats(&factory, &config));
         assert!(outcome.is_verified(), "{outcome:?}");
         assert!(stats.interned_bytes > 0);
         assert!(stats.table_bytes > 0);
