@@ -15,15 +15,17 @@ use rc_core::algorithms::{
     build_team_consensus_system, build_team_rc_system, build_tournament_rc, ConsensusObjectFactory,
 };
 use rc_core::{check_discerning, find_recording_witness, Assignment, RecordingWitness, Team};
-use rc_runtime::{CrashModel, Memory, Program, SwarmConfig, SwarmFactory};
+use rc_runtime::{CrashModel, Memory, Program, SwarmConfig, SystemFactory};
 use rc_spec::types::{Cas, Tn};
 use rc_spec::{TypeHandle, Value};
 use std::sync::Arc;
 
 use crate::exp::{sn_witness, team_inputs};
 
-/// A thread-safe owned system builder (the [`SwarmFactory`] borrow the
-/// engine consumes is produced by [`SwarmSystem::factory`]).
+/// An owned system builder (the [`SystemFactory`] borrow the swarm
+/// engine consumes is produced by [`SwarmSystem::factory`]). `Send +
+/// Sync` so a built catalog can live in a `static`, as the test suites
+/// keep it.
 type BoxedFactory = Box<dyn Fn() -> (Memory, Vec<Box<dyn Program>>) + Send + Sync>;
 
 /// One swarm-sweepable system: id, construction, inputs and the default
@@ -47,7 +49,7 @@ pub struct SwarmSystem {
 
 impl SwarmSystem {
     /// The system factory, in the shape the swarm engine consumes.
-    pub fn factory(&self) -> &SwarmFactory<'_> {
+    pub fn factory(&self) -> &SystemFactory<'_> {
         &*self.factory
     }
 
@@ -88,7 +90,8 @@ fn broken_witness() -> (TypeHandle, RecordingWitness) {
 }
 
 /// Builds the full catalog. Witness search runs once per call; the
-/// factories it returns are cheap per-invocation builders.
+/// factories it returns build one system per invocation, and a swarm
+/// sweep invokes each once.
 pub fn swarm_catalog() -> Vec<SwarmSystem> {
     let mut systems = Vec::new();
 

@@ -109,8 +109,8 @@ pub struct SymmetrySpec {
 }
 
 impl SymmetrySpec {
-    /// No symmetry: every process is its own orbit. [`is_trivial`]
-    /// (`SymmetrySpec::is_trivial`) holds, and the checker skips all
+    /// No symmetry: every process is its own orbit.
+    /// [`is_trivial`](Self::is_trivial) holds, and the checker skips all
     /// canonicalization work.
     pub fn trivial(n: usize) -> Self {
         SymmetrySpec::new(n, (0..n).map(|p| vec![p]).collect())

@@ -1,12 +1,12 @@
 //! Cell-access footprint analysis over the guest-program catalog.
 //!
 //! The model checker's two soundness-critical *inputs* —
-//! [`Program::referenced_cells`](crate::Program::referenced_cells) and
-//! [`SymmetrySpec::with_owned_cells`](crate::SymmetrySpec::with_owned_cells)
+//! [`Program::referenced_cells`] and
+//! [`SymmetrySpec::with_owned_cells`]
 //! — are hand-written per factory, and an under-declaration silently
 //! breaks the exhaustive-exploration quotient. This module derives the
 //! same information *from the programs themselves*: an instrumenting
-//! [`MemOps`] recorder ([`ProbeMem`], internal) tags every shared-memory
+//! [`MemOps`] recorder (`ProbeMem`, internal) tags every shared-memory
 //! access with `(Pid, Addr, AccessKind)`, and [`analyze_system`] walks
 //! each program's memoized local-state graph to a fixpoint, producing a
 //! sound per-process cell footprint with read/write modes.

@@ -156,7 +156,7 @@ pub use storage::{
 // `swarm` binary and the invariant test suites.
 pub use swarm::{
     is_subsequence, replay_schedule, replay_seed, shrink_schedule, swarm_with_progress,
-    ScheduleReplay, SeedRun, ShrinkError, ShrunkWitness, SwarmConfig, SwarmFactory, SwarmProgress,
-    SwarmReport, SwarmViolation,
+    ScheduleReplay, SeedRun, ShrinkError, ShrunkWitness, SwarmConfig, SwarmProgress, SwarmReport,
+    SwarmViolation,
 };
 pub use trace::{Trace, TraceEvent};

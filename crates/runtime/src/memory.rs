@@ -36,6 +36,16 @@ pub enum Cell {
     },
 }
 
+impl Cell {
+    /// The register's value or the object's state.
+    fn content(&self) -> &Value {
+        match self {
+            Cell::Register(v) => v,
+            Cell::Object { state, .. } => state,
+        }
+    }
+}
+
 /// The shared-memory operations available to a [`Program`](crate::Program).
 ///
 /// Both the deterministic simulator ([`Memory`]) and the real-thread
@@ -119,19 +129,19 @@ impl Memory {
         self.accesses
     }
 
+    /// Every cell's current value/state, in address order, by
+    /// reference — what [`state_key`](Self::state_key) copies out.
+    pub(crate) fn contents(&self) -> impl Iterator<Item = &Value> {
+        self.cells.iter().map(Cell::content)
+    }
+
     /// A structural snapshot of every cell's current value/state — used
     /// by valency analyses and tests for exact state comparison. (The
     /// model checker does not use this: it converts the memory into an
     /// internal copy-on-write form once and interns cell values
     /// directly.)
     pub fn state_key(&self) -> Vec<Value> {
-        self.cells
-            .iter()
-            .map(|c| match c {
-                Cell::Register(v) => v.clone(),
-                Cell::Object { state, .. } => state.clone(),
-            })
-            .collect()
+        self.contents().cloned().collect()
     }
 
     /// Appends one interned id per cell to `out` — the hash-consed form
@@ -146,13 +156,7 @@ impl Memory {
         interner: &mut crate::intern::ValueInterner,
         out: &mut Vec<u32>,
     ) {
-        out.reserve(self.cells.len());
-        for c in &self.cells {
-            out.push(interner.intern(match c {
-                Cell::Register(v) => v,
-                Cell::Object { state, .. } => state,
-            }));
-        }
+        out.extend(self.contents().map(|v| interner.intern(v)));
     }
 
     /// Clones a whole cell (type handle included); used by the threaded
@@ -174,10 +178,7 @@ impl Memory {
     ///
     /// Panics if `addr` is out of range.
     pub fn peek(&self, addr: Addr) -> Value {
-        match &self.cells[addr.0] {
-            Cell::Register(v) => v.clone(),
-            Cell::Object { state, .. } => state.clone(),
-        }
+        self.cells[addr.0].content().clone()
     }
 
     fn cell_mut(&mut self, addr: Addr) -> &mut Cell {

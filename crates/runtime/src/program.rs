@@ -217,11 +217,11 @@ pub trait Program: fmt::Debug + Send + Sync {
     /// Every shared-cell address the program may access over *any*
     /// execution (its own and all programs it may create), used by the
     /// owned-cell soundness validation: a cell owned by a process in an
-    /// acting orbit may be referenced by **no other process** — see the
-    /// [`canon`](crate::canon) module docs. `None` (the default) means
-    /// the reference set is not enumerable; systems declaring owned
-    /// cells are then rejected at search start, because the validation
-    /// cannot establish soundness.
+    /// acting orbit may be referenced by **no other process** — see
+    /// [`SymmetrySpec::with_owned_cells`](crate::SymmetrySpec::with_owned_cells).
+    /// `None` (the default) means the reference set is not enumerable;
+    /// systems declaring owned cells are then rejected at search start,
+    /// because the validation cannot establish soundness.
     fn referenced_cells(&self) -> Option<Vec<Addr>> {
         None
     }

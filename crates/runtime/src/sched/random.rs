@@ -2,6 +2,7 @@
 
 use super::{Action, SchedContext, Scheduler};
 use crate::crash::{CrashMode, CrashModel};
+use crate::program::Pid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,13 +68,25 @@ impl RandomScheduler {
             ..RandomSchedulerConfig::default()
         })
     }
+
+    /// A uniformly random pid among those whose decided flag satisfies
+    /// `eligible`, or `None` (and no draw) when there is none. Draws
+    /// exactly what indexing the collected eligible list would — one
+    /// `gen_range(0..count)` — so it picks the same pid without
+    /// allocating the list.
+    fn pick(&mut self, decided: &[bool], eligible: impl Fn(bool) -> bool) -> Option<Pid> {
+        let count = decided.iter().filter(|&&d| eligible(d)).count();
+        if count == 0 {
+            return None;
+        }
+        let k = self.rng.gen_range(0..count);
+        (0..decided.len()).filter(|&p| eligible(decided[p])).nth(k)
+    }
 }
 
 impl Scheduler for RandomScheduler {
     fn next_action(&mut self, ctx: &SchedContext<'_>) -> Option<Action> {
-        let model = &self.config.crash;
-        let undecided = ctx.undecided();
-
+        let model = self.config.crash;
         let want_crash =
             !model.exhausted(ctx.crashes_injected) && self.rng.gen_bool(self.config.crash_prob);
         if want_crash {
@@ -86,21 +99,13 @@ impl Scheduler for RandomScheduler {
                     // to a step instead.
                 }
                 CrashMode::Independent => {
-                    let crashable = model.crash_candidates(ctx.decided);
-                    if !crashable.is_empty() {
-                        let victim = crashable[self.rng.gen_range(0..crashable.len())];
+                    if let Some(victim) = self.pick(ctx.decided, |d| model.may_crash(d)) {
                         return Some(Action::Crash(victim));
                     }
                 }
             }
         }
-
-        if undecided.is_empty() {
-            return None;
-        }
-        Some(Action::Step(
-            undecided[self.rng.gen_range(0..undecided.len())],
-        ))
+        self.pick(ctx.decided, |d| !d).map(Action::Step)
     }
 }
 
@@ -193,6 +198,109 @@ mod tests {
         assert_eq!(
             s.next_action(&ctx(&[true, true], 0)),
             Some(Action::CrashAll)
+        );
+    }
+
+    /// The selection `RandomScheduler` made before it picked in place:
+    /// collect the eligible pids, index the list with one draw. Kept as
+    /// the reference the in-place picks must match draw for draw.
+    struct CollectingScheduler {
+        config: RandomSchedulerConfig,
+        rng: StdRng,
+    }
+
+    impl Scheduler for CollectingScheduler {
+        fn next_action(&mut self, ctx: &SchedContext<'_>) -> Option<Action> {
+            let model = &self.config.crash;
+            let undecided = ctx.undecided();
+            let want_crash =
+                !model.exhausted(ctx.crashes_injected) && self.rng.gen_bool(self.config.crash_prob);
+            if want_crash {
+                match model.mode {
+                    CrashMode::Simultaneous => {
+                        if model.may_crash_all(ctx.decided) {
+                            return Some(Action::CrashAll);
+                        }
+                    }
+                    CrashMode::Independent => {
+                        let crashable = model.crash_candidates(ctx.decided);
+                        if !crashable.is_empty() {
+                            let victim = crashable[self.rng.gen_range(0..crashable.len())];
+                            return Some(Action::Crash(victim));
+                        }
+                    }
+                }
+            }
+            if undecided.is_empty() {
+                return None;
+            }
+            Some(Action::Step(
+                undecided[self.rng.gen_range(0..undecided.len())],
+            ))
+        }
+    }
+
+    /// The in-place picks emit exactly the collecting reference's action
+    /// stream — so every seed still denotes the same schedule — under
+    /// both crash modes, with post-decide crashes on and off, for one to
+    /// six processes, while steps decide and crashes undecide processes
+    /// as the run goes on.
+    #[test]
+    fn in_place_picks_match_the_collecting_reference() {
+        let mut seen = [0usize; 3];
+        for seed in 0..1_000u64 {
+            for n in 1..=6 {
+                for model in [CrashModel::independent(3), CrashModel::simultaneous(3)] {
+                    for after_decide in [false, true] {
+                        let config = RandomSchedulerConfig {
+                            seed,
+                            crash_prob: 0.3,
+                            crash: model.after_decide(after_decide),
+                        };
+                        let mut in_place = RandomScheduler::new(config);
+                        let mut reference = CollectingScheduler {
+                            config,
+                            rng: StdRng::seed_from_u64(seed),
+                        };
+                        // Whether a step decides, drawn apart from both
+                        // schedulers' streams.
+                        let mut world = StdRng::seed_from_u64(!seed);
+                        let mut decided = vec![false; n];
+                        let mut crashes = 0;
+                        loop {
+                            let ctx = ctx(&decided, crashes);
+                            let action = in_place.next_action(&ctx);
+                            assert_eq!(
+                                action,
+                                reference.next_action(&ctx),
+                                "seed {seed}, {n} processes, {config:?}, decided {decided:?}"
+                            );
+                            match action {
+                                None => break,
+                                Some(Action::Step(p)) => {
+                                    seen[0] += 1;
+                                    decided[p] = world.gen_bool(0.4);
+                                }
+                                Some(Action::Crash(p)) => {
+                                    seen[1] += 1;
+                                    decided[p] = false;
+                                    crashes += 1;
+                                }
+                                Some(Action::CrashAll) => {
+                                    seen[2] += 1;
+                                    decided.fill(false);
+                                    crashes += 1;
+                                }
+                                Some(Action::Branch(..)) => panic!("schedulers never branch"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "every action kind drawn: {seen:?}"
         );
     }
 

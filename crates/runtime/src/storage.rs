@@ -333,7 +333,7 @@ impl KeyFilter {
     }
 }
 
-/// The [`FxHasher`] hash of a packed key's bytes with its high half
+/// The `FxHasher` hash of a packed key's bytes with its high half
 /// folded into its low half: the shared key hash of the packed index,
 /// the spill runs and their Blooms.
 ///

@@ -6,7 +6,7 @@
 //! offer only one-shot [`RandomScheduler`] runs. This module turns that
 //! one-shot into a *service*: [`swarm`] partitions a contiguous seed
 //! range across worker threads, runs one full seeded execution per seed
-//! through the shared [`run`](crate::run) loop, checks every execution
+//! through the shared [`run`] loop, checks every execution
 //! against the recoverable-consensus contract
 //! ([`verify`](crate::verify)), and aggregates
 //!
@@ -31,6 +31,17 @@
 //! union and a sort. Wall-clock fields are the only machine-dependent
 //! outputs. The property suite asserts this across thread counts.
 //!
+//! A sweep calls the factory **once**, on the calling thread, and runs
+//! every seed on a clone of that build: a [`Memory`] clone plus a
+//! [`Program::boxed_clone`] of every program. Nothing steps the build
+//! itself. The clone is the execution a fresh `factory()` call would
+//! start: the factory is deterministic, so every call returns the same
+//! system, and `boxed_clone` is a faithful copy — the contract the
+//! exhaustive checker already relies on when it branches a state. So
+//! seed `s` still denotes `run(factory(), …)`, and [`replay_seed`],
+//! which does call the factory, reproduces it exactly. The sweep only
+//! skips repeating the build (witness checks, allocations) per seed.
+//!
 //! ## Shrinking
 //!
 //! A violating seed's schedule is usually hundreds of actions long.
@@ -54,6 +65,7 @@
 
 use crate::crash::{CrashMode, CrashModel};
 use crate::exec::{run, Execution, RunOptions};
+use crate::explore::SystemFactory;
 use crate::intern::ValueInterner;
 use crate::memory::Memory;
 use crate::program::Program;
@@ -69,14 +81,6 @@ use std::time::{Duration, Instant};
 
 /// How often [`swarm_with_progress`] samples progress while workers run.
 const PROGRESS_TICK: Duration = Duration::from_millis(250);
-
-/// A system factory the swarm engine can call from any worker thread.
-///
-/// Identical in shape to [`SystemFactory`](crate::SystemFactory) plus
-/// the `Sync` bound the fan-out needs; every catalog builder closure
-/// satisfies it (the captured [`rc_spec::TypeHandle`]s, witnesses and
-/// inputs are all `Sync`).
-pub type SwarmFactory<'a> = dyn Fn() -> (Memory, Vec<Box<dyn Program>>) + Sync + 'a;
 
 /// Configuration of one swarm sweep: the seed range, the per-seed
 /// scheduler parameters and the fan-out width.
@@ -224,19 +228,22 @@ struct WorkerOutput {
 }
 
 /// Runs the swarm sweep; see the [module docs](self) for the contract.
-pub fn swarm(factory: &SwarmFactory<'_>, config: &SwarmConfig) -> SwarmReport {
+pub fn swarm(factory: &SystemFactory<'_>, config: &SwarmConfig) -> SwarmReport {
     swarm_with_progress(factory, config, None)
 }
 
 /// [`swarm`] with a streaming progress callback (invoked from the
 /// coordinating thread only, never concurrently with itself).
 pub fn swarm_with_progress(
-    factory: &SwarmFactory<'_>,
+    factory: &SystemFactory<'_>,
     config: &SwarmConfig,
     progress: Option<&(dyn Fn(SwarmProgress) + Sync)>,
 ) -> SwarmReport {
     let started = Instant::now();
     let threads = config.effective_threads();
+    // The one build of the sweep; workers share it read-only and run
+    // each seed on a clone (see the module docs' determinism contract).
+    let (proto_mem, proto_programs) = factory();
     // Workers claim fixed-size seed chunks from a shared cursor: which
     // worker runs which seed varies with timing, but every aggregate
     // below is a commutative fold over per-seed results, so the report
@@ -264,7 +271,8 @@ pub fn swarm_with_progress(
             let hi = (lo + CHUNK).min(config.seeds);
             for offset in lo..hi {
                 let seed = config.seed_start + offset;
-                let (mut mem, mut programs) = factory();
+                let mut mem = proto_mem.clone();
+                let mut programs = proto_programs.clone();
                 let mut sched = config.scheduler_for(seed);
                 let exec = run(
                     &mut mem,
@@ -383,7 +391,7 @@ pub struct SeedRun {
 /// options), with trace recording on — the `swarm replay --seed N`
 /// path. The execution is byte-identical to the sweep's run for that
 /// seed; only the recorded trace is extra.
-pub fn replay_seed(factory: &crate::SystemFactory<'_>, config: &SwarmConfig, seed: u64) -> SeedRun {
+pub fn replay_seed(factory: &SystemFactory<'_>, config: &SwarmConfig, seed: u64) -> SeedRun {
     let (mut mem, mut programs) = factory();
     let mut sched = config.scheduler_for(seed);
     let execution = run(
@@ -433,7 +441,7 @@ pub struct ScheduleReplay {
 /// not enforced — an illegal schedule still executes, it just reports
 /// `legal: false` so the shrinker can reject the candidate.
 pub fn replay_schedule(
-    factory: &crate::SystemFactory<'_>,
+    factory: &SystemFactory<'_>,
     config: &SwarmConfig,
     schedule: &[Action],
     with_witness_log: bool,
@@ -643,7 +651,7 @@ pub struct ShrunkWitness {
 /// violate; [`ShrinkError::Termination`] if it violates termination
 /// only (not shrinkable — see the module docs).
 pub fn shrink_schedule(
-    factory: &crate::SystemFactory<'_>,
+    factory: &SystemFactory<'_>,
     config: &SwarmConfig,
     schedule: &[Action],
 ) -> Result<ShrunkWitness, ShrinkError> {
@@ -765,8 +773,8 @@ fn final_state_words(
         }
     }
     out.push(u32::from(exec.all_decided) | (u32::from(exec.hit_step_limit) << 1));
-    for v in mem.state_key() {
-        encode_value(&v, out);
+    for v in mem.contents() {
+        encode_value(v, out);
     }
 }
 
@@ -1110,8 +1118,9 @@ mod tests {
         assert!(report.violations.is_empty());
     }
 
-    /// Arc'd shared captures satisfy [`SwarmFactory`]'s `Sync` bound —
-    /// the shape every catalog builder closure has.
+    /// A factory that copies `Arc`-shared captures into each build — the
+    /// shape every catalog builder closure has — sweeps correctly from
+    /// its one build.
     #[test]
     fn factory_with_shared_captures_is_usable() {
         let shared = Arc::new(Value::Int(7));

@@ -1,14 +1,20 @@
 //! End-to-end properties of the swarm verification service: the
 //! determinism contract (equal seeds give byte-identical aggregates at
-//! any thread count) and the shrinker invariants (a shrunken schedule
-//! still violates, is crash-legal, and is a subsequence of the
-//! original), exercised through the same catalog the `swarm` binary
-//! sweeps.
+//! any thread count, equal to an independent fresh-build loop) and the
+//! shrinker invariants (a shrunken schedule still violates, is
+//! crash-legal, and is a subsequence of the original), exercised
+//! through the same catalog the `swarm` binary sweeps.
 
 use proptest::prelude::*;
 use rc_bench::swarm_catalog::{find_system, swarm_catalog, SwarmSystem};
 use rc_runtime::swarm::swarm;
-use rc_runtime::{is_subsequence, replay_schedule, replay_seed, shrink_schedule, CrashModel};
+use rc_runtime::verify::check_consensus_execution;
+use rc_runtime::{
+    is_subsequence, replay_schedule, replay_seed, run, shrink_schedule, CrashModel, RunOptions,
+    SwarmConfig,
+};
+use rc_spec::Value;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// The catalog, built once: witness search (`find_recording_witness`,
@@ -60,6 +66,78 @@ proptest! {
                 prop_assert_eq!(rerun.verdict.as_ref().err(), Some(&v.violation));
             }
             None => prop_assert!(rerun.verdict.is_ok()),
+        }
+    }
+}
+
+/// The sweep against an independent reference loop, on every catalog
+/// system: each seed runs on a fresh `factory()` build under
+/// `scheduler_for(seed)`, is checked with `check_consensus_execution`,
+/// and its final state goes into a std `HashSet` of structural
+/// observables (program state keys, every output, the decided and
+/// step-limit flags, `Memory::state_key()`). The swarm shares only
+/// `run`, the scheduler and the checker with it: it sweeps clones of
+/// one build, keys finals as packed words and merges per-worker tables.
+/// At one and at three threads it must report exactly the loop's
+/// coverage, step and crash totals and violating seeds.
+#[test]
+fn sweeps_match_a_fresh_build_reference_loop() {
+    const SEEDS: u64 = 300;
+    for sys in catalog() {
+        let config = sys.config(7_000, SEEDS, 1);
+        let mut finals = HashSet::new();
+        let (mut steps, mut crashes) = (0u64, 0u64);
+        let mut violations = Vec::new();
+        for seed in config.seed_start..config.seed_start + SEEDS {
+            let (mut mem, mut programs) = (sys.factory())();
+            let options = RunOptions {
+                max_actions: config.max_actions,
+                record_trace: false,
+            };
+            let exec = run(
+                &mut mem,
+                &mut programs,
+                &mut config.scheduler_for(seed),
+                options,
+            );
+            steps += exec.steps as u64;
+            crashes += exec.crashes as u64;
+            if let Err(violation) = check_consensus_execution(&exec, &sys.inputs) {
+                violations.push((seed, violation));
+            }
+            let program_keys: Vec<Value> = programs.iter().map(|p| p.state_key()).collect();
+            finals.insert((
+                program_keys,
+                exec.outputs,
+                exec.all_decided,
+                exec.hit_step_limit,
+                mem.state_key(),
+            ));
+        }
+        assert_eq!(
+            !violations.is_empty(),
+            sys.expect_violation,
+            "{}: the reference loop's verdict",
+            sys.id
+        );
+        for threads in [1, 3] {
+            let report = swarm(
+                sys.factory(),
+                &SwarmConfig {
+                    threads,
+                    ..config.clone()
+                },
+            );
+            let at = format!("{} at {threads} threads", sys.id);
+            assert_eq!(report.distinct_final_states, finals.len(), "{at}: finals");
+            assert_eq!(report.total_steps, steps, "{at}: steps");
+            assert_eq!(report.total_crashes, crashes, "{at}: crashes");
+            let found: Vec<_> = report
+                .violations
+                .iter()
+                .map(|v| (v.seed, v.violation.clone()))
+                .collect();
+            assert_eq!(found, violations, "{at}: violating seeds");
         }
     }
 }
