@@ -18,8 +18,10 @@
 //! given the same overrides as the run that reported the seed (recorded
 //! in the JSON artifact). `smoke` is the bounded CI tier: it must find
 //! the seeded `broken-team-rc` agreement violation, shrink it to the
-//! known 10-action minimal witness, and re-verify the witness through
-//! the `WitnessLog` replay path — exit non-zero otherwise.
+//! known 10-action minimal witness, and re-verify the witness on the
+//! exhaustive checker's executor (`replay_on_checker`: the same
+//! decisions as `run`, and a flagged safety violation) — exit non-zero
+//! otherwise.
 
 use rc_bench::swarm_catalog::{find_system, swarm_catalog, SwarmSystem};
 use rc_bench::swarm_cli::{crash_spec, parse_args, SwarmArgs, SwarmCmd};
@@ -299,7 +301,7 @@ fn cmd_shrink(systems: &[SwarmSystem], args: &SwarmArgs) -> i32 {
             println!("  {}", render_schedule(&witness.schedule));
             println!("  violation: {}", witness.violation);
             println!(
-                "  WitnessLog replay: {}",
+                "  checker replay: {}",
                 if witness.witness_verified {
                     "verified"
                 } else {
@@ -323,7 +325,7 @@ fn cmd_shrink(systems: &[SwarmSystem], args: &SwarmArgs) -> i32 {
 ///    violation;
 /// 3. its schedule shrinks to the known 10-action minimal witness — a
 ///    legal subsequence that still violates agreement and re-verifies
-///    through the `WitnessLog` replay path;
+///    on the checker's executor;
 /// 4. a correct control system (`team-rc-s3`) reports zero violations
 ///    over the same seed budget.
 fn cmd_smoke(systems: &[SwarmSystem], args: &SwarmArgs) -> i32 {
@@ -386,7 +388,7 @@ fn cmd_smoke(systems: &[SwarmSystem], args: &SwarmArgs) -> i32 {
     if !ok {
         eprintln!(
             "swarm: smoke FAILED — witness len {} (expected {KNOWN_MINIMAL_WITNESS_LEN}), \
-             subsequence {}, log-verified {}, violation {}",
+             subsequence {}, checker-verified {}, violation {}",
             witness.schedule.len(),
             is_subsequence(&witness.schedule, &schedule),
             witness.witness_verified,

@@ -16,11 +16,12 @@ use rc_core::{
     is_recording, set_rcons_bounds, Assignment, RecordingWitness, Team,
 };
 use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
+use rc_runtime::swarm::swarm;
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
     explore, explore_symmetric_with_stats, explore_with_stats, run, CrashModel, ExploreConfig,
-    ExploreOutcome, ExploreStats, Memory, Program, RunOptions, StorageTier, SymmetricSystemFactory,
-    SystemFactory,
+    ExploreOutcome, ExploreStats, Memory, Program, RunOptions, StorageTier, SwarmConfig,
+    SwarmReport, SymmetricSystemFactory, SystemFactory,
 };
 use rc_spec::catalog::{catalog, ConsensusNumber};
 use rc_spec::random::{random_table_type, RandomTypeConfig};
@@ -46,6 +47,30 @@ pub(crate) fn team_inputs(w: &Assignment) -> Vec<Value> {
             Team::B => Value::Int(1),
         })
         .collect()
+}
+
+/// The randomized hunts of E2 and E10: seeds `0..seeds` of the seeded
+/// scheduler under `crash` through the [`swarm`], each execution checked
+/// against `inputs`, with [`run`]'s default action bound.
+fn random_hunt(
+    factory: &SystemFactory<'_>,
+    seeds: u64,
+    crash_prob: f64,
+    crash: CrashModel,
+    inputs: &[Value],
+) -> SwarmReport {
+    swarm(
+        factory,
+        &SwarmConfig {
+            seed_start: 0,
+            seeds,
+            threads: 0,
+            crash_prob,
+            crash,
+            max_actions: RunOptions::default().max_actions,
+            inputs: Some(inputs.to_vec()),
+        },
+    )
 }
 
 /// E1 (Fig. 1): check every implication of the diagram on the catalog and
@@ -132,28 +157,20 @@ pub fn e2_team_rc(seeds: u64) -> String {
             rc_runtime::ExploreOutcome::Verified { states, .. } => states.to_string(),
             other => panic!("Fig. 2 must verify: {other:?}"),
         };
-        let mut crashes = 0usize;
-        let mut violations = 0usize;
-        for seed in 0..seeds {
-            let (mut mem, mut programs) = build_team_rc_system(ty.clone(), &w, &inputs);
-            let mut sched = RandomScheduler::new(RandomSchedulerConfig {
-                seed,
-                crash_prob: 0.25,
-                crash: CrashModel::independent(5).after_decide(true),
-            });
-            let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-            crashes += exec.crashes;
-            if check_consensus_execution(&exec, &inputs).is_err() {
-                violations += 1;
-            }
-        }
+        let hunt = random_hunt(
+            &|| build_team_rc_system(ty.clone(), &w, &inputs),
+            seeds,
+            0.25,
+            CrashModel::independent(5).after_decide(true),
+            &inputs,
+        );
         t.row(&[
             format!("S_{n}"),
             n.to_string(),
             states,
             seeds.to_string(),
-            crashes.to_string(),
-            violations.to_string(),
+            hunt.total_crashes.to_string(),
+            hunt.violations.len().to_string(),
         ]);
     }
     // The broken variant (guard removed) must violate agreement.
@@ -767,20 +784,14 @@ pub fn e10_headline(seeds: u64) -> String {
         // RC at n−2: tournament over the (n−2)-recording witness.
         let rw = find_recording_witness(&ty, n - 2).expect("Theorem 16");
         let rc_inputs: Vec<Value> = (0..(n - 2) as i64).map(Value::Int).collect();
-        let mut violations = 0usize;
-        for seed in 0..seeds {
-            let (mut mem, mut programs) = build_tournament_rc(ty.clone(), &rw, &rc_inputs);
-            let mut sched = RandomScheduler::new(RandomSchedulerConfig {
-                seed,
-                crash_prob: 0.2,
-                crash: CrashModel::independent(4).after_decide(true),
-            });
-            let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-            if check_consensus_execution(&exec, &rc_inputs).is_err() {
-                violations += 1;
-            }
-        }
-        assert_eq!(violations, 0);
+        let hunt = random_hunt(
+            &|| build_tournament_rc(ty.clone(), &rw, &rc_inputs),
+            seeds,
+            0.2,
+            CrashModel::independent(4).after_decide(true),
+            &rc_inputs,
+        );
+        assert!(hunt.violations.is_empty(), "T_{n}: {:?}", hunt.violations);
         t.row(&[
             format!("T_{n}"),
             format!("{n} ✓"),
@@ -792,20 +803,14 @@ pub fn e10_headline(seeds: u64) -> String {
     for n in [3usize, 5] {
         let (ty, w) = sn_witness(n);
         let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let mut violations = 0usize;
-        for seed in 0..seeds {
-            let (mut mem, mut programs) = build_tournament_rc(ty.clone(), &w, &inputs);
-            let mut sched = RandomScheduler::new(RandomSchedulerConfig {
-                seed,
-                crash_prob: 0.2,
-                crash: CrashModel::independent(4).after_decide(true),
-            });
-            let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-            if check_consensus_execution(&exec, &inputs).is_err() {
-                violations += 1;
-            }
-        }
-        assert_eq!(violations, 0);
+        let hunt = random_hunt(
+            &|| build_tournament_rc(ty.clone(), &w, &inputs),
+            seeds,
+            0.2,
+            CrashModel::independent(4).after_decide(true),
+            &inputs,
+        );
+        assert!(hunt.violations.is_empty(), "S_{n}: {:?}", hunt.violations);
         t.row(&[
             format!("S_{n}"),
             format!("{n} ✓"),
@@ -896,16 +901,7 @@ impl Measured {
 
     /// The best run's wall clock in milliseconds.
     pub(crate) fn millis(&self) -> f64 {
-        let best = self.samples.iter().min().expect("at least one run");
-        best.as_secs_f64() * 1e3
-    }
-
-    /// The median run's wall clock in milliseconds (the upper middle
-    /// run of an even count).
-    pub(crate) fn median_millis(&self) -> f64 {
-        let mut sorted = self.samples.clone();
-        sorted.sort();
-        sorted[sorted.len() / 2].as_secs_f64() * 1e3
+        best_ms(&self.samples)
     }
 
     /// `states / seconds` of the best run.
@@ -937,7 +933,7 @@ impl Measured {
             ("duplicates", int(self.stats.duplicates)),
             ("runs", int(self.samples.len())),
             ("millis", Json::Fixed(self.millis(), 1)),
-            ("median_millis", Json::Fixed(self.median_millis(), 1)),
+            ("median_millis", Json::Fixed(median_ms(&self.samples), 1)),
             ("states_per_sec", Json::Fixed(self.states_per_sec(), 0)),
             ("reduction", Json::Fixed(self.reduction, 1)),
             (
@@ -951,9 +947,37 @@ impl Measured {
     }
 }
 
-/// Times one search. The one repetition policy of every sweep: at least
-/// one run, repeated until the runs total 200 ms or 30 runs; tables
-/// report the best run. Cap-scale searches therefore run once.
+/// The one repetition policy of every timed row (E11–E18): `once` runs
+/// at least once, and again until the runs total 200 ms or 30 runs.
+/// Returns the last run's result and every run's wall clock, in run
+/// order; tables report the best run. Cap-scale runs therefore run once.
+fn timed_runs<T>(mut once: impl FnMut() -> T) -> (T, Vec<Duration>) {
+    let mut samples = Vec::new();
+    loop {
+        let start = Instant::now();
+        let result = once();
+        samples.push(start.elapsed());
+        if samples.len() >= 30 || samples.iter().sum::<Duration>() >= Duration::from_millis(200) {
+            return (result, samples);
+        }
+    }
+}
+
+/// The best of `samples`, in milliseconds.
+fn best_ms(samples: &[Duration]) -> f64 {
+    let best = samples.iter().min().expect("at least one run");
+    best.as_secs_f64() * 1e3
+}
+
+/// The median of `samples` in milliseconds (the upper middle run of an
+/// even count).
+fn median_ms(samples: &[Duration]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort();
+    sorted[sorted.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Times one search under [`timed_runs`].
 ///
 /// # Panics
 ///
@@ -964,14 +988,11 @@ fn measure(
     factory: Factory<'_>,
     config: &ExploreConfig,
 ) -> Measured {
-    let mut samples = Vec::new();
-    loop {
-        let start = Instant::now();
+    let ((outcome, stats), samples) = timed_runs(|| {
         let (outcome, stats) = match factory {
             Factory::Plain(f) => explore_with_stats(f, config),
             Factory::Symmetric(f) => explore_symmetric_with_stats(f, config),
         };
-        samples.push(start.elapsed());
         if let ExploreOutcome::Violation { schedule, .. } = &outcome {
             panic!(
                 "{system}/{} {mode}: the sweeps check correct systems; violation after {} actions",
@@ -979,18 +1000,17 @@ fn measure(
                 schedule.len()
             );
         }
-        if samples.len() >= 30 || samples.iter().sum::<Duration>() >= Duration::from_millis(200) {
-            return Measured {
-                system: system.to_string(),
-                mode,
-                config: config.clone(),
-                outcome,
-                stats,
-                samples,
-                reduction: 1.0,
-                reduction_is_lower_bound: false,
-            };
-        }
+        (outcome, stats)
+    });
+    Measured {
+        system: system.to_string(),
+        mode,
+        config: config.clone(),
+        outcome,
+        stats,
+        samples,
+        reduction: 1.0,
+        reduction_is_lower_bound: false,
     }
 }
 
@@ -1911,15 +1931,19 @@ pub struct E18Row {
     /// Action count of that seed's replayed schedule.
     pub original_len: Option<usize>,
     /// Action count of its 1-minimal shrunken witness (delta-debugged,
-    /// re-verified through the witness-log replay path).
+    /// re-verified on the checker's executor).
     pub min_witness: Option<usize>,
-    /// Wall-clock milliseconds (machine-dependent).
-    pub millis: f64,
-    /// Executions per second (machine-dependent).
-    pub runs_per_sec: f64,
+    /// Wall clock of every timed sweep, in run order (machine-dependent;
+    /// the repetition policy of the E11–E17 rows).
+    pub samples: Vec<Duration>,
 }
 
 impl E18Row {
+    /// Executions per second of the best sweep.
+    pub(crate) fn runs_per_sec(&self) -> f64 {
+        self.seeds as f64 / (best_ms(&self.samples) / 1e3).max(1e-9)
+    }
+
     /// The row as the snapshot writes it (`null` witness columns on
     /// clean rows).
     pub fn json(&self) -> JsonRow {
@@ -1936,8 +1960,10 @@ impl E18Row {
             ("first_violating_seed", opt(self.first_violating_seed)),
             ("original_len", opt(self.original_len.map(|v| v as u64))),
             ("min_witness", opt(self.min_witness.map(|v| v as u64))),
-            ("millis", Json::Fixed(self.millis, 1)),
-            ("runs_per_sec", Json::Fixed(self.runs_per_sec, 0)),
+            ("runs", int(self.samples.len())),
+            ("millis", Json::Fixed(best_ms(&self.samples), 1)),
+            ("median_millis", Json::Fixed(median_ms(&self.samples), 1)),
+            ("runs_per_sec", Json::Fixed(self.runs_per_sec(), 0)),
         ]
     }
 }
@@ -1958,7 +1984,7 @@ const E18_COLUMNS: &[Column<E18Row>] = &[
         (Some(o), Some(m)) => format!("{o}→{m}"),
         _ => "—".into(),
     }),
-    ("runs/s", |r| format!("{:.0}", r.runs_per_sec)),
+    ("runs/s", |r| format!("{:.0}", r.runs_per_sec())),
 ];
 
 /// E18: the swarm-verification sweep — every system of the swarm
@@ -1975,13 +2001,16 @@ const E18_COLUMNS: &[Column<E18Row>] = &[
 /// - the first violating seed replays deterministically to the same
 ///   violation ([`replay_seed`](rc_runtime::replay_seed));
 /// - its schedule shrinks to a 1-minimal, crash-legal subsequence that
-///   still violates and re-verifies through the witness log;
+///   still violates and re-verifies on the checker's executor
+///   ([`replay_on_checker`](rc_runtime::replay_on_checker));
 /// - the deterministic aggregates (violating seeds, distinct final
 ///   states, step/crash totals) are byte-identical across thread
 ///   counts (checked at 1 vs. all cores on the first catalog entry).
 ///
 /// `fast` sweeps 200 seeds per system (the tier-1 suite); the full run
-/// sweeps 20 000 (the snapshot row set). The ≥10⁶-seed headline run is
+/// sweeps 20 000 (the snapshot row set). Each sweep repeats under the
+/// E11–E17 timing policy (at least once, until 200 ms or 30 runs), and
+/// `runs/s` is the best sweep's. The ≥10⁶-seed headline run is
 /// recorded in `EXPERIMENTS.md` §E18 from `swarm run` directly — at
 /// that scale the row would dominate the `tables` wall clock.
 ///
@@ -1991,7 +2020,6 @@ const E18_COLUMNS: &[Column<E18Row>] = &[
 pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
     use crate::swarm_catalog::swarm_catalog;
     use crate::swarm_cli::crash_spec;
-    use rc_runtime::swarm::swarm;
     use rc_runtime::{is_subsequence, replay_seed, shrink_schedule};
 
     let seeds: u64 = if fast { 200 } else { 20_000 };
@@ -1999,7 +2027,7 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
     let mut rows: Vec<E18Row> = Vec::new();
     for (i, sys) in systems.iter().enumerate() {
         let config = sys.config(0, seeds, 0);
-        let report = swarm(sys.factory(), &config);
+        let (report, samples) = timed_runs(|| swarm(sys.factory(), &config));
         assert_eq!(report.runs, seeds, "{}: every seed ran", sys.id);
         assert_eq!(
             report.violations.is_empty(),
@@ -2039,7 +2067,7 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
                 "{}: witness is a subsequence",
                 sys.id
             );
-            assert!(shrunk.witness_verified, "{}: witness-log replay", sys.id);
+            assert!(shrunk.witness_verified, "{}: checker replay", sys.id);
             first_seed = Some(v.seed);
             original_len = Some(schedule.len());
             min_witness = Some(shrunk.schedule.len());
@@ -2055,8 +2083,7 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
             first_violating_seed: first_seed,
             original_len,
             min_witness,
-            millis: report.elapsed_millis,
-            runs_per_sec: report.runs_per_sec,
+            samples,
         });
     }
     let bug = rows
@@ -2068,8 +2095,9 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
          schedules under each system's default adversary, aggregates \
          thread-count-invariant (asserted), every correct system clean \
          and the Section 3.1 seeded bug surfaced at seed {} with its \
-         schedule delta-debugged {} → {} actions into a crash-legal, \
-         witness-log-verified 1-minimal counterexample:\n{}\
+         schedule delta-debugged {} → {} actions into a crash-legal \
+         1-minimal counterexample that re-verifies on the checker's \
+         executor:\n{}\
          replay/shrink any reported seed: `swarm replay --system <id> \
          --seed N`, `swarm shrink --system <id> --seed N`.\n",
         bug.first_violating_seed.expect("violating seed recorded"),
@@ -2132,7 +2160,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 9;
+const SNAPSHOT_SCHEMA: u64 = 10;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {
@@ -2167,8 +2195,8 @@ pub fn git_rev(root: &Path) -> String {
 /// (schema, regenerate command, git rev, host cores), then one
 /// `<id>_rows` array per experiment, one row object per line. E11–E17
 /// rows all have the shape of [`Measured::json`], E18 rows that of
-/// [`E18Row::json`]; `millis` is the best of `runs` timed runs and
-/// `median_millis` their median.
+/// [`E18Row::json`]; in both, `millis` is the best of `runs` timed runs
+/// and `median_millis` their median.
 pub fn snapshot_json(git_rev: &str, experiments: &[(&str, Vec<JsonRow>)]) -> String {
     let header = [
         ("schema", Json::Int(SNAPSHOT_SCHEMA)),
@@ -2637,12 +2665,25 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Smoke-tests each experiment at tiny sizes; correctness assertions
+    /// are inside the experiment functions themselves. E2's and E10's
+    /// randomized hunts sweep through `swarm`, and their counts are
+    /// pinned at the values of the per-seed loops they replaced: E2's
+    /// crashes and violations per row here, E10's zero violations per
+    /// row inside `e10_headline` (its table has no violation column).
     #[test]
     fn experiments_run_small() {
-        // Smoke-test each experiment at tiny sizes; correctness assertions
-        // are inside the experiment functions themselves.
         assert!(e1_figure1(5).contains("E1"));
-        assert!(e2_team_rc(5).contains("E2"));
+        let e2 = e2_team_rc(5);
+        let row = |ty: &str| -> Vec<&str> {
+            let line = e2.lines().find(|l| l.starts_with(ty)).expect("E2 row");
+            line.split_whitespace().collect()
+        };
+        // type, n, model-checked states, schedules, crashes, violations
+        assert_eq!(row("S_2 "), ["S_2", "2", "514", "5", "21", "0"]);
+        assert_eq!(row("S_3 "), ["S_3", "3", "3981", "5", "25", "0"]);
+        let e10 = e10_headline(5);
+        assert_eq!(e10.matches("✓ (5 crash schedules)").count(), 4, "{e10}");
         assert!(e3_simultaneous(5).contains("E3"));
         assert!(e4_tn(5).contains("E4"));
         assert!(e5_sn(4).contains("E5"));
@@ -2849,7 +2890,13 @@ mod tests {
         let experiments: Vec<(&str, Vec<JsonRow>)> = crate::cli::SNAPSHOT_IDS
             .iter()
             .map(|&id| match id {
-                "e18" => (id, vec![E18Row::default().json()]),
+                "e18" => {
+                    let row = E18Row {
+                        samples: vec![Duration::ZERO],
+                        ..E18Row::default()
+                    };
+                    (id, vec![row.json()])
+                }
                 _ => (id, vec![measured.clone()]),
             })
             .collect();

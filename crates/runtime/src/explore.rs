@@ -161,8 +161,11 @@ pub struct ExploreConfig {
     /// leaf counts and witnesses are byte-identical across them. Default:
     /// [`StorageTier::Packed`], the bit-packed arena held in RAM;
     /// [`StorageTier::PackedSpill`] also freezes it to disk at
-    /// [`spill_threshold`](Self::spill_threshold), bounding resident
-    /// memory at the cost of slower probes.
+    /// [`spill_threshold`](Self::spill_threshold), bounding the visited
+    /// set's resident arena at the cost of slower probes. Spill bounds
+    /// the visited set only: the witness log stays resident on every
+    /// tier, at 8 B per state plus the interned permutations
+    /// ([`ExploreStats::witness_bytes`]).
     pub storage: StorageTier,
     /// Cap on *accounted* visited-set bytes, alongside
     /// [`max_states`](Self::max_states). The account is a deterministic
@@ -177,7 +180,7 @@ pub struct ExploreConfig {
     pub max_bytes: Option<usize>,
     /// Resident-arena bytes that trigger a disk freeze under
     /// [`StorageTier::PackedSpill`] (`None` = 256 MiB). Outcomes are
-    /// independent of this knob; it bounds resident memory only.
+    /// independent of this knob; it bounds the resident arena only.
     pub spill_threshold: Option<usize>,
 }
 
@@ -249,8 +252,9 @@ pub struct ExploreStats {
     pub peak_table_bytes: usize,
     /// Total bytes written to spill runs (0 without the spill tier).
     pub spilled_bytes: usize,
-    /// Bytes held by the compacted witness log (parent links, interned
-    /// permutations and parent→child key deltas).
+    /// Bytes held by the witness log: one 8-byte parent link per state
+    /// plus the interned canonicalization permutations. It stays
+    /// resident under every storage tier.
     pub witness_bytes: usize,
 }
 
@@ -699,8 +703,9 @@ fn crashed(prog: &dyn Program) -> Box<dyn Program> {
 
 /// Clones `parent` and applies `action`, stepping afresh — the child
 /// builder of the independence cross-validation and the ample lint,
-/// which replay action pairs in both orders. Returns the child and the
-/// value it decided (if any); `decided_value` is left at the parent's.
+/// which replay action pairs in both orders, and of
+/// [`replay_on_checker`]. Returns the child and the value it decided (if
+/// any); `decided_value` is left at the parent's.
 fn apply_to_child(parent: &SysState, action: Action) -> (SysState, Option<Value>) {
     let mut child = parent.clone();
     match action {
@@ -747,6 +752,65 @@ fn check_decision(
         return Ok(());
     };
     Err((kind, decided.into_iter().chain([v]).cloned().collect()))
+}
+
+/// A schedule replayed on the checker's executor ([`replay_on_checker`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckerReplay {
+    /// Every decision of the replay, in schedule order: the deciding
+    /// process and its value, as [`Trace::decisions`](crate::Trace::decisions)
+    /// lists them.
+    pub decisions: Vec<(Pid, Value)>,
+    /// The first decision the checker flags: the violated property and
+    /// the conflicting outputs, as an [`ExploreOutcome::Violation`]
+    /// reports them.
+    pub violation: Option<(ViolationKind, Vec<Value>)>,
+}
+
+/// Replays `schedule` on the exhaustive checker's executor: from the
+/// factory's root state, each action is applied by the copy-on-write
+/// child builder the checker's cross-validation uses, and each decision
+/// is checked as the search checks it — against the first decided value
+/// and `inputs`. Like [`run`](crate::run), a step of a process whose
+/// current run has decided is skipped. The replay does not stop at a
+/// violation, so it lists every decision the schedule makes.
+///
+/// Crash legality is not checked: this is the second executor of the
+/// crash–recover model, not an adversary. Agreement with
+/// [`run`](crate::run) over [`Memory`] — the same decisions in the same
+/// order, and a flag exactly when the swarm's verdict is a safety
+/// violation — is what [`shrink_schedule`](crate::shrink_schedule)'s
+/// `witness_verified` and the swarm suite assert.
+pub fn replay_on_checker(
+    factory: &SystemFactory<'_>,
+    schedule: &[Action],
+    inputs: Option<&[Value]>,
+) -> CheckerReplay {
+    let (mem, programs) = factory();
+    let mut state = SysState::root(mem, programs);
+    let mut replay = CheckerReplay {
+        decisions: Vec::new(),
+        violation: None,
+    };
+    for &action in schedule {
+        let stepped = match action {
+            Action::Step(p) | Action::Branch(p, _) => Some(p),
+            Action::Crash(_) | Action::CrashAll => None,
+        };
+        if stepped.is_some_and(|p| state.is_decided(p)) {
+            continue;
+        }
+        let (child, decided) = apply_to_child(&state, action);
+        state = child;
+        if let (Some(p), Some(v)) = (stepped, decided) {
+            if replay.violation.is_none() {
+                replay.violation = check_decision(state.decided_value.as_ref(), &v, inputs).err();
+            }
+            state.decided_value.get_or_insert_with(|| v.clone());
+            replay.decisions.push((p, v));
+        }
+    }
+    replay
 }
 
 /// The post-crash program objects, one per process, precomputed **once**
@@ -2065,17 +2129,10 @@ impl SerialEngine<'_> {
     /// Admits the state whose key is `key`: memoizes it and, when new,
     /// charges the byte budget, logs its witness link — `(parent node,
     /// action, canonicalization)`, `None` at the root — and returns its
-    /// node index. `parent_key` is the parent's key (empty at the root),
-    /// against which the witness log delta-encodes this node's key.
-    /// Counts a known key as a duplicate, and sets `truncated` when the
-    /// state is new but `max_states` is reached or its cost would
-    /// overflow `max_bytes`.
-    fn admit(
-        &mut self,
-        key: &[u32],
-        link: Option<(u32, Action, Option<&[u8]>)>,
-        parent_key: &[u32],
-    ) -> Option<u32> {
+    /// node index. Counts a known key as a duplicate, and sets
+    /// `truncated` when the state is new but `max_states` is reached or
+    /// its cost would overflow `max_bytes`.
+    fn admit(&mut self, key: &[u32], link: Option<(u32, Action, Option<&[u8]>)>) -> Option<u32> {
         if self.visited.len() >= self.config.max_states || self.budget.exceeds(key) {
             // Past a cap, only a *new* state means truncation.
             if self.visited.get(key).is_some() {
@@ -2092,10 +2149,9 @@ impl SerialEngine<'_> {
         }
         self.budget.charge(key);
         match link {
-            None => self.witness.push(None, 0, None, parent_key, key),
+            None => self.witness.push(None, 0, None),
             Some((parent, action, perm)) => {
-                self.witness
-                    .push(Some(parent), action_code(action), perm, parent_key, key);
+                self.witness.push(Some(parent), action_code(action), perm);
             }
         }
         Some(idx)
@@ -2194,7 +2250,7 @@ fn explore_serial(
             engine.root_perm = Some(Box::from(&perm[..]));
         }
     }
-    if let Some(idx) = engine.admit(&key, None, &[]) {
+    if let Some(idx) = engine.admit(&key, None) {
         stack.extend(engine.expand(root, &key, idx));
     }
     let outcome = 'search: {
@@ -2222,7 +2278,7 @@ fn explore_serial(
             };
             let moved = engine.child_key(top, change, sleep, &mut key, &mut perm, &mut tmp);
             let perm = moved.then_some(&perm[..]);
-            let Some(idx) = engine.admit(&key, Some((top.idx, action, perm)), &top.key) else {
+            let Some(idx) = engine.admit(&key, Some((top.idx, action, perm))) else {
                 continue;
             };
             let child = engine.child_state(&top.state, change, perm);

@@ -63,8 +63,8 @@
 //!   distinct-final-state coverage through the packed tables,
 //!   per-seed deterministic replay ([`replay_seed`]) and
 //!   delta-debugging of violating schedules down to 1-minimal,
-//!   [`CrashModel`]-legal witnesses that re-verify through the
-//!   [`WitnessLog`] replay path ([`shrink_schedule`]).
+//!   [`CrashModel`]-legal witnesses ([`shrink_schedule`]) that
+//!   re-verify on the checker's executor ([`replay_on_checker`]).
 //! * [`threaded`] — a real-thread executor (`parking_lot` mutex per object,
 //!   one OS thread per process) for wall-clock benchmarks.
 //! * [`verify`] — agreement/validity/termination checkers for consensus-
@@ -125,8 +125,8 @@ pub use crash::{CrashMode, CrashModel};
 pub use exec::{run, Execution, RunOptions};
 pub use explore::{
     explore, explore_symmetric, explore_symmetric_with_stats, explore_with_stats, lint_ample,
-    AmpleLintReport, ExploreConfig, ExploreOutcome, ExploreStats, SymmetricSystemFactory,
-    SystemFactory, ViolationKind,
+    replay_on_checker, AmpleLintReport, CheckerReplay, ExploreConfig, ExploreOutcome, ExploreStats,
+    SymmetricSystemFactory, SystemFactory, ViolationKind,
 };
 pub use footprint::{
     analysis_fixpoint_runs, analyze_system, analyze_system_states, lint_system, lint_with_analysis,
@@ -144,12 +144,10 @@ pub use scalarset::{lint_scalarset, ScalarsetReport};
 // The storage layer: the packed-key codec and the spill runs' Bloom
 // filter are exported for the property suite in
 // tests/proptest_runtime.rs; `StorageTier` is the `ExploreConfig` knob
-// switching the visited set's disk tier on; `WitnessLog` is the
-// compacted parent-link log the engine and the swarm's witness replay
-// build (and tests replay).
+// switching the visited set's disk tier on.
 pub use storage::{
-    delta_decode, delta_encode, hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key,
-    KeyFilter, PackedStateTable, StorageTier, WitnessLog,
+    hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key, KeyFilter, PackedStateTable,
+    StorageTier,
 };
 // The swarm service: the engine (`swarm`/`swarm_with_progress`), the
 // per-seed replay and the schedule shrinker, re-exported flat for the

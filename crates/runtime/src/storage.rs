@@ -31,13 +31,13 @@
 //!   it does not hold; a *maybe* always falls through to the exact
 //!   on-disk search. Spill files live in the system temp directory and
 //!   are unlinked at creation (the handle keeps them alive), so nothing
-//!   persists past the search.
-//! * **[`WitnessLog`]** — parent links compacted into an append-only
-//!   log: one packed `u64` per node (parent, action code, deduplicated
-//!   permutation id) plus the node's key [`delta_encode`]d against its
-//!   parent's. Schedule reconstruction and key reconstruction
-//!   ([`WitnessLog::key_of`]) need only the log — they survive the
-//!   visited set spilling to disk.
+//!   persists past the search. Spill bounds the visited set only.
+//! * **`WitnessLog`** — parent links compacted into an append-only log:
+//!   one packed `u64` per node (parent, action code, deduplicated
+//!   permutation id). Schedule reconstruction walks only the links, so
+//!   it survives the visited set spilling to disk. The log itself stays
+//!   resident on every tier, at 8 B per state plus the interned
+//!   permutations.
 //!
 //! Determinism: every structure here is a pure function of the insertion
 //! sequence (seeded hashes, load-factor and spill thresholds checked in
@@ -55,8 +55,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Which storage backend the visited set uses. Both tiers are **exact**
 /// — identical verdicts, state counts, leaf counts and witnesses — and
 /// both hold the keys in a [`PackedStateTable`]; the spill tier trades
-/// probe cost for a resident footprint bounded by its threshold. See the
-/// module docs for the exactness argument.
+/// probe cost for a resident visited set bounded by its threshold. The
+/// search's witness log is not spilled: it stays resident at 8 B per
+/// state on either tier. See the module docs for the exactness argument.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageTier {
     /// Bit-packed keys in an arena behind an open-addressing index, all
@@ -65,7 +66,8 @@ pub enum StorageTier {
     Packed,
     /// [`Packed`](Self::Packed) plus the file-backed spill tier: the
     /// resident arena freezes into hash-sorted on-disk runs at a
-    /// threshold, bounding the exact set by disk instead of RAM.
+    /// threshold, bounding the exact set by disk instead of RAM. The
+    /// witness log (8 B per state) stays resident.
     PackedSpill,
 }
 
@@ -133,7 +135,7 @@ fn varint_len(v: u32) -> usize {
 /// # Panics
 ///
 /// Panics on truncated or over-long input — packed keys are produced
-/// only by [`pack_key`]/[`delta_encode`], so malformed bytes are a bug,
+/// only by [`pack_key`], so malformed bytes are a bug,
 /// not an input condition.
 #[inline]
 fn read_varint(bytes: &[u8], mut pos: usize) -> (u32, usize) {
@@ -193,53 +195,6 @@ pub fn unpack_key(bytes: &[u8]) -> Vec<u32> {
         pos = next;
     }
     key
-}
-
-// ---------------------------------------------------------------------
-// Delta encoding against the parent key
-// ---------------------------------------------------------------------
-
-/// Encodes `child` as a patch list against `parent`: the child's length
-/// followed by `(position-gap, value)` varint pairs for every slot that
-/// differs (with `parent` conceptually zero-padded or truncated to the
-/// child's length). The engines build child keys exactly this way on the
-/// hot patch path — copy the parent, re-intern the few touched slots —
-/// so the delta is naturally tiny: one dirty cell, one program key, the
-/// raw bookkeeping words.
-pub fn delta_encode(parent: &[u32], child: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_varint(&mut out, u32::try_from(child.len()).expect("key fits u32"));
-    let mut last = 0usize;
-    for (pos, &value) in child.iter().enumerate() {
-        let base = parent.get(pos).copied().unwrap_or(0);
-        if value != base {
-            push_varint(&mut out, u32::try_from(pos - last).expect("gap fits u32"));
-            push_varint(&mut out, value);
-            last = pos + 1;
-        }
-    }
-    out
-}
-
-/// Applies a [`delta_encode`] patch to `parent`, reproducing the child:
-/// `delta_decode(p, &delta_encode(p, c)) == c` for every `p`, `c`
-/// (property-tested in `tests/proptest_runtime.rs`).
-pub fn delta_decode(parent: &[u32], delta: &[u8]) -> Vec<u32> {
-    let (len, mut pos) = read_varint(delta, 0);
-    let len = len as usize;
-    let mut child: Vec<u32> = (0..len)
-        .map(|i| parent.get(i).copied().unwrap_or(0))
-        .collect();
-    let mut at = 0usize;
-    while pos < delta.len() {
-        let (gap, next) = read_varint(delta, pos);
-        let (value, next) = read_varint(delta, next);
-        pos = next;
-        at += gap as usize;
-        child[at] = value;
-        at += 1;
-    }
-    child
 }
 
 // ---------------------------------------------------------------------
@@ -771,22 +726,17 @@ fn link_unpack(link: u64) -> (u32, u32, u16) {
 /// Per accepted node it stores one packed `u64` (parent index, action
 /// code, permutation id — permutations are interned in a side table, so
 /// a canonicalization permutation is boxed once per *distinct*
-/// permutation instead of once per node) plus the node's key
-/// [`delta_encode`]d against its parent's key. Schedule reconstruction
-/// ([`link`](Self::link) walks) and full key reconstruction
-/// ([`key_of`](Self::key_of)) read only the log — both survive the
+/// permutation instead of once per node). Schedule reconstruction
+/// ([`link`](Self::link) walks) reads only the log, so it survives the
 /// visited set spilling to disk.
 ///
 /// Action codes are engine-defined (`u16`, `0` reserved for the root);
 /// the log never interprets them.
 #[derive(Debug, Default)]
-pub struct WitnessLog {
+pub(crate) struct WitnessLog {
     links: Vec<u64>,
     perms: Vec<Box<[u8]>>,
     perm_ids: FxHashMap<Box<[u8]>, u32>,
-    deltas: Vec<u8>,
-    /// Exclusive end offset of each node's delta in `deltas`.
-    ends: Vec<u64>,
 }
 
 impl WitnessLog {
@@ -798,18 +748,10 @@ impl WitnessLog {
         WitnessLog::default()
     }
 
-    /// Appends node `len()`'s edge: its parent (or `None` for the root),
-    /// the engine's action code (`0` iff root), the canonicalization
-    /// permutation (`None` = identity) and the parent → child key delta
-    /// (the root deltas against the empty key).
-    pub fn push(
-        &mut self,
-        parent: Option<u32>,
-        action: u16,
-        perm: Option<&[u8]>,
-        parent_key: &[u32],
-        key: &[u32],
-    ) {
+    /// Appends the next node's edge: its parent (or `None` for the
+    /// root), the engine's action code (`0` iff root) and the
+    /// canonicalization permutation (`None` = identity).
+    pub fn push(&mut self, parent: Option<u32>, action: u16, perm: Option<&[u8]>) {
         debug_assert_eq!(parent.is_none(), action == 0, "code 0 is the root's");
         let perm_id = match perm {
             None => 0,
@@ -828,19 +770,6 @@ impl WitnessLog {
             perm_id,
             action,
         ));
-        self.deltas
-            .extend_from_slice(&delta_encode(parent_key, key));
-        self.ends.push(self.deltas.len() as u64);
-    }
-
-    /// Node count.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether no node was pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
     }
 
     /// Node `idx`'s incoming edge: `(parent, action code, permutation)`,
@@ -854,40 +783,9 @@ impl WitnessLog {
         Some((parent, action, perm))
     }
 
-    fn delta_of(&self, idx: u32) -> &[u8] {
-        let end = self.ends[idx as usize] as usize;
-        let start = if idx == 0 {
-            0
-        } else {
-            self.ends[idx as usize - 1] as usize
-        };
-        &self.deltas[start..end]
-    }
-
-    /// Reconstructs node `idx`'s full key by replaying deltas root-down
-    /// — no visited-set lookup involved (asserted equal to
-    /// the engine-built keys in the runtime test suite).
-    pub fn key_of(&self, idx: u32) -> Vec<u32> {
-        let mut chain = vec![idx];
-        let mut at = idx;
-        while let Some((parent, _, _)) = self.link(at) {
-            chain.push(parent);
-            at = parent;
-        }
-        let mut key: Vec<u32> = Vec::new();
-        for &node in chain.iter().rev() {
-            key = delta_decode(&key, self.delta_of(node));
-        }
-        key
-    }
-
-    /// Accounted bytes held by the log (links + deltas + interned
-    /// permutations).
+    /// Accounted bytes held by the log (links + interned permutations).
     pub fn bytes(&self) -> usize {
-        self.links.len() * 8
-            + self.ends.len() * 8
-            + self.deltas.len()
-            + self.perms.iter().map(|p| p.len() + 16).sum::<usize>()
+        self.links.len() * 8 + self.perms.iter().map(|p| p.len() + 16).sum::<usize>()
     }
 }
 
@@ -932,25 +830,6 @@ mod tests {
             let packed = pack_key(key);
             assert_eq!(packed.len(), packed_key_len(key));
             assert_eq!(unpack_key(&packed), key);
-        }
-    }
-
-    #[test]
-    fn delta_round_trips_including_length_changes() {
-        let cases: [(&[u32], &[u32]); 5] = [
-            (&[], &[5, 0, 7]),
-            (&[5, 0, 7], &[5, 0, 7]),
-            (&[5, 0, 7], &[5, 9, 7]),
-            (&[5, 0, 7], &[5, 0]),
-            (&[1, 2], &[1, 2, 3, 4]),
-        ];
-        for (parent, child) in cases {
-            let delta = delta_encode(parent, child);
-            assert_eq!(
-                delta_decode(parent, &delta),
-                child,
-                "{parent:?} -> {child:?}"
-            );
         }
     }
 
@@ -1052,23 +931,20 @@ mod tests {
     }
 
     #[test]
-    fn witness_log_reconstructs_links_and_keys() {
+    fn witness_log_reconstructs_links() {
         let mut log = WitnessLog::new();
-        let root = vec![3u32, 0, 5, 0];
-        let child = vec![3u32, 9, 5, 1];
-        let grand = vec![4u32, 9, 5, 2];
         let perm: &[u8] = &[1, 0];
-        log.push(None, 0, None, &[], &root);
-        log.push(Some(0), 11, Some(perm), &root, &child);
-        log.push(Some(1), 7, Some(perm), &child, &grand);
-        assert_eq!(log.len(), 3);
+        log.push(None, 0, None);
+        log.push(Some(0), 11, Some(perm));
+        log.push(Some(1), 7, Some(perm));
         assert_eq!(log.link(0), None);
         assert_eq!(log.link(1), Some((0, 11, Some(perm))));
         assert_eq!(log.link(2), Some((1, 7, Some(perm))));
         assert_eq!(log.perms.len(), 1, "identical permutations intern once");
-        assert_eq!(log.key_of(0), root);
-        assert_eq!(log.key_of(1), child);
-        assert_eq!(log.key_of(2), grand);
-        assert!(log.bytes() > 0);
+        assert_eq!(
+            log.bytes(),
+            3 * 8 + perm.len() + 16,
+            "links + one permutation"
+        );
     }
 }

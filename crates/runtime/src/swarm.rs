@@ -49,12 +49,13 @@
 //! a subsequence of the original schedule that still exhibits the same
 //! violation kind, remains legal for the configured [`CrashModel`], and
 //! from which no single action can be removed without losing the
-//! violation. The shrunken schedule re-verifies through the
-//! [`WitnessLog`] replay path: the final replay records one log node per
-//! action (delta-encoded interned state keys, exactly the checker's
-//! format) and reconstructs the final state key from the log alone
-//! ([`WitnessLog::key_of`]), asserting it equals the directly-computed
-//! key.
+//! violation. The shrunken schedule then re-verifies on the exhaustive
+//! checker's executor ([`replay_on_checker`]): the checker's
+//! copy-on-write child builder replays it from the root state, and the
+//! witness is `witness_verified` when the checker makes the same
+//! decisions in the same order as [`run`] over [`Memory`] and flags a
+//! safety violation. Two executors of the crash–recover model then agree
+//! on the witness.
 //!
 //! Only safety violations (agreement, validity) shrink. A termination
 //! violation is a liveness property: *every* prefix of a schedule
@@ -63,15 +64,13 @@
 //! [`shrink_schedule`] refuses with [`ShrinkError::Termination`] instead
 //! of returning that vacuity.
 
-use crate::crash::{CrashMode, CrashModel};
+use crate::crash::CrashModel;
 use crate::exec::{run, Execution, RunOptions};
-use crate::explore::SystemFactory;
-use crate::intern::ValueInterner;
+use crate::explore::{replay_on_checker, SystemFactory};
 use crate::memory::Memory;
 use crate::program::Program;
-use crate::sched::{Action, RandomScheduler, RandomSchedulerConfig};
-use crate::storage::{PackedStateTable, WitnessLog};
-use crate::trace::{Trace, TraceEvent};
+use crate::sched::{Action, RandomScheduler, RandomSchedulerConfig, SchedContext, Scheduler};
+use crate::storage::PackedStateTable;
 use crate::verify::{check_agreement, check_consensus_execution, RcViolation};
 use rc_spec::Value;
 use std::fmt;
@@ -411,182 +410,78 @@ pub fn replay_seed(factory: &SystemFactory<'_>, config: &SwarmConfig, seed: u64)
 }
 
 /// The result of replaying an explicit schedule (a shrink candidate or
-/// a final witness) under legality tracking and, optionally, the
-/// [`WitnessLog`] state-reconstruction cross-check.
+/// a final witness) under legality tracking.
 #[derive(Debug)]
 pub struct ScheduleReplay {
     /// The deterministic execution of the schedule.
     pub execution: Execution,
     /// Whether every action was legal for the configured [`CrashModel`]
     /// (budget respected, post-decide policy respected, no `Branch`
-    /// actions — schedulers never emit those).
+    /// actions — schedulers never emit those) and the schedule fits in
+    /// [`SwarmConfig::max_actions`].
     pub legal: bool,
-    /// Witness-log nodes recorded (`0` when the log was not requested).
-    pub witness_nodes: usize,
-    /// Whether [`WitnessLog::key_of`] reconstructed the final state key
-    /// from the log alone, byte-identically to the directly-computed
-    /// key (`true` trivially when the log was not requested).
-    pub witness_verified: bool,
 }
 
 /// Replays `schedule` against a fresh system, tracking [`CrashModel`]
-/// legality per action, and (with `with_witness_log`) recording each
-/// post-action state into a [`WitnessLog`] — one node per action,
-/// interned keys delta-encoded against the parent, the checker's format
-/// — then reconstructing the final key from the log as a
-/// self-verification of the replay path.
+/// legality per action.
 ///
-/// Execution semantics are exactly [`run`]'s (this drives the same
-/// loop through a scripted scheduler); legality is checked alongside,
-/// not enforced — an illegal schedule still executes, it just reports
-/// `legal: false` so the shrinker can reject the candidate.
+/// The execution is [`run`]'s own: a private scripted scheduler plays
+/// the schedule action by action and checks each crash against
+/// [`CrashModel::legal_crashes`] in the context `run` shows it.
+/// Legality is checked alongside, not enforced — an illegal schedule
+/// still executes, it just reports `legal: false` so the shrinker can
+/// reject the candidate.
 pub fn replay_schedule(
     factory: &SystemFactory<'_>,
     config: &SwarmConfig,
     schedule: &[Action],
-    with_witness_log: bool,
 ) -> ScheduleReplay {
     let (mut mem, mut programs) = factory();
-    let n = programs.len();
-    let model = &config.crash;
-    let mut legal = schedule.len() <= config.max_actions;
-    // Legality pre-pass: simulate only the decided flags and the crash
-    // budget. This needs the real step results (a step may decide), so
-    // it is fused with the execution below instead of a separate pass.
-    let mut decided = vec![false; n];
-    let mut crashes_used = 0usize;
-
-    let mut interner = ValueInterner::new();
-    let mut log = WitnessLog::new();
-    let mut parent_key: Vec<u32> = Vec::new();
-    let state_key = |mem: &Memory,
-                     programs: &[Box<dyn Program>],
-                     decided: &[bool],
-                     interner: &mut ValueInterner| {
-        let mut key: Vec<u32> = Vec::with_capacity(n + 2);
-        for p in programs {
-            key.push(interner.intern(&p.state_key()));
-        }
-        let mut mask = 0u64;
-        for (i, &d) in decided.iter().enumerate() {
-            if d {
-                mask |= 1 << (i % 64);
-            }
-        }
-        key.push(mask as u32);
-        key.push((mask >> 32) as u32);
-        mem.intern_state_key(interner, &mut key);
-        key
+    let mut script = LegalityScript {
+        actions: schedule.iter(),
+        crash: config.crash,
+        legal: schedule.len() <= config.max_actions,
     };
-    if with_witness_log {
-        let root = state_key(&mem, &programs, &decided, &mut interner);
-        log.push(None, 0, None, &[], &root);
-        parent_key = root;
-    }
-
-    let mut outputs: Vec<Vec<Value>> = vec![Vec::new(); n];
-    let mut trace = Trace::new();
-    let mut steps = 0usize;
-    let mut crash_events = 0usize;
-    for (idx, action) in schedule.iter().enumerate() {
-        if idx >= config.max_actions {
-            break;
-        }
-        match *action {
-            Action::Step(p) => {
-                assert!(p < n, "schedule steps unknown process {p}");
-                if !decided[p] {
-                    steps += 1;
-                    trace.push(TraceEvent::Stepped(p));
-                    if let crate::program::Step::Decided(v) = programs[p].step(&mut mem) {
-                        decided[p] = true;
-                        outputs[p].push(v.clone());
-                        trace.push(TraceEvent::Decided(p, v));
-                    }
-                }
-            }
-            Action::Branch(..) => {
-                // Branch is engine-internal nondeterminism resolution;
-                // scheduler traces never contain it, so a candidate
-                // carrying one is ill-formed rather than adversarial.
-                legal = false;
-            }
-            Action::Crash(p) => {
-                assert!(p < n, "schedule crashes unknown process {p}");
-                if model.mode != CrashMode::Independent
-                    || model.exhausted(crashes_used)
-                    || !model.may_crash(decided[p])
-                {
-                    legal = false;
-                }
-                crashes_used += 1;
-                crash_events += 1;
-                programs[p].on_crash();
-                decided[p] = false;
-                trace.push(TraceEvent::Crashed(p));
-            }
-            Action::CrashAll => {
-                if model.mode != CrashMode::Simultaneous
-                    || model.exhausted(crashes_used)
-                    || !model.may_crash_all(&decided)
-                {
-                    legal = false;
-                }
-                crashes_used += 1;
-                crash_events += 1;
-                for (p, prog) in programs.iter_mut().enumerate() {
-                    prog.on_crash();
-                    decided[p] = false;
-                }
-                trace.push(TraceEvent::CrashedAll);
-            }
-        }
-        if with_witness_log {
-            let key = state_key(&mem, &programs, &decided, &mut interner);
-            let parent = u32::try_from(log.len() - 1).expect("log index fits u32");
-            log.push(
-                Some(parent),
-                action_code(*action, n),
-                None,
-                &parent_key,
-                &key,
-            );
-            parent_key = key;
-        }
-    }
-
-    let witness_verified = if with_witness_log {
-        let last = u32::try_from(log.len() - 1).expect("log index fits u32");
-        log.key_of(last) == parent_key
-    } else {
-        true
-    };
-    ScheduleReplay {
-        execution: Execution {
-            outputs,
-            steps,
-            crashes: crash_events,
-            all_decided: decided.iter().all(|d| *d),
-            hit_step_limit: schedule.len() > config.max_actions,
-            trace,
+    let execution = run(
+        &mut mem,
+        &mut programs,
+        &mut script,
+        RunOptions {
+            max_actions: config.max_actions,
+            record_trace: true,
         },
-        legal,
-        witness_nodes: log.len(),
-        witness_verified,
+    );
+    ScheduleReplay {
+        execution,
+        legal: script.legal,
     }
 }
 
-/// The [`WitnessLog`] action code of a scheduler action: `1 + p` for
-/// steps, `1 + n + p` for independent crashes, `1 + 2n` for `CrashAll`
-/// (`0` is the log's reserved root code). Injective for `n < 1365`
-/// (the log's 12-bit action field).
-fn action_code(action: Action, n: usize) -> u16 {
-    let code = match action {
-        Action::Step(p) | Action::Branch(p, _) => 1 + p,
-        Action::Crash(p) => 1 + n + p,
-        Action::CrashAll => 1 + 2 * n,
-    };
-    u16::try_from(code).expect("action code fits the log's 12-bit field")
+/// [`replay_schedule`]'s scheduler: plays a fixed schedule, then ends the
+/// execution, and clears `legal` at the first action the crash model
+/// forbids.
+struct LegalityScript<'a> {
+    actions: std::slice::Iter<'a, Action>,
+    crash: CrashModel,
+    legal: bool,
+}
+
+impl Scheduler for LegalityScript<'_> {
+    fn next_action(&mut self, ctx: &SchedContext<'_>) -> Option<Action> {
+        let action = *self.actions.next()?;
+        self.legal &= match action {
+            Action::Step(_) => true,
+            // Branch is engine-internal nondeterminism resolution;
+            // scheduler traces never contain it, so a candidate carrying
+            // one is ill-formed rather than adversarial.
+            Action::Branch(..) => false,
+            Action::Crash(_) | Action::CrashAll => self
+                .crash
+                .legal_crashes(ctx.decided, ctx.crashes_injected)
+                .contains(&action),
+        };
+        Some(action)
+    }
 }
 
 /// Why a schedule could not be shrunk.
@@ -631,8 +526,9 @@ pub struct ShrunkWitness {
     pub original_len: usize,
     /// Candidate schedules replayed during delta-debugging.
     pub candidates_tested: usize,
-    /// Whether the final witness re-verified through the [`WitnessLog`]
-    /// replay path (always `true`; recorded so callers can assert it).
+    /// Whether the witness re-verified on the checker's executor
+    /// ([`replay_on_checker`]): the checker made the same decisions in
+    /// the same order as [`run`] and flagged a safety violation.
     pub witness_verified: bool,
 }
 
@@ -641,9 +537,9 @@ pub struct ShrunkWitness {
 /// The candidate predicate is: the candidate is a subsequence of the
 /// original (by construction — ddmin only deletes), is legal for the
 /// configured [`CrashModel`], and replays to a violation of the same
-/// kind as the original's. On success the minimal witness has been
-/// re-verified through the [`WitnessLog`] replay path
-/// ([`replay_schedule`] with the log enabled).
+/// kind as the original's. The minimal witness is then replayed on the
+/// checker's executor, and [`ShrunkWitness::witness_verified`] reports
+/// whether the checker agrees with [`run`] on it.
 ///
 /// # Errors
 ///
@@ -655,7 +551,7 @@ pub fn shrink_schedule(
     config: &SwarmConfig,
     schedule: &[Action],
 ) -> Result<ShrunkWitness, ShrinkError> {
-    let base = replay_schedule(factory, config, schedule, false);
+    let base = replay_schedule(factory, config, schedule);
     let target = match check_execution(&base.execution, config.inputs.as_deref()) {
         Ok(()) => return Err(ShrinkError::NotAViolation),
         Err(RcViolation::Termination) => return Err(ShrinkError::Termination),
@@ -665,7 +561,7 @@ pub fn shrink_schedule(
     let mut tested = 0usize;
     let mut violates = |candidate: &[Action]| -> bool {
         tested += 1;
-        let replay = replay_schedule(factory, config, candidate, false);
+        let replay = replay_schedule(factory, config, candidate);
         replay.legal
             && matches!(
                 check_execution(&replay.execution, config.inputs.as_deref()),
@@ -705,13 +601,12 @@ pub fn shrink_schedule(
         granularity = (granularity * 2).min(current.len());
     }
 
-    // Final witness: re-verify through the WitnessLog replay path.
-    let replay = replay_schedule(factory, config, &current, true);
+    // Final witness: re-verify on the checker's executor.
+    let replay = replay_schedule(factory, config, &current);
     assert!(replay.legal, "shrunken witness must stay CrashModel-legal");
-    assert!(
-        replay.witness_verified,
-        "WitnessLog replay must reconstruct the final state key"
-    );
+    let checker = replay_on_checker(factory, &current, config.inputs.as_deref());
+    let witness_verified =
+        checker.violation.is_some() && checker.decisions == replay.execution.trace.decisions();
     let violation = check_execution(&replay.execution, config.inputs.as_deref())
         .expect_err("shrunken witness must still violate");
     assert_eq!(
@@ -724,7 +619,7 @@ pub fn shrink_schedule(
         violation,
         original_len: schedule.len(),
         candidates_tested: tested,
-        witness_verified: replay.witness_verified,
+        witness_verified,
     })
 }
 
@@ -973,7 +868,7 @@ mod tests {
         for skip in 0..shrunk.schedule.len() {
             let mut candidate = shrunk.schedule.clone();
             candidate.remove(skip);
-            let replay = replay_schedule(&factory, &config, &candidate, false);
+            let replay = replay_schedule(&factory, &config, &candidate);
             let still_violates = replay.legal
                 && matches!(
                     check_execution(&replay.execution, config.inputs.as_deref()),
@@ -1014,31 +909,35 @@ mod tests {
         };
         // Two crashes exceed the budget of one.
         let over_budget = [Action::Crash(0), Action::Crash(0)];
-        assert!(!replay_schedule(&factory, &config, &over_budget, false).legal);
+        assert!(!replay_schedule(&factory, &config, &over_budget).legal);
         // CrashAll is the wrong mode for an independent model.
-        assert!(!replay_schedule(&factory, &config, &[Action::CrashAll], false).legal);
+        assert!(!replay_schedule(&factory, &config, &[Action::CrashAll]).legal);
         // One legal crash is fine.
-        assert!(replay_schedule(&factory, &config, &[Action::Crash(0)], false).legal);
+        assert!(replay_schedule(&factory, &config, &[Action::Crash(0)]).legal);
         // Post-decide crash against a strict policy is illegal.
         let decide_then_crash = [Action::Step(0), Action::Step(0), Action::Crash(0)];
-        assert!(!replay_schedule(&factory, &config, &decide_then_crash, false).legal);
+        assert!(!replay_schedule(&factory, &config, &decide_then_crash).legal);
     }
 
+    /// A seed's schedule replays to the seed's execution through
+    /// `replay_schedule`, and the checker's executor makes the same
+    /// decisions and flags nothing on this agreeing system.
     #[test]
-    fn replay_schedule_matches_run_and_witness_log_verifies() {
+    fn replay_schedule_matches_run_and_the_checker() {
         let factory = || agreeing_system(3);
         let config = small_config(1, 1);
         for seed in 0..20u64 {
             let seed_run = replay_seed(&factory, &config, seed);
             let schedule = seed_run.execution.trace.to_actions();
-            let replay = replay_schedule(&factory, &config, &schedule, true);
+            let replay = replay_schedule(&factory, &config, &schedule);
             assert_eq!(replay.execution.outputs, seed_run.execution.outputs);
             assert_eq!(replay.execution.steps, seed_run.execution.steps);
             assert_eq!(replay.execution.crashes, seed_run.execution.crashes);
             assert_eq!(replay.execution.trace, seed_run.execution.trace);
             assert!(replay.legal, "a scheduler-produced schedule is legal");
-            assert!(replay.witness_verified);
-            assert_eq!(replay.witness_nodes, schedule.len() + 1, "root + actions");
+            let checker = replay_on_checker(&factory, &schedule, config.inputs.as_deref());
+            assert_eq!(checker.decisions, seed_run.execution.trace.decisions());
+            assert_eq!(checker.violation, None, "seed {seed}");
         }
     }
 

@@ -866,9 +866,9 @@ proptest! {
     }
 }
 
-// The tiered-storage codec properties: the bit-packed key form and the
-// parent-delta encoding are exact (lossless and injective) and the
-// spill runs' Bloom filter is deterministic — the foundations the
+// The tiered-storage codec properties: the bit-packed key form is exact
+// (lossless and injective) and the spill runs' Bloom filter is
+// deterministic — the foundations the
 // storage tiers' exactness argument rests on (see DESIGN §3).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -886,18 +886,6 @@ proptest! {
         prop_assert_eq!(packed.len(), rc_runtime::packed_key_len(&a));
         prop_assert_eq!(rc_runtime::unpack_key(&packed), a.clone());
         prop_assert_eq!(a == b, packed == rc_runtime::pack_key(&b));
-    }
-
-    /// `delta_decode(parent, delta_encode(parent, child)) == child` for
-    /// every parent/child pair, including length changes in both
-    /// directions (the witness log's key reconstruction depends on it).
-    #[test]
-    fn delta_encode_decode_is_the_identity(
-        parent in proptest::collection::vec(0u32..5_000, 0..24),
-        child in proptest::collection::vec(0u32..5_000, 0..24),
-    ) {
-        let delta = rc_runtime::delta_encode(&parent, &child);
-        prop_assert_eq!(rc_runtime::delta_decode(&parent, &delta), child);
     }
 
     /// The packed table is observationally identical to a flat map:

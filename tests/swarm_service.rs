@@ -1,17 +1,20 @@
 //! End-to-end properties of the swarm verification service: the
 //! determinism contract (equal seeds give byte-identical aggregates at
-//! any thread count, equal to an independent fresh-build loop) and the
-//! shrinker invariants (a shrunken schedule still violates, is
-//! crash-legal, and is a subsequence of the original), exercised
-//! through the same catalog the `swarm` binary sweeps.
+//! any thread count, equal to an independent fresh-build loop), the
+//! cross-executor contract (the exhaustive checker's executor replays
+//! every swarm schedule to the same decisions and flags exactly its
+//! safety violations) and the shrinker invariants (a shrunken schedule
+//! still violates, is crash-legal, is a subsequence of the original and
+//! re-verifies on the checker), exercised through the same catalog the
+//! `swarm` binary sweeps.
 
 use proptest::prelude::*;
 use rc_bench::swarm_catalog::{find_system, swarm_catalog, SwarmSystem};
 use rc_runtime::swarm::swarm;
-use rc_runtime::verify::check_consensus_execution;
+use rc_runtime::verify::{check_consensus_execution, RcViolation};
 use rc_runtime::{
-    is_subsequence, replay_schedule, replay_seed, run, shrink_schedule, CrashModel, RunOptions,
-    SwarmConfig,
+    is_subsequence, replay_on_checker, replay_schedule, replay_seed, run, shrink_schedule,
+    CrashModel, RunOptions, SwarmConfig,
 };
 use rc_spec::Value;
 use std::collections::HashSet;
@@ -80,6 +83,15 @@ proptest! {
 /// one build, keys finals as packed words and merges per-worker tables.
 /// At one and at three threads it must report exactly the loop's
 /// coverage, step and crash totals and violating seeds.
+///
+/// Each seed's recorded schedule also replays on the exhaustive
+/// checker's executor (`replay_on_checker`: copy-on-write child builder,
+/// per-decision checks), which must make the same decisions in the same
+/// order and flag a violation exactly when the reference verdict is a
+/// safety violation. Flags are compared, not kinds: the reference checks
+/// agreement over all outputs before validity, the checker each decision
+/// in time order, so an invalid decision followed by a conflicting one
+/// reads validity on one side and agreement on the other.
 #[test]
 fn sweeps_match_a_fresh_build_reference_loop() {
     const SEEDS: u64 = 300;
@@ -92,7 +104,7 @@ fn sweeps_match_a_fresh_build_reference_loop() {
             let (mut mem, mut programs) = (sys.factory())();
             let options = RunOptions {
                 max_actions: config.max_actions,
-                record_trace: false,
+                record_trace: true,
             };
             let exec = run(
                 &mut mem,
@@ -102,7 +114,20 @@ fn sweeps_match_a_fresh_build_reference_loop() {
             );
             steps += exec.steps as u64;
             crashes += exec.crashes as u64;
-            if let Err(violation) = check_consensus_execution(&exec, &sys.inputs) {
+            let verdict = check_consensus_execution(&exec, &sys.inputs);
+            let checker =
+                replay_on_checker(sys.factory(), &exec.trace.to_actions(), Some(&sys.inputs));
+            let at = format!("{} seed {seed}", sys.id);
+            assert_eq!(checker.decisions, exec.trace.decisions(), "{at}: decisions");
+            assert_eq!(
+                checker.violation.is_some(),
+                matches!(
+                    verdict,
+                    Err(RcViolation::Agreement { .. } | RcViolation::Validity { .. })
+                ),
+                "{at}: the checker flags exactly the safety violations ({verdict:?})"
+            );
+            if let Err(violation) = verdict {
                 violations.push((seed, violation));
             }
             let program_keys: Vec<Value> = programs.iter().map(|p| p.state_key()).collect();
@@ -145,8 +170,8 @@ fn sweeps_match_a_fresh_build_reference_loop() {
 /// The shrinker invariants, over every violating seed of a crash-free
 /// sweep of the seeded bug: the minimal witness is a subsequence of the
 /// replayed schedule, is [`CrashModel`]-legal, still exhibits the same
-/// violation kind when replayed, and re-verifies through the witness
-/// log.
+/// violation kind when replayed, and re-verifies on the checker's
+/// executor.
 #[test]
 fn shrunken_witnesses_violate_legally_as_subsequences() {
     let sys = system("broken-team-rc");
@@ -167,18 +192,14 @@ fn shrunken_witnesses_violate_legally_as_subsequences() {
             v.seed
         );
         assert!(shrunk.schedule.len() <= schedule.len());
-        assert!(
-            shrunk.witness_verified,
-            "seed {}: witness-log replay",
-            v.seed
-        );
+        assert!(shrunk.witness_verified, "seed {}: checker replay", v.seed);
         assert_eq!(
             std::mem::discriminant(&shrunk.violation),
             std::mem::discriminant(&v.violation),
             "seed {}: the violation kind is preserved",
             v.seed
         );
-        let replay = replay_schedule(sys.factory(), &config, &shrunk.schedule, false);
+        let replay = replay_schedule(sys.factory(), &config, &shrunk.schedule);
         assert!(replay.legal, "seed {}: witness must be crash-legal", v.seed);
         let verdict =
             rc_runtime::verify::check_consensus_execution(&replay.execution, sys.inputs.as_slice());
@@ -218,9 +239,9 @@ fn shrinking_respects_the_crash_model_budget() {
             "seed {}",
             v.seed
         );
-        let replay = replay_schedule(sys.factory(), &config, &shrunk.schedule, true);
+        let replay = replay_schedule(sys.factory(), &config, &shrunk.schedule);
         assert!(replay.legal, "seed {}: budget-legal witness", v.seed);
-        assert!(replay.witness_verified, "seed {}", v.seed);
+        assert!(shrunk.witness_verified, "seed {}: checker replay", v.seed);
     }
     assert!(
         crashes_seen > 0,
