@@ -13,7 +13,7 @@ use rc_core::algorithms::{
 };
 use rc_core::{
     check_discerning, check_recording, compute_hierarchy, find_recording_witness, is_discerning,
-    is_recording, set_rcons_bounds, Assignment, RecordingWitness, Team,
+    is_recording, set_rcons_bounds, Assignment, DiscerningWitness, RecordingWitness, Team,
 };
 use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
 use rc_runtime::swarm::swarm;
@@ -37,6 +37,40 @@ pub(crate) fn sn_witness(n: usize) -> (TypeHandle, RecordingWitness) {
     let a = Assignment::split(Sn::q0(), vec![Sn::op_a()], vec![Sn::op_b(); n - 1]);
     let w = check_recording(&sn, &a).expect("S_n witness");
     (Arc::new(sn), w)
+}
+
+/// The Theorem 3 discerning witness for T_n: `n / 2` processes on
+/// team A, the rest on team B.
+pub(crate) fn tn_witness(n: usize) -> (TypeHandle, DiscerningWitness) {
+    let tn = Tn::new(n);
+    let a = Assignment::split(
+        Tn::forget_state(),
+        vec![Tn::op_a(); n / 2],
+        vec![Tn::op_b(); n - n / 2],
+    );
+    let w = check_discerning(&tn, &a).expect("T_n witness");
+    (Arc::new(tn), w)
+}
+
+/// The recording witness for the Section 3.1 *broken* team-RC
+/// counterexample: CAS(2) with a 3-row witness, normalized so team B
+/// has at least two rows (the shape whose missing |B| ≥ 2 guard the
+/// broken variant exploits).
+pub(crate) fn broken_witness() -> (TypeHandle, RecordingWitness) {
+    let cas: TypeHandle = Arc::new(Cas::new(2));
+    let w = find_recording_witness(&cas, 3)
+        .expect("CAS witness")
+        .normalized();
+    let w = if w.assignment.team_size(Team::B) >= 2 {
+        w
+    } else {
+        RecordingWitness {
+            assignment: w.assignment.swap_teams(),
+            q_a: w.q_b.clone(),
+            q_b: w.q_a.clone(),
+        }
+    };
+    (cas, w)
 }
 
 pub(crate) fn team_inputs(w: &Assignment) -> Vec<Value> {
@@ -174,19 +208,7 @@ pub fn e2_team_rc(seeds: u64) -> String {
         ]);
     }
     // The broken variant (guard removed) must violate agreement.
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("CAS witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
+    let (cas, w) = broken_witness();
     let inputs = team_inputs(&w.assignment);
     let outcome = explore(
         &|| build_broken_team_rc_system(cas.clone(), &w, &inputs),
@@ -760,17 +782,7 @@ pub fn e10_headline(seeds: u64) -> String {
         "crash counterexample",
     ]);
     for n in [4usize, 6] {
-        let tn = Tn::new(n);
-        let ty: TypeHandle = Arc::new(Tn::new(n));
-        let w = check_discerning(
-            &tn,
-            &Assignment::split(
-                Tn::forget_state(),
-                vec![Tn::op_a(); n / 2],
-                vec![Tn::op_b(); n.div_ceil(2)],
-            ),
-        )
-        .expect("T_n witness");
+        let (ty, w) = tn_witness(n);
         // Consensus at n: crash-free execution check.
         let inputs = team_inputs(&w.assignment);
         let (mut mem, mut programs) = build_team_consensus_system(ty.clone(), &w, &inputs);
@@ -925,7 +937,6 @@ impl Measured {
             ("mode", Json::Str(self.mode.into())),
             ("tier", Json::Str(self.config.storage.to_string())),
             ("max_states", int(self.config.max_states)),
-            ("max_bytes", int(self.config.max_bytes.unwrap_or(0))),
             ("verdict", Json::Str(self.verdict().into())),
             ("states", int(self.states())),
             ("leaves", int(self.leaves())),
@@ -1133,11 +1144,6 @@ const E16_COLUMNS: &[Column<Measured>] = &[
     ("tier", |r| r.config.storage.to_string()),
     MODE,
     CAP,
-    ("byte cap", |r| {
-        r.config
-            .max_bytes
-            .map_or_else(|| "—".into(), |b| format!("{}M", b >> 20))
-    }),
     VERDICT,
     STATES,
     LEAVES,
@@ -1620,18 +1626,13 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<Measured>) {
 /// default cap recorded as `Truncated` (E12's `S_8`/budget-0 off row,
 /// E13's masked `S_7`/budget-0 off row), re-run **unreduced** with the
 /// cap lifted under both storage tiers
-/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)). Each
-/// instance records:
-///
-/// * a **lifted-cap grid** — one row per tier — every row asserted
-///   `Verified` past the catalog's cap with byte-identical state and
-///   weighted-leaf counts, and the leaf count asserted equal to what the
-///   catalog's *reduced* searches (rebind / symmetry-on) computed for
-///   the same instance: the full unreduced search independently
-///   confirms the reduction machinery's answer;
-/// * one **byte-capped** row (`ExploreConfig::max_bytes` generous
-///   enough to verify) exercising the deterministic byte budget at
-///   scale, asserted identical to the grid.
+/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)): one row
+/// per tier, every row asserted `Verified` past the catalog's cap with
+/// byte-identical state and weighted-leaf counts, and the leaf count
+/// asserted equal to what the catalog's *reduced* searches (rebind /
+/// symmetry-on) computed for the same instance — the full unreduced
+/// search independently confirms the reduction machinery's answer. The
+/// masked instance also re-runs with por+rebind on both tiers.
 ///
 /// Exactness is the point: the spill tier compares full key bytes on
 /// disk, so — unlike bitstate/supertrace hashing — both tiers return
@@ -1654,7 +1655,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     // Small enough that every lifted-cap spill row freezes runs; run
     // probes stay cheap behind the per-run Blooms.
     let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
-    let byte_cap: usize = if fast { 256 << 20 } else { 8 << 30 };
     let mut rows = Vec::new();
     for &(n, masked, budget, expected_leaves) in sweep {
         let (ty, w) = sn_witness(n);
@@ -1713,18 +1713,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
             }
             rows.push(row);
         }
-        let grid = (rows[grid_start].states(), rows[grid_start].leaves());
-        let byte_cfg = ExploreConfig {
-            max_bytes: Some(byte_cap),
-            ..lifted(StorageTier::PackedSpill)
-        };
-        let byte_row = measure(&system, "unreduced", plain, &byte_cfg);
-        assert_eq!(
-            (byte_row.verdict(), byte_row.states(), byte_row.leaves()),
-            ("Verified", grid.0, grid.1),
-            "{system}/{budget}: the byte-budgeted run must match the grid exactly"
-        );
-        rows.push(byte_row);
         if masked {
             // The composed reducers (por+rebind, as in E15) on top of
             // the packed and spill tiers: the storage layer must stay
@@ -1745,7 +1733,7 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
             for row in &reduced {
                 let tier = row.config.storage;
                 assert!(
-                    row.states() < grid.0,
+                    row.states() < rows[grid_start].states(),
                     "{system}/{budget}: por+rebind must visit fewer states than unreduced"
                 );
                 assert_eq!(
@@ -1776,17 +1764,15 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     };
     let report = format!(
         "E16 — bit-packed state storage (packed arena keys, file-backed \
-         spill runs, byte budget): catalog instances past the catalog's \
-         state cap, re-run unreduced with the cap lifted, on both storage \
-         tiers:\n{}\n\
+         spill runs): catalog instances past the catalog's state cap, \
+         re-run unreduced with the cap lifted, on both storage tiers:\n{}\n\
          largest exact search: {} states ({}/budget-{}); outcomes \
          byte-identical across both tiers, weighted leaf counts equal to \
-         the catalog's reduced-search records, and the byte-budgeted run \
-         matches the grid (all asserted). Peak resident visited-set: \
-         {:.0} MB packed vs {:.0} MB packed+spill. Spill rows freeze \
-         resident arenas to disk behind per-run Blooms and stay exact — \
-         full key bytes are compared on disk, never hash fingerprints \
-         alone. The masked instance additionally re-runs with both \
+         the catalog's reduced-search records (all asserted). Peak \
+         resident visited-set: {:.0} MB packed vs {:.0} MB packed+spill. \
+         Spill rows freeze resident arenas to disk behind per-run Blooms \
+         and stay exact — full key bytes are compared on disk, never hash \
+         fingerprints alone. The masked instance additionally re-runs with both \
          reducers composed (por+rebind, as in E15) on both tiers: the \
          reduced search's canonical state counts are byte-identical \
          across tiers and its weighted leaves match the unreduced grid \
@@ -2160,7 +2146,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 10;
+const SNAPSHOT_SCHEMA: u64 = 11;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {
@@ -2250,16 +2236,6 @@ pub type LintSystemFn = Box<
 /// per-process fixpoint budget, so it is audited structurally via E6's
 /// history audit instead of appearing here.
 pub fn lint_catalog() -> Vec<(String, LintSystemFn)> {
-    let tn_witness = |n: usize| {
-        let tn = Tn::new(n);
-        let a = Assignment::split(
-            Tn::forget_state(),
-            vec![Tn::op_a(); n / 2],
-            vec![Tn::op_b(); n - n / 2],
-        );
-        let w = check_discerning(&tn, &a).expect("T_n witness");
-        (Arc::new(tn) as TypeHandle, w)
-    };
     let mut catalog: Vec<(String, LintSystemFn)> = Vec::new();
     {
         let (ty, w) = tn_witness(4);
@@ -2708,65 +2684,63 @@ mod tests {
     /// seed and witness lengths). Each sweep asserts its own invariants
     /// while it runs.
     const E11_FAST: &[&str] = &[
-        "S_2 | 0 | packed | off | 5000000 | — | Verified | 68 | 5",
-        "S_2 | 1 | packed | off | 5000000 | — | Verified | 279 | 6",
-        "S_2 | 2 | packed | off | 5000000 | — | Verified | 514 | 6",
-        "S_3 | 0 | packed | off | 5000000 | — | Verified | 561 | 8",
-        "S_3 | 1 | packed | off | 5000000 | — | Verified | 2161 | 9",
-        "S_3 | 2 | packed | off | 5000000 | — | Verified | 3981 | 9",
-        "S_4 | 0 | packed | off | 5000000 | — | Verified | 4315 | 11",
-        "S_4 | 1 | packed | off | 5000000 | — | Verified | 15557 | 12",
+        "S_2 | 0 | packed | off | 5000000 | Verified | 68 | 5",
+        "S_2 | 1 | packed | off | 5000000 | Verified | 279 | 6",
+        "S_2 | 2 | packed | off | 5000000 | Verified | 514 | 6",
+        "S_3 | 0 | packed | off | 5000000 | Verified | 561 | 8",
+        "S_3 | 1 | packed | off | 5000000 | Verified | 2161 | 9",
+        "S_3 | 2 | packed | off | 5000000 | Verified | 3981 | 9",
+        "S_4 | 0 | packed | off | 5000000 | Verified | 4315 | 11",
+        "S_4 | 1 | packed | off | 5000000 | Verified | 15557 | 12",
     ];
     const E12_FAST: &[&str] = &[
-        "S_3 | 1 | packed | off | 5000000 | — | Verified | 2161 | 9",
-        "S_3 | 1 | packed | on | 5000000 | — | Verified | 1258 | 9",
-        "S_3 | 2 | packed | off | 5000000 | — | Verified | 3981 | 9",
-        "S_3 | 2 | packed | on | 5000000 | — | Verified | 2328 | 9",
-        "S_4 | 1 | packed | off | 5000000 | — | Verified | 15557 | 12",
-        "S_4 | 1 | packed | on | 5000000 | — | Verified | 4037 | 12",
+        "S_3 | 1 | packed | off | 5000000 | Verified | 2161 | 9",
+        "S_3 | 1 | packed | on | 5000000 | Verified | 1258 | 9",
+        "S_3 | 2 | packed | off | 5000000 | Verified | 3981 | 9",
+        "S_3 | 2 | packed | on | 5000000 | Verified | 2328 | 9",
+        "S_4 | 1 | packed | off | 5000000 | Verified | 15557 | 12",
+        "S_4 | 1 | packed | on | 5000000 | Verified | 4037 | 12",
     ];
     const E13_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | slots | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | off | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | rebind | 5000000 | — | Verified | 2322 | 11",
-        "masked S_4 | 1 | packed | slots | 5000000 | — | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | off | 5000000 | — | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | rebind | 5000000 | — | Verified | 10978 | 12",
-        "masked S_5 | 0 | packed | off | 5000000 | — | Verified | 94781 | 14",
-        "masked S_5 | 0 | packed | rebind | 5000000 | — | Verified | 7610 | 14",
-        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | — | Verified | 175535 | 42",
-        "SimultaneousRc n=3 | 1 | packed | slots | 5000000 | — | Verified | 175535 | 42",
+        "masked S_4 | 0 | packed | slots | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | off | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | rebind | 5000000 | Verified | 2322 | 11",
+        "masked S_4 | 1 | packed | slots | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | off | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | rebind | 5000000 | Verified | 10978 | 12",
+        "masked S_5 | 0 | packed | off | 5000000 | Verified | 94781 | 14",
+        "masked S_5 | 0 | packed | rebind | 5000000 | Verified | 7610 | 14",
+        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | packed | slots | 5000000 | Verified | 175535 | 42",
     ];
     const E15_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | off | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | por | 5000000 | — | Verified | 6416 | 11",
-        "masked S_4 | 0 | packed | rebind | 5000000 | — | Verified | 2322 | 11",
-        "masked S_4 | 0 | packed | por+rebind | 5000000 | — | Verified | 1306 | 11",
-        "masked S_4 | 1 | packed | off | 5000000 | — | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | por | 5000000 | — | Verified | 56443 | 12",
-        "masked S_4 | 1 | packed | rebind | 5000000 | — | Verified | 10978 | 12",
-        "masked S_4 | 1 | packed | por+rebind | 5000000 | — | Verified | 12589 | 12",
-        "masked S_4 (CrashAll) | 1 | packed | off | 5000000 | — | Verified | 43239 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | por | 5000000 | — | Verified | 21205 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | rebind | 5000000 | — | Verified | 10287 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | por+rebind | 5000000 | — | Verified | 5213 | 11",
-        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | — | Verified | 175535 | 42",
-        "SimultaneousRc n=3 | 1 | packed | por | 5000000 | — | Verified | 126453 | 42",
+        "masked S_4 | 0 | packed | off | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | por | 5000000 | Verified | 6416 | 11",
+        "masked S_4 | 0 | packed | rebind | 5000000 | Verified | 2322 | 11",
+        "masked S_4 | 0 | packed | por+rebind | 5000000 | Verified | 1306 | 11",
+        "masked S_4 | 1 | packed | off | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | packed | por | 5000000 | Verified | 56443 | 12",
+        "masked S_4 | 1 | packed | rebind | 5000000 | Verified | 10978 | 12",
+        "masked S_4 | 1 | packed | por+rebind | 5000000 | Verified | 12589 | 12",
+        "masked S_4 (CrashAll) | 1 | packed | off | 5000000 | Verified | 43239 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | por | 5000000 | Verified | 21205 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | rebind | 5000000 | Verified | 10287 | 11",
+        "masked S_4 (CrashAll) | 1 | packed | por+rebind | 5000000 | Verified | 5213 | 11",
+        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | packed | por | 5000000 | Verified | 126453 | 42",
     ];
     const E16_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | unreduced | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | — | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | 256M | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | por+rebind | 5000000 | — | Verified | 1306 | 11",
-        "masked S_4 | 0 | packed+spill | por+rebind | 5000000 | — | Verified | 1306 | 11",
-        "S_4 | 2 | packed | unreduced | 5000000 | — | Verified | 28675 | 12",
-        "S_4 | 2 | packed+spill | unreduced | 5000000 | — | Verified | 28675 | 12",
-        "S_4 | 2 | packed+spill | unreduced | 5000000 | 256M | Verified | 28675 | 12",
+        "masked S_4 | 0 | packed | unreduced | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | packed | por+rebind | 5000000 | Verified | 1306 | 11",
+        "masked S_4 | 0 | packed+spill | por+rebind | 5000000 | Verified | 1306 | 11",
+        "S_4 | 2 | packed | unreduced | 5000000 | Verified | 28675 | 12",
+        "S_4 | 2 | packed+spill | unreduced | 5000000 | Verified | 28675 | 12",
     ];
     const E17_FAST: &[&str] = &[
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | off | 5000000 | — | Verified | 116777 | 24",
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset | 5000000 | — | Verified | 93963 | 24",
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset+por | 5000000 | — | Verified | 67125 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | off | 5000000 | Verified | 116777 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset | 5000000 | Verified | 93963 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset+por | 5000000 | Verified | 67125 | 24",
     ];
     const E18_FAST: &[&str] = &[
         "team-rc-s3 | 24 | 0 | — | —",
@@ -2778,7 +2752,7 @@ mod tests {
         "simultaneous-rc-n3 | 65 | 0 | — | —",
     ];
     const MEASURED_PIN: &[&str] = &[
-        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves",
+        "system", "budget", "tier", "mode", "cap", "verdict", "states", "leaves",
     ];
     const E18_PIN: &[&str] = &["system", "finals", "viol", "first", "witness"];
 

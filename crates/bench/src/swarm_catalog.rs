@@ -14,13 +14,13 @@ use rc_core::algorithms::{
     build_broken_team_rc_system, build_masked_team_rc_system, build_simultaneous_rc_system,
     build_team_consensus_system, build_team_rc_system, build_tournament_rc, ConsensusObjectFactory,
 };
-use rc_core::{check_discerning, find_recording_witness, Assignment, RecordingWitness, Team};
+use rc_core::find_recording_witness;
 use rc_runtime::{CrashModel, Memory, Program, SwarmConfig, SystemFactory};
-use rc_spec::types::{Cas, Tn};
+use rc_spec::types::Tn;
 use rc_spec::{TypeHandle, Value};
 use std::sync::Arc;
 
-use crate::exp::{sn_witness, team_inputs};
+use crate::exp::{broken_witness, sn_witness, team_inputs, tn_witness};
 
 /// An owned system builder (the [`SystemFactory`] borrow the swarm
 /// engine consumes is produced by [`SwarmSystem::factory`]). `Send +
@@ -66,27 +66,6 @@ impl SwarmSystem {
             inputs: Some(self.inputs.clone()),
         }
     }
-}
-
-/// The E2/E5 recording witness for the Section 3.1 *broken* team-RC
-/// counterexample: CAS(2) with a 3-row witness, normalized so team B
-/// has at least two rows (the shape whose missing |B| ≥ 2 guard the
-/// broken variant exploits).
-fn broken_witness() -> (TypeHandle, RecordingWitness) {
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("CAS witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
-    (cas, w)
 }
 
 /// Builds the full catalog. Witness search runs once per call; the
@@ -162,13 +141,7 @@ pub fn swarm_catalog() -> Vec<SwarmSystem> {
     // whole point: consensus is solvable where RC is not), so its
     // default adversary injects no crashes.
     {
-        let tn = Tn::new(4);
-        let ty: TypeHandle = Arc::new(Tn::new(4));
-        let w = check_discerning(
-            &tn,
-            &Assignment::split(Tn::forget_state(), vec![Tn::op_a(); 2], vec![Tn::op_b(); 2]),
-        )
-        .expect("T_4 witness");
+        let (ty, w) = tn_witness(4);
         let inputs = team_inputs(&w.assignment);
         let f_inputs = inputs.clone();
         systems.push(SwarmSystem {

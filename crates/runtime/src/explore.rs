@@ -43,15 +43,14 @@
 //! schedule vector.
 //!
 //! The DFS is the **only** engine. Every search — symmetric, reduced,
-//! byte-capped, on any storage tier — runs on it, in one deterministic
-//! acceptance order: a state is accepted when the DFS first reaches it,
-//! and both caps cut in that order. The `max_states` cap is exact (a
-//! search truncates iff it would need a `max_states + 1`-th distinct
-//! state, and reports exactly `max_states`); the [`ExploreConfig::max_bytes`]
-//! cap truncates at the first new state whose accounted cost no longer
-//! fits. Neither cut depends on the storage tier. The first violation
-//! the DFS reaches is reported (a found violation always wins, see the
-//! verdict precedence on [`ExploreOutcome`]). Parallelism lives in the
+//! on any storage tier — runs on it, in one deterministic acceptance
+//! order: a state is accepted when the DFS first reaches it, and the
+//! `max_states` cap cuts in that order. The cap is exact (a search
+//! truncates iff it would need a `max_states + 1`-th distinct state, and
+//! reports exactly `max_states`), and the cut does not depend on the
+//! storage tier. The first violation the DFS reaches is reported (a
+//! found violation always wins, see the verdict precedence on
+//! [`ExploreOutcome`]). Parallelism lives in the
 //! [`swarm`](crate::swarm), where independent seeded runs scale across
 //! cores; a breadth-first parallel frontier existed until it was
 //! measured slower than this DFS at every thread count (DESIGN.md §3).
@@ -98,13 +97,13 @@ use crate::canon::{self, SymmetrySpec};
 use crate::crash::CrashModel;
 use crate::footprint::{
     analyze_system, analyze_system_states, system_analysis_cached, AnalysisBudget, CellSet,
-    LocalStateInfo, StaticIndependence, SystemAnalysis, SystemFootprint,
+    LocalStateInfo, SystemAnalysis, SystemFootprint,
 };
 use crate::intern::{FxHashMap, ValueInterner};
 use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::Action;
-use crate::storage::{packed_key_len, PackedStateTable, StorageTier, WitnessLog};
+use crate::storage::{PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -130,17 +129,6 @@ pub struct ExploreConfig {
     /// callers that set it still compile; parallel verification is the
     /// [`swarm`](crate::swarm)'s job ([`SwarmConfig::threads`](crate::SwarmConfig)).
     pub threads: usize,
-    /// Cross-validates the static independence relation derived by the
-    /// footprint analysis ([`crate::footprint`]): at every expanded
-    /// state, each pair of enabled steps the relation calls independent
-    /// is applied in both orders and the results asserted identical
-    /// (memory cells, both programs' state keys, decided flags and
-    /// outputs). Purely a soundness check for the POR prerequisite —
-    /// outcomes and counts are unchanged; the search only gets slower.
-    /// Panics at search start if the system defeats the analysis
-    /// (budget exhaustion): an explicit request to cross-validate an
-    /// unanalyzable system is an error, not a silent no-op.
-    pub cross_validate_independence: bool,
     /// Switches on the footprint-driven **partial-order reduction**
     /// (persistent + sleep sets; see the module docs). Verdicts and
     /// leaf counts are identical to the unreduced search; state counts
@@ -167,17 +155,6 @@ pub struct ExploreConfig {
     /// tier, at 8 B per state plus the interned permutations
     /// ([`ExploreStats::witness_bytes`]).
     pub storage: StorageTier,
-    /// Cap on *accounted* visited-set bytes, alongside
-    /// [`max_states`](Self::max_states). The account is a deterministic
-    /// cost model — each accepted state charges its packed key length
-    /// ([`packed_key_len`]) plus a fixed per-entry overhead, in the
-    /// DFS's acceptance order — **not** the allocator's live footprint,
-    /// so the truncation point is byte-identical across storage tiers.
-    /// The search truncates at the first new state whose cost would
-    /// overflow the cap and reports [`ExploreOutcome::Truncated`]
-    /// exactly like a `max_states` cut. `None` costs the search one
-    /// branch per child.
-    pub max_bytes: Option<usize>,
     /// Resident-arena bytes that trigger a disk freeze under
     /// [`StorageTier::PackedSpill`] (`None` = 256 MiB). Outcomes are
     /// independent of this knob; it bounds the resident arena only.
@@ -191,11 +168,9 @@ impl Default for ExploreConfig {
             inputs: None,
             max_states: 5_000_000,
             threads: 1,
-            cross_validate_independence: false,
             por: false,
             analysis_id: None,
             storage: StorageTier::Packed,
-            max_bytes: None,
             spill_threshold: None,
         }
     }
@@ -205,22 +180,9 @@ impl Default for ExploreConfig {
 /// 256 MiB.
 const DEFAULT_SPILL_THRESHOLD: usize = 256 << 20;
 
-/// Fixed per-entry overhead of the [`ExploreConfig::max_bytes`] cost
-/// model, charged on top of each accepted state's packed key length.
-const BYTE_COST_OVERHEAD: usize = 16;
-
-/// The deterministic per-state cost charged against
-/// [`ExploreConfig::max_bytes`]: a pure function of the key, identical
-/// whichever storage tier actually holds it.
-#[inline]
-fn byte_cost(key: &[u32]) -> usize {
-    packed_key_len(key) + BYTE_COST_OVERHEAD
-}
-
 /// Diagnostics about how a search executed: which reductions were
-/// active, which storage tier held the visited set, and deterministic
-/// byte accounts of the engine's tables. Outcomes never depend on any
-/// of this.
+/// active, how much work it did, and deterministic byte accounts of the
+/// engine's tables. Outcomes never depend on any of this.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Always 1: the search runs on one thread. Kept so existing
@@ -230,8 +192,6 @@ pub struct ExploreStats {
     pub symmetry: bool,
     /// Whether partial-order reduction ([`ExploreConfig::por`]) ran.
     pub por: bool,
-    /// Which storage tier held the visited set.
-    pub storage: StorageTier,
     /// Edges the search took: one per action applied to a visited
     /// state. Deterministic. A `Verified` search has
     /// `edges == states - 1 + duplicates`.
@@ -702,10 +662,9 @@ fn crashed(prog: &dyn Program) -> Box<dyn Program> {
 }
 
 /// Clones `parent` and applies `action`, stepping afresh — the child
-/// builder of the independence cross-validation and the ample lint,
-/// which replay action pairs in both orders, and of
-/// [`replay_on_checker`]. Returns the child and the value it decided (if
-/// any); `decided_value` is left at the parent's.
+/// builder of the ample lint, which replays action pairs in both orders,
+/// and of [`replay_on_checker`]. Returns the child and the value it
+/// decided (if any); `decided_value` is left at the parent's.
 fn apply_to_child(parent: &SysState, action: Action) -> (SysState, Option<Value>) {
     let mut child = parent.clone();
     match action {
@@ -1054,37 +1013,6 @@ fn schedule_to(
     (schedule, m)
 }
 
-/// The running account charged against [`ExploreConfig::max_bytes`]:
-/// every accepted state adds [`byte_cost`] of its resolved key, in the
-/// DFS's acceptance order. Independent of the storage tier by
-/// construction, so a byte-capped search truncates at the identical
-/// state on every tier.
-struct ByteBudget {
-    cap: Option<usize>,
-    accepted: usize,
-}
-
-impl ByteBudget {
-    fn new(cap: Option<usize>) -> Self {
-        ByteBudget { cap, accepted: 0 }
-    }
-
-    /// Whether accepting `key` would overflow the cap (never, uncapped).
-    #[inline]
-    fn exceeds(&self, key: &[u32]) -> bool {
-        self.cap
-            .is_some_and(|cap| self.accepted + byte_cost(key) > cap)
-    }
-
-    /// Charges one accepted state's cost (a no-op when uncapped).
-    #[inline]
-    fn charge(&mut self, key: &[u32]) {
-        if self.cap.is_some() {
-            self.accepted += byte_cost(key);
-        }
-    }
-}
-
 /// Validates a [`SymmetrySpec`] against the system's initial state: the
 /// orbit condition (see the `canon` module docs) requires every orbit's
 /// members to start with identical program objects — asserted through
@@ -1351,12 +1279,10 @@ fn validate_scalarset_cells(root: &SysState, spec: &SymmetrySpec) {
 /// Footprint-analysis artifacts, computed by the public entry points
 /// (which still hold the factory's `Memory` and programs — the engine
 /// only ever sees the copy-on-write root) and threaded into the engine:
-/// the analyzed footprint feeds [`validate_symmetry`], the independence
-/// relation the dynamic cross-validation.
+/// the analyzed footprint feeds [`validate_symmetry`].
 #[derive(Default)]
 struct AnalysisCtx {
     footprint: Option<SystemFootprint>,
-    independence: Option<StaticIndependence>,
     /// The per-local-state analysis backing POR, present iff
     /// [`ExploreConfig::por`] is set (setup panics when the system is
     /// ineligible — see [`ExploreConfig::por`]).
@@ -1364,14 +1290,13 @@ struct AnalysisCtx {
 }
 
 /// Runs the footprint analysis when this search needs it: always when
-/// [`ExploreConfig::por`] or
-/// [`ExploreConfig::cross_validate_independence`] ask for it (analysis
-/// failure is then a panic — an explicit request must not silently
-/// no-op), and for owned-cell symmetry validation (failure there falls
-/// back to the hand-written `referenced_cells` declarations, the
-/// pre-analyzer status quo). POR additionally requires acyclic step
-/// graphs and — under symmetry — equivariant per-state footprints
-/// across every orbit; both are enforced here, at search start.
+/// [`ExploreConfig::por`] asks for it (analysis failure is then a panic
+/// — an explicit request must not silently no-op), and for owned-cell
+/// symmetry validation (failure there falls back to the hand-written
+/// `referenced_cells` declarations, the pre-analyzer status quo). POR
+/// additionally requires acyclic step graphs and — under symmetry —
+/// equivariant per-state footprints across every orbit; both are
+/// enforced here, at search start.
 fn prepare_analysis(
     mem: &Memory,
     programs: &[Box<dyn Program>],
@@ -1430,24 +1355,8 @@ fn prepare_analysis(
         ctx.footprint = Some(analysis.footprint.clone());
         ctx.por = Some(analysis);
     }
-    if !config.cross_validate_independence && !wants_validation {
-        return ctx;
-    }
-    if ctx.footprint.is_none() {
-        match analyze_system(mem, programs, true, AnalysisBudget::default()) {
-            Ok(footprint) => ctx.footprint = Some(footprint),
-            Err(e) if config.cross_validate_independence => panic!(
-                "cross_validate_independence is set but the footprint \
-                 analysis failed: {e}"
-            ),
-            Err(_) => return ctx,
-        }
-    }
-    if config.cross_validate_independence {
-        ctx.independence = ctx
-            .footprint
-            .as_ref()
-            .map(StaticIndependence::from_footprint);
+    if wants_validation && ctx.footprint.is_none() {
+        ctx.footprint = analyze_system(mem, programs, true, AnalysisBudget::default()).ok();
     }
     ctx
 }
@@ -1675,19 +1584,12 @@ fn expand_actions(
         .iter()
         .map(|&p| por.info(p, key[layout.prog(p)]))
         .collect();
-    // The persistent set: the first singleton that no other process can
-    // ever conflict with, else every enabled step. The future sets are
-    // the crash-free ones — sound precisely because this node is
-    // crash-free and stays so along every step-only continuation.
-    let persistent: Vec<usize> = (0..steps.len())
-        .find(|&i| {
-            infos.iter().enumerate().all(|(j, other)| {
-                j == i
-                    || (infos[i].imm_mutated.is_disjoint(&other.future_accessed)
-                        && other.future_mutated.is_disjoint(&infos[i].imm_accessed))
-            })
-        })
-        .map_or_else(|| (0..steps.len()).collect(), |i| vec![i]);
+    // The persistent set: the singleton `persistent_singleton` picks,
+    // else every enabled step. The future sets are the crash-free ones —
+    // sound precisely because this node is crash-free and stays so along
+    // every step-only continuation.
+    let persistent: Vec<usize> =
+        persistent_singleton(&infos).map_or_else(|| (0..steps.len()).collect(), |i| vec![i]);
     let mut out: Vec<(Action, u64)> = Vec::with_capacity(persistent.len());
     // Sleep bits are pure pruning, so propagating fewer is always
     // sound. At a node where some process is mid-branch (several
@@ -1727,78 +1629,21 @@ fn expand_actions(
     (out, false)
 }
 
-/// Asserts that every pair of enabled steps the static relation calls
-/// independent really commutes *from this state*: both orders must
-/// produce identical memory, identical state keys for both processes,
-/// identical decided flags and identical decisions. Called once per
-/// expanded node when
-/// [`ExploreConfig::cross_validate_independence`] is set.
-fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
-    let n = state.programs.len();
-    // Every step-like action of each undecided process: one `Step` for
-    // deterministic local states, one `Branch` per choice for
-    // nondeterministic ones (a scalarset scan mid-mask). Independence is
-    // per *process*, so every cross-pid action pair must commute.
-    let per_pid: Vec<(usize, Vec<Action>)> = (0..n)
-        .filter(|&p| !state.is_decided(p))
-        .map(|p| {
-            let choices = state.programs[p].choices();
-            let acts = if choices.len() <= 1 {
-                vec![Action::Step(p)]
-            } else {
-                choices.into_iter().map(|c| Action::Branch(p, c)).collect()
-            };
-            (p, acts)
+/// The persistent-set rule POR prunes with, at a crash-free node: the
+/// index of the first entry of `infos` (one per enabled process, in
+/// ascending pid order) whose immediate step no other process can ever
+/// conflict with — its immediate writes miss every other process's
+/// future accesses, and every other process's future writes miss its
+/// immediate accesses — or `None` when no enabled step qualifies.
+/// [`spot_check_pruned`] re-checks exactly this choice.
+fn persistent_singleton(infos: &[&LocalStateInfo]) -> Option<usize> {
+    (0..infos.len()).find(|&i| {
+        infos.iter().enumerate().all(|(j, other)| {
+            j == i
+                || (infos[i].imm_mutated.is_disjoint(&other.future_accessed)
+                    && other.future_mutated.is_disjoint(&infos[i].imm_accessed))
         })
-        .collect();
-    for (i, (p, p_acts)) in per_pid.iter().enumerate() {
-        let (p, q_list) = (*p, &per_pid[i + 1..]);
-        for (q, q_acts) in q_list {
-            let q = *q;
-            if !indep.are_independent(p, q) {
-                continue;
-            }
-            for &pa in p_acts {
-                for &qa in q_acts {
-                    let both = |a: Action, b: Action| {
-                        let (mid, da) = apply_to_child(state, a);
-                        let (end, db) = apply_to_child(&mid, b);
-                        (end, da, db)
-                    };
-                    let (pq, p_first, q_second) = both(pa, qa);
-                    let (qp, q_first, p_second) = both(qa, pa);
-                    let explain = "statically-independent enabled steps must \
-                                   commute; the footprint analysis is unsound for \
-                                   this system";
-                    assert_eq!(
-                        p_first, p_second,
-                        "p{p}'s step outcome depends on whether p{q} stepped first; {explain}"
-                    );
-                    assert_eq!(
-                        q_first, q_second,
-                        "p{q}'s step outcome depends on whether p{p} stepped first; {explain}"
-                    );
-                    assert_eq!(pq.decided, qp.decided, "steps p{p}/p{q}: {explain}");
-                    for who in [p, q] {
-                        assert_eq!(
-                            pq.programs[who].state_key(),
-                            qp.programs[who].state_key(),
-                            "p{who}'s local state differs between step orders \
-                             p{p};p{q} and p{q};p{p}; {explain}"
-                        );
-                    }
-                    for cell in 0..pq.mem.cells.len() {
-                        assert_eq!(
-                            pq.mem.value_ref(cell),
-                            qp.mem.value_ref(cell),
-                            "cell @{cell} differs between step orders p{p};p{q} \
-                             and p{q};p{p}; {explain}"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    })
 }
 
 /// The key half of canonicalization: maps the child key `key` in place
@@ -1997,14 +1842,12 @@ struct SerialEngine<'a> {
     config: &'a ExploreConfig,
     layout: KeyLayout,
     spec: Option<&'a SymmetrySpec>,
-    indep: Option<&'a StaticIndependence>,
     por: Option<&'a PorEngine>,
     interner: ValueInterner,
     crashes: CrashedSet,
     memo: StepMemo,
     visited: PackedStateTable,
     witness: WitnessLog,
-    budget: ByteBudget,
     root_perm: Option<Box<[u8]>>,
     leaves: usize,
     edges: usize,
@@ -2127,14 +1970,13 @@ impl SerialEngine<'_> {
     }
 
     /// Admits the state whose key is `key`: memoizes it and, when new,
-    /// charges the byte budget, logs its witness link — `(parent node,
-    /// action, canonicalization)`, `None` at the root — and returns its
-    /// node index. Counts a known key as a duplicate, and sets
-    /// `truncated` when the state is new but `max_states` is reached or
-    /// its cost would overflow `max_bytes`.
+    /// logs its witness link — `(parent node, action,
+    /// canonicalization)`, `None` at the root — and returns its node
+    /// index. Counts a known key as a duplicate, and sets `truncated`
+    /// when the state is new but `max_states` is reached.
     fn admit(&mut self, key: &[u32], link: Option<(u32, Action, Option<&[u8]>)>) -> Option<u32> {
-        if self.visited.len() >= self.config.max_states || self.budget.exceeds(key) {
-            // Past a cap, only a *new* state means truncation.
+        if self.visited.len() >= self.config.max_states {
+            // Past the cap, only a *new* state means truncation.
             if self.visited.get(key).is_some() {
                 self.duplicates += 1;
             } else {
@@ -2147,7 +1989,6 @@ impl SerialEngine<'_> {
             self.duplicates += 1;
             return None;
         }
-        self.budget.charge(key);
         match link {
             None => self.witness.push(None, 0, None),
             Some((parent, action, perm)) => {
@@ -2172,9 +2013,6 @@ impl SerialEngine<'_> {
             // visited and counted, but a sibling subtree covers its
             // continuations — not a leaf, nothing to expand.
             return None;
-        }
-        if let Some(indep) = self.indep {
-            cross_validate_node(&state, indep);
         }
         Some(Frame {
             state,
@@ -2213,7 +2051,6 @@ fn explore_serial(
         config,
         layout,
         spec,
-        indep: analysis.independence.as_ref(),
         por: por.as_ref(),
         interner,
         crashes,
@@ -2223,7 +2060,6 @@ fn explore_serial(
                 .then(|| config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD)),
         ),
         witness: WitnessLog::new(),
-        budget: ByteBudget::new(config.max_bytes),
         root_perm: None,
         leaves: 0,
         edges: 0,
@@ -2299,7 +2135,6 @@ fn explore_serial(
         max_level_workers: 1,
         symmetry: spec.is_some(),
         por: por.is_some(),
-        storage: config.storage,
         edges: engine.edges,
         duplicates: engine.duplicates,
         interned_bytes: engine.interner.approx_bytes(),
@@ -2318,7 +2153,7 @@ pub fn explore(factory: &SystemFactory<'_>, config: &ExploreConfig) -> ExploreOu
 }
 
 /// [`explore`], additionally reporting [`ExploreStats`] about how the
-/// search executed (reductions, storage tier, byte accounts).
+/// search executed (reductions, edges, byte accounts).
 pub fn explore_with_stats(
     factory: &SystemFactory<'_>,
     config: &ExploreConfig,
@@ -2485,6 +2320,23 @@ pub fn lint_ample(
     report
 }
 
+/// A state's identity on raw values, for walks that run without an
+/// interner: memory contents, program state keys, decided flags and
+/// crashes used.
+type SpotKey = (Vec<Value>, Vec<Value>, u64, usize);
+
+/// The [`SpotKey`] of `s`.
+fn spot_key(s: &SysState) -> SpotKey {
+    (
+        (0..s.mem.cells.len())
+            .map(|i| s.mem.value_ref(i).clone())
+            .collect(),
+        s.programs.iter().map(|p| p.state_key()).collect(),
+        s.decided,
+        s.crashes_used,
+    )
+}
+
 /// The A3 walk of [`lint_ample`]: a bounded breadth-first traversal of
 /// the **unreduced** state graph that, at every crash-free state where
 /// the engine would prune (a singleton persistent set among several
@@ -2497,17 +2349,6 @@ fn spot_check_pruned(
     cap: usize,
     report: &mut AmpleLintReport,
 ) {
-    type SpotKey = (Vec<Value>, Vec<Value>, u64, usize);
-    let spot_key = |s: &SysState| -> SpotKey {
-        (
-            (0..s.mem.cells.len())
-                .map(|i| s.mem.value_ref(i).clone())
-                .collect(),
-            s.programs.iter().map(|p| p.state_key()).collect(),
-            s.decided,
-            s.crashes_used,
-        )
-    };
     let mut visited: std::collections::BTreeSet<SpotKey> = std::collections::BTreeSet::new();
     let mut queue: std::collections::VecDeque<SysState> = std::collections::VecDeque::new();
     let mut saw_singleton = false;
@@ -2539,8 +2380,8 @@ fn spot_check_pruned(
         };
         if crash_free && steps.len() > 1 {
             // Re-derive the engine's persistent-set choice on raw state
-            // keys (the lint runs without an interner) — identical
-            // condition, identical tie-break (first eligible pid).
+            // keys (the lint runs without an interner), with the
+            // engine's own rule.
             let infos: Vec<&LocalStateInfo> = steps
                 .iter()
                 .map(|&p| {
@@ -2549,14 +2390,7 @@ fn spot_check_pruned(
                         .expect("reachable local state was memoized by the analysis")
                 })
                 .collect();
-            let choice = (0..steps.len()).find(|&i| {
-                infos.iter().enumerate().all(|(j, other)| {
-                    j == i
-                        || (infos[i].imm_mutated.is_disjoint(&other.future_accessed)
-                            && other.future_mutated.is_disjoint(&infos[i].imm_accessed))
-                })
-            });
-            if let Some(i) = choice {
+            if let Some(i) = persistent_singleton(&infos) {
                 saw_singleton = true;
                 let p = steps[i];
                 for &q in &steps {
@@ -2597,11 +2431,11 @@ fn spot_check_pruned(
 }
 
 /// Executes each step-like action pair of `p` and `q` in both orders
-/// from `state` and names the first divergence, or `None` when every
-/// pair commutes — [`cross_validate_node`]'s check, reporting instead
-/// of asserting. A nondeterministic local state contributes one action
-/// per choice; independence is per process, so every cross-pid pair
-/// must commute.
+/// from `state` and names the first divergence — in either process's
+/// step outcome or local state, the decided flags, or a memory cell —
+/// or `None` when every pair commutes. A nondeterministic local state
+/// contributes one action per choice; independence is per process, so
+/// every cross-pid pair must commute.
 fn commute_divergence(state: &SysState, p: usize, q: usize) -> Option<String> {
     let acts = |w: usize| -> Vec<Action> {
         let choices = state.programs[w].choices();
@@ -3562,38 +3396,49 @@ mod tests {
         let _ = explore_symmetric(&factory, &ExploreConfig::default());
     }
 
-    /// The dynamic cross-validation of the static independence relation
-    /// accepts a genuinely independent system (disjoint write/access
-    /// footprints), with outcomes unchanged.
+    /// The static independence relation holds on a genuinely
+    /// independent system (disjoint write/access footprints): at every
+    /// reachable state, each pair of undecided processes it calls
+    /// independent commutes — [`commute_divergence`] finds no difference
+    /// between the two step orders.
     #[test]
     fn cross_validation_accepts_independent_steps() {
-        let factory = || {
-            let mut mem = Memory::new();
-            let programs: Vec<Box<dyn Program>> = (0..3)
-                .map(|_| {
-                    let reg = mem.alloc_register(Value::Bottom);
-                    Box::new(OwnRegWriter {
-                        reg,
-                        input: Value::Int(1),
-                        pc: 0,
-                    }) as Box<dyn Program>
-                })
-                .collect();
-            (mem, programs)
-        };
-        let plain = ExploreConfig {
-            crash: CrashModel::independent(1).after_decide(false),
-            inputs: Some(vec![Value::Int(1)]),
-            ..ExploreConfig::default()
-        };
-        let checked = ExploreConfig {
-            cross_validate_independence: true,
-            ..plain.clone()
-        };
-        let baseline = explore(&factory, &plain);
-        assert!(matches!(baseline, ExploreOutcome::Verified { .. }));
-        // The commutation assertion runs at every expanded node.
-        assert_eq!(baseline, explore(&factory, &checked));
+        let mut mem = Memory::new();
+        let programs: Vec<Box<dyn Program>> = (0..3)
+            .map(|_| {
+                let reg = mem.alloc_register(Value::Bottom);
+                Box::new(OwnRegWriter {
+                    reg,
+                    input: Value::Int(1),
+                    pc: 0,
+                }) as Box<dyn Program>
+            })
+            .collect();
+        let footprint = analyze_system(&mem, &programs, true, AnalysisBudget::default())
+            .expect("own-register writers are analyzable");
+        let pairs =
+            crate::footprint::StaticIndependence::from_footprint(&footprint).independent_pairs();
+        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
+        let crash = CrashModel::independent(1).after_decide(false);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut stack = vec![SysState::root(mem, programs)];
+        let mut commuted = 0usize;
+        while let Some(state) = stack.pop() {
+            if !seen.insert(spot_key(&state)) {
+                continue;
+            }
+            for &(p, q) in &pairs {
+                if state.is_decided(p) || state.is_decided(q) {
+                    continue;
+                }
+                assert_eq!(commute_divergence(&state, p, q), None, "p{p}/p{q}");
+                commuted += 1;
+            }
+            for action in state.enabled_actions(&crash) {
+                stack.push(apply_to_child(&state, action).0);
+            }
+        }
+        assert!(commuted > 0, "some state has two undecided processes");
     }
 
     /// An inert owned declaration (all orbits singletons) changes

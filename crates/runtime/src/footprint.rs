@@ -67,9 +67,10 @@
 //!   whole catalog as experiment E14.
 //! * [`StaticIndependence`] — steps of distinct processes whose write
 //!   footprint is disjoint from each other's access footprint commute in
-//!   every state; exported for the partial-order-reduction roadmap item
-//!   and cross-validated dynamically by the explore engine
-//!   ([`ExploreConfig::cross_validate_independence`](crate::ExploreConfig::cross_validate_independence)).
+//!   every state. A whole-process summary that the E14 audit reports; no
+//!   search decision reads it. Partial-order reduction prunes on the
+//!   finer per-local-state footprints ([`analyze_system_states`]), whose
+//!   pruned step orders [`lint_ample`](crate::lint_ample) re-executes.
 //! * the symmetry validation in `explore` uses analyzed footprints as
 //!   reference sets where the analysis converges, so owned-cell systems
 //!   built from programs without `referenced_cells` are validated (or
@@ -314,9 +315,10 @@ struct ProbeMem<'a> {
     branch: usize,
     /// The first access: `(cell index, kind)`.
     site: Option<(usize, AccessKind)>,
-    /// Values this probe wrote (register writes and RMW next-states) —
-    /// merged into the domains after the branch loop.
-    wrote: Vec<(usize, Value)>,
+    /// The value this probe wrote (a register write or an RMW
+    /// next-state) — the walk merges it into the domains after the
+    /// branch loop.
+    wrote: Option<(usize, Value)>,
     /// Accesses beyond the first (each one a contract violation).
     extra: usize,
     /// `false` when the branch fed an RMW a domain state its operation
@@ -333,7 +335,7 @@ impl<'a> ProbeMem<'a> {
             domains,
             branch,
             site: None,
-            wrote: Vec::new(),
+            wrote: None,
             extra: 0,
             valid: true,
             fault: None,
@@ -382,7 +384,7 @@ impl MemOps for ProbeMem<'_> {
             self.fault = Some(format!("{addr} is an object, not a register"));
             return;
         }
-        self.wrote.push((cell, value));
+        self.wrote = Some((cell, value));
     }
 
     fn read_object(&mut self, addr: Addr) -> Value {
@@ -416,7 +418,7 @@ impl MemOps for ProbeMem<'_> {
                 let state = self.branch_value(cell);
                 match ty.try_apply(&state, op) {
                     Ok(t) => {
-                        self.wrote.push((cell, t.next));
+                        self.wrote = Some((cell, t.next));
                         t.response
                     }
                     Err(_) => {
@@ -434,6 +436,76 @@ impl MemOps for ProbeMem<'_> {
             }
         }
     }
+}
+
+/// The [`ProbeKind`] of every cell of `mem`.
+fn probe_kinds(mem: &Memory) -> Vec<ProbeKind> {
+    (0..mem.len())
+        .map(|i| match mem.peek_cell(Addr(i)) {
+            Cell::Register(_) => ProbeKind::Register,
+            Cell::Object { ty, .. } => ProbeKind::Object(ty),
+        })
+        .collect()
+}
+
+/// The cell a read or RMW `site` accesses: its probe branches over that
+/// cell's value domain. `None` for writes and access-free steps, which
+/// have one branch.
+fn read_cell(site: Option<(usize, AccessKind)>) -> Option<usize> {
+    site.and_then(|(cell, kind)| matches!(kind, AccessKind::Read | AccessKind::Rmw).then_some(cell))
+}
+
+/// One probed `(choice, branch)` transition, before the caller files
+/// its successor.
+struct Probed {
+    /// The step's access site, `(cell index, kind)`.
+    site: Option<(usize, AccessKind)>,
+    /// For read/RMW sites: the domain value the branch observed.
+    observed: Option<Value>,
+    /// The register value or RMW next-state the branch wrote.
+    wrote: Option<(usize, Value)>,
+    /// The stepped clone and the value it decided, if any; `None` for a
+    /// panicking or infeasible branch (the fed value was an
+    /// over-approximation), whose access record and write still stand.
+    succ: Option<(Box<dyn Program>, Option<Value>)>,
+}
+
+/// Steps a clone of `prog`, process `pid`'s program, on `choice`,
+/// answering its one access with the `branch`-th value of the accessed
+/// cell's domain — the probe that [`walk_system`] and
+/// [`probe_state_edges`] both run per branch.
+fn probe_branch(
+    pid: Pid,
+    prog: &dyn Program,
+    choice: usize,
+    branch: usize,
+    kinds: &[ProbeKind],
+    domains: &[BTreeSet<Value>],
+) -> Result<Probed, FootprintError> {
+    let mut clone = prog.boxed_clone();
+    let mut probe = ProbeMem::new(kinds, domains, branch);
+    let outcome =
+        quiet_probe(|| catch_unwind(AssertUnwindSafe(|| clone.step_choice(&mut probe, choice))));
+    if let Some(message) = probe.fault {
+        return Err(FootprintError::TypeConfusion { pid, message });
+    }
+    if probe.extra > 0 {
+        return Err(FootprintError::MultipleAccesses {
+            pid,
+            state_key: prog.state_key(),
+        });
+    }
+    let succ = match outcome {
+        Ok(Step::Decided(v)) if probe.valid => Some((clone, Some(v))),
+        Ok(Step::Running) if probe.valid => Some((clone, None)),
+        _ => None,
+    };
+    Ok(Probed {
+        site: probe.site,
+        observed: read_cell(probe.site).and_then(|cell| domains[cell].iter().nth(branch).cloned()),
+        wrote: probe.wrote,
+        succ,
+    })
 }
 
 /// One probed `(choice, branch)` transition of a memoized local state —
@@ -513,12 +585,7 @@ pub(crate) fn walk_system(
     budget: AnalysisBudget,
 ) -> Result<Walk, FootprintError> {
     FIXPOINT_RUNS.fetch_add(1, Ordering::Relaxed);
-    let kinds: Vec<ProbeKind> = (0..mem.len())
-        .map(|i| match mem.peek_cell(Addr(i)) {
-            Cell::Register(_) => ProbeKind::Register,
-            Cell::Object { ty, .. } => ProbeKind::Object(ty),
-        })
-        .collect();
+    let kinds = probe_kinds(mem);
     let mut domains: Vec<BTreeSet<Value>> = (0..mem.len())
         .map(|i| {
             let mut d = BTreeSet::new();
@@ -660,53 +727,28 @@ pub(crate) fn walk_system(
                         probes,
                     });
                 }
-                let mut prog = pids[pid].states[sidx].0.boxed_clone();
-                let mut probe = ProbeMem::new(&kinds, &domains, b);
-                let outcome = quiet_probe(|| {
-                    catch_unwind(AssertUnwindSafe(|| prog.step_choice(&mut probe, choice)))
-                });
-                if let Some(message) = probe.fault {
-                    return Err(FootprintError::TypeConfusion { pid, message });
-                }
-                if probe.extra > 0 {
-                    return Err(FootprintError::MultipleAccesses {
-                        pid,
-                        state_key: pids[pid].states[sidx].0.state_key(),
-                    });
-                }
+                let probed =
+                    probe_branch(pid, &*pids[pid].states[sidx].0, choice, b, &kinds, &domains)?;
                 if b == 0 {
-                    pids[pid].choice_sites[sidx].push((choice, probe.site));
-                    if let Some((cell, kind)) = probe.site {
+                    pids[pid].choice_sites[sidx].push((choice, probed.site));
+                    if let Some((cell, kind)) = probed.site {
                         pids[pid]
                             .footprint
                             .cells
                             .entry(Addr(cell))
                             .or_default()
                             .record(kind);
-                        if matches!(kind, AccessKind::Read | AccessKind::Rmw) {
-                            read_sites[cell].insert((pid, sidx));
-                            branches = domains[cell].len();
-                        }
+                    }
+                    if let Some(cell) = read_cell(probed.site) {
+                        read_sites[cell].insert((pid, sidx));
+                        branches = domains[cell].len();
                     }
                 }
-                let observed = probe.site.and_then(|(cell, kind)| {
-                    matches!(kind, AccessKind::Read | AccessKind::Rmw)
-                        .then(|| domains[cell].iter().nth(b).cloned())
-                        .flatten()
-                });
-                let wrote = probe.wrote.first().cloned();
-                grew.append(&mut probe.wrote);
                 b += 1;
-                // A panicking or infeasible branch has no successor (the
-                // fed value was an over-approximation); its access record
-                // and writes-so-far stand.
-                let (succ, output) = match outcome {
-                    Ok(step) if probe.valid => {
-                        let decided = matches!(step, Step::Decided(_));
-                        let output = match &step {
-                            Step::Decided(v) => Some(v.clone()),
-                            Step::Running => None,
-                        };
+                grew.extend(probed.wrote.clone());
+                let (succ, output) = match probed.succ {
+                    Some((prog, output)) => {
+                        let decided = output.is_some();
                         if decided {
                             pids[pid].may_decide[sidx] = true;
                         }
@@ -725,13 +767,13 @@ pub(crate) fn walk_system(
                         pids[pid].step_succ[sidx].insert(succ);
                         (Some(succ), output)
                     }
-                    _ => (None, None),
+                    None => (None, None),
                 };
                 pids[pid].edges[sidx].push(ChoiceEdge {
                     choice,
-                    site: probe.site,
-                    observed,
-                    wrote,
+                    site: probed.site,
+                    observed: probed.observed,
+                    wrote: probed.wrote,
                     succ,
                     output,
                 });
@@ -771,80 +813,45 @@ pub(crate) struct ProbedEdge {
     pub(crate) output: Option<Value>,
 }
 
-/// Probes every `(choice, branch)` transition of `prog` against the
-/// given (already converged) value domains — the same probe loop as
-/// [`walk_system`], but for one state of one concrete program object,
-/// with successors reported by key. Errors on contract violations
-/// (multiple accesses per step, type confusion).
+/// Probes every `(choice, branch)` transition of `prog`, process
+/// `pid`'s program, against the given (already converged) value domains
+/// — the same per-branch probe as [`walk_system`] ([`probe_branch`]), but
+/// for one state of one concrete program object, with successors
+/// reported by key. Errors on contract violations (multiple accesses per
+/// step, type confusion) exactly as the walk does.
 pub(crate) fn probe_state_edges(
     mem: &Memory,
     domains: &[BTreeSet<Value>],
+    pid: Pid,
     prog: &dyn Program,
-) -> Result<Vec<ProbedEdge>, String> {
-    let kinds: Vec<ProbeKind> = (0..mem.len())
-        .map(|i| match mem.peek_cell(Addr(i)) {
-            Cell::Register(_) => ProbeKind::Register,
-            Cell::Object { ty, .. } => ProbeKind::Object(ty),
-        })
-        .collect();
+) -> Result<Vec<ProbedEdge>, FootprintError> {
+    let kinds = probe_kinds(mem);
     let mut edges = Vec::new();
     let choice_ids = prog.choices();
-    if choice_ids.is_empty() {
-        return Err("Program::choices returned an empty list".into());
-    }
+    assert!(
+        !choice_ids.is_empty(),
+        "Program::choices returned an empty list for p{pid}"
+    );
     for &choice in &choice_ids {
         let mut branches = 1usize;
         let mut b = 0usize;
         while b < branches {
-            let mut clone = prog.boxed_clone();
-            let mut probe = ProbeMem::new(&kinds, domains, b);
-            let outcome = quiet_probe(|| {
-                catch_unwind(AssertUnwindSafe(|| clone.step_choice(&mut probe, choice)))
-            });
-            if let Some(message) = probe.fault {
-                return Err(format!("type-confused access: {message}"));
-            }
-            if probe.extra > 0 {
-                return Err(format!(
-                    "more than one shared-memory access in a single step \
-                     (from local state {})",
-                    prog.state_key()
-                ));
-            }
+            let probed = probe_branch(pid, prog, choice, b, &kinds, domains)?;
             if b == 0 {
-                if let Some((cell, kind)) = probe.site {
-                    if matches!(kind, AccessKind::Read | AccessKind::Rmw) {
-                        branches = domains[cell].len();
-                    }
+                if let Some(cell) = read_cell(probed.site) {
+                    branches = domains[cell].len();
                 }
             }
-            let observed = probe.site.and_then(|(cell, kind)| {
-                matches!(kind, AccessKind::Read | AccessKind::Rmw)
-                    .then(|| domains[cell].iter().nth(b).cloned())
-                    .flatten()
-            });
-            let wrote = probe.wrote.first().cloned();
             b += 1;
-            let (succ, output) = match outcome {
-                Ok(step) => {
-                    if probe.valid {
-                        let output = match &step {
-                            Step::Decided(v) => Some(v.clone()),
-                            Step::Running => None,
-                        };
-                        let decided = matches!(step, Step::Decided(_));
-                        (Some((clone.state_key(), decided)), output)
-                    } else {
-                        (None, None)
-                    }
-                }
-                Err(_) => (None, None),
+            let (succ, output) = match probed.succ {
+                Some((clone, output)) => (Some((clone.state_key(), output.is_some())), output),
+                None => (None, None),
             };
             edges.push(ProbedEdge {
                 choice,
-                site: probe.site,
-                observed,
-                wrote,
+                site: probed.site,
+                observed: probed.observed,
+                wrote: probed.wrote,
                 succ,
                 output,
             });
@@ -1218,10 +1225,10 @@ pub fn system_analysis_cached(
 /// steps of two distinct processes commute in **every** state when each
 /// one's write footprint is disjoint from the other's access footprint —
 /// neither step can change a cell the other touches, so both orders
-/// produce identical memory and identical per-process behaviour. This is
-/// the conflict relation partial-order reduction needs (see ROADMAP),
-/// and the explore engine cross-validates it dynamically on request
-/// ([`ExploreConfig::cross_validate_independence`](crate::ExploreConfig::cross_validate_independence)).
+/// produce identical memory and identical per-process behaviour. A
+/// whole-process summary that the E14 audit reports: partial-order
+/// reduction prunes on the finer per-local-state footprints of
+/// [`SystemAnalysis`] instead.
 #[derive(Clone, Debug)]
 pub struct StaticIndependence {
     accessed: Vec<BTreeSet<usize>>,

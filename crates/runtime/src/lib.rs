@@ -35,7 +35,7 @@
 //! * [`explore`] — a bounded-exhaustive model checker: one iterative
 //!   worklist DFS over *all* interleavings and crash placements (up to a
 //!   crash budget) with hash-consed full-fidelity state memoization
-//!   ([`ValueInterner`]), exact `max_states`/`max_bytes` caps cut in its
+//!   ([`ValueInterner`]), an exact `max_states` cap cut in its
 //!   acceptance order, one packed visited-set table with an optional
 //!   disk tier ([`StorageTier`]) and opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
@@ -48,10 +48,10 @@
 //!   catalog: an instrumenting recorder plus a fixpoint walk of each
 //!   program's memoized local-state graph, feeding a declaration linter
 //!   ([`lint_system`]), a static step-independence relation
-//!   ([`StaticIndependence`], the POR prerequisite), the per-local-state
-//!   access maps POR consumes ([`analyze_system_states`], cached per
-//!   catalog id via [`system_analysis_cached`]) and the symmetry
-//!   validation.
+//!   ([`StaticIndependence`], a per-process summary the E14 audit
+//!   reports), the per-local-state access maps POR prunes with
+//!   ([`analyze_system_states`], cached per catalog id via
+//!   [`system_analysis_cached`]) and the symmetry validation.
 //! * `scalarset` — the scalarset equivariance certifier
 //!   ([`lint_scalarset`]): proves a declared cross-read cell family
 //!   ([`SymmetrySpec::with_scalarset`]) is scanned as an
@@ -66,7 +66,8 @@
 //!   [`CrashModel`]-legal witnesses ([`shrink_schedule`]) that
 //!   re-verify on the checker's executor ([`replay_on_checker`]).
 //! * [`threaded`] — a real-thread executor (`parking_lot` mutex per object,
-//!   one OS thread per process) for wall-clock benchmarks.
+//!   one OS thread per process); its one caller is the
+//!   `tests/threaded_executor.rs` suite.
 //! * [`verify`] — agreement/validity/termination checkers for consensus-
 //!   style outputs.
 //!
@@ -146,8 +147,7 @@ pub use scalarset::{lint_scalarset, ScalarsetReport};
 // tests/proptest_runtime.rs; `StorageTier` is the `ExploreConfig` knob
 // switching the visited set's disk tier on.
 pub use storage::{
-    hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key, KeyFilter, PackedStateTable,
-    StorageTier,
+    hash_packed, pack_key, pack_key_into, unpack_key, KeyFilter, PackedStateTable, StorageTier,
 };
 // The swarm service: the engine (`swarm`/`swarm_with_progress`), the
 // per-seed replay and the schedule shrinker, re-exported flat for the

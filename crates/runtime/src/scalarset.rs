@@ -425,7 +425,7 @@ fn spot_reexecute(mem: &Memory, walk: &Walk, pid: Pid, s: usize, ctx: &str) -> R
     if g.states[s].1 {
         return Ok(()); // decided states take no steps
     }
-    let fresh = probe_state_edges(mem, &walk.domains, g.states[s].0.as_ref())
+    let fresh = probe_state_edges(mem, &walk.domains, pid, g.states[s].0.as_ref())
         .map_err(|e| format!("{ctx}: re-executing {} failed: {e}", state_desc(g, s)))?;
     let cached = cached_as_probed(g, s);
     if fresh != cached {
@@ -660,13 +660,13 @@ fn exchange_reexecution(
         if ga.states[s].1 {
             continue; // decided states take no steps
         }
-        let ea = probe_state_edges(mem, &walk.domains, rebound.as_ref()).map_err(|e| {
+        let ea = probe_state_edges(mem, &walk.domains, i, rebound.as_ref()).map_err(|e| {
             format!(
                 "{ctx}: probing rebound p{i} at {} failed: {e}",
                 state_desc(ga, s)
             )
         })?;
-        let eb = probe_state_edges(mem, &walk.domains, gb.states[t].0.as_ref())
+        let eb = probe_state_edges(mem, &walk.domains, j, gb.states[t].0.as_ref())
             .map_err(|e| format!("{ctx}: probing p{j} at {} failed: {e}", state_desc(gb, t)))?;
         if ea != eb {
             return Err(format!(

@@ -119,17 +119,6 @@ fn push_varint(buf: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-#[inline]
-fn varint_len(v: u32) -> usize {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
-    }
-}
-
 /// Reads one varint starting at `pos`, returning `(value, next_pos)`.
 ///
 /// # Panics
@@ -170,15 +159,6 @@ pub fn pack_key(key: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
     pack_key_into(key, &mut out);
     out
-}
-
-/// The exact byte length [`pack_key`] produces, without encoding. This
-/// is the deterministic per-state cost model behind
-/// [`ExploreConfig::max_bytes`](crate::ExploreConfig::max_bytes): a pure
-/// function of the key, identical whichever storage tier actually holds
-/// it.
-pub fn packed_key_len(key: &[u32]) -> usize {
-    key.iter().map(|&slot| varint_len(slot)).sum()
 }
 
 /// Decodes a [`pack_key`] buffer back to its `u32` slots.
@@ -812,14 +792,13 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "{v:#x}");
             let (back, used) = read_varint(&buf, 0);
             assert_eq!((back, used), (v, buf.len()), "{v:#x}");
         }
     }
 
     #[test]
-    fn pack_unpack_round_trips_and_len_agrees() {
+    fn pack_unpack_round_trips() {
         let keys: [&[u32]; 4] = [
             &[],
             &[0, 0, 0],
@@ -827,9 +806,7 @@ mod tests {
             &[u32::MAX - 2, 0, 42],
         ];
         for key in keys {
-            let packed = pack_key(key);
-            assert_eq!(packed.len(), packed_key_len(key));
-            assert_eq!(unpack_key(&packed), key);
+            assert_eq!(unpack_key(&pack_key(key)), key);
         }
     }
 

@@ -2,9 +2,9 @@
 //! threads against lock-protected shared memory.
 //!
 //! The deterministic simulator ([`run`](crate::run)) is the source of truth
-//! for correctness experiments; this executor provides *wall-clock*
-//! numbers (for the Fig. 7 universal-construction benchmarks) and a sanity
-//! check that the algorithms also survive real hardware interleavings.
+//! for correctness experiments; this executor is a sanity check that the
+//! algorithms also survive real hardware interleavings. Its one caller is
+//! the `tests/threaded_executor.rs` suite.
 //!
 //! ## Fidelity
 //!

@@ -1,6 +1,6 @@
 //! The model-checker engine, end to end on the real Fig. 2 and Fig. 4
-//! systems: exact `max_states` and `max_bytes` truncation boundaries,
-//! byte-identical outcomes across storage tiers, the unified
+//! systems: exact `max_states` truncation boundaries, byte-identical
+//! outcomes, cut points and byte accounts across storage tiers, the unified
 //! [`CrashModel`] semantics, the reductions (process symmetry, full-state
 //! rebind, certified scalarsets, partial-order reduction: identical
 //! verdicts and weighted leaf counts on vs off, replayable un-permuted
@@ -955,8 +955,10 @@ fn rebind_search_finds_the_masked_broken_guard_violation() {
 
 /// Both storage tiers — packed and packed+spill — run the *same* exact
 /// search: byte-identical `Verified` outcomes (state and leaf counts) on
-/// the E2 systems. The spill tier runs with a tiny threshold so resident
-/// entries genuinely freeze to disk mid-search.
+/// the E2 systems, and a `max_states` cut at half the space or one state
+/// short of it stops both tiers at the same state after the same edges.
+/// The spill tier runs with a tiny threshold so resident entries
+/// genuinely freeze to disk mid-search.
 #[test]
 fn storage_tiers_agree_byte_identically() {
     let (ty, w, inputs) = sn_system(2);
@@ -967,17 +969,25 @@ fn storage_tiers_agree_byte_identically() {
             inputs: Some(inputs.clone()),
             ..ExploreConfig::default()
         };
+        let tiered = |tier: StorageTier, max_states: usize| {
+            checked_edges(explore_with_stats(
+                &factory,
+                &ExploreConfig {
+                    max_states,
+                    storage: tier,
+                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
+                    ..base.clone()
+                },
+            ))
+        };
         let (reference, counts) = checked_edges(explore_with_stats(&factory, &base));
-        assert!(reference.is_verified(), "{reference:?}");
+        let total = match reference {
+            ExploreOutcome::Verified { states, .. } => states,
+            ref other => panic!("S_2/budget-{budget} must verify: {other:?}"),
+        };
         for tier in StorageTier::ALL {
-            let config = ExploreConfig {
-                storage: tier,
-                spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
-                ..base.clone()
-            };
-            let (outcome, stats) = checked_edges(explore_with_stats(&factory, &config));
+            let (outcome, stats) = tiered(tier, base.max_states);
             assert_eq!(outcome, reference, "{tier} budget {budget}");
-            assert_eq!(stats.storage, tier);
             assert_eq!(
                 (stats.edges, stats.duplicates),
                 (counts.edges, counts.duplicates),
@@ -990,15 +1000,33 @@ fn storage_tiers_agree_byte_identically() {
                 );
             }
         }
+        for cap in [total / 2, total - 1] {
+            let [(packed, packed_stats), (spill, spill_stats)] =
+                StorageTier::ALL.map(|tier| tiered(tier, cap));
+            assert_eq!(
+                packed,
+                ExploreOutcome::Truncated { states: cap },
+                "budget {budget} cap {cap}"
+            );
+            assert_eq!(spill, packed, "budget {budget}: the cut at {cap} moved");
+            assert_eq!(
+                (spill_stats.edges, spill_stats.duplicates),
+                (packed_stats.edges, packed_stats.duplicates),
+                "budget {budget} cap {cap}: the cut takes the same edges"
+            );
+            assert!(
+                spill_stats.spilled_bytes > 0,
+                "threshold 512 must spill before the cut at {cap}"
+            );
+        }
     }
 }
 
-/// The `max_bytes` cap is exact and storage-independent: the accounted
-/// cost model is a pure function of the keys the DFS accepts, in its
-/// acceptance order, so a byte-capped search truncates at the identical
-/// state count under every tier. The smallest cap that verifies is the
-/// full space's accounted bytes: it reproduces the uncapped outcome,
-/// and one byte less cuts exactly the last accepted state.
+/// The byte accounts at a `max_states` cut are exact and
+/// tier-independent: cut at half the `S_2`/budget-2 space, one state
+/// short of it, or at its size, both tiers report the same witness-log
+/// and interner bytes, and the witness log holds exactly one 8-byte
+/// parent link per accepted state.
 #[test]
 fn byte_cap_boundary_is_exact_across_tiers() {
     let (ty, w, inputs) = sn_system(2);
@@ -1008,56 +1036,29 @@ fn byte_cap_boundary_is_exact_across_tiers() {
         inputs: Some(inputs.clone()),
         ..ExploreConfig::default()
     };
-    let reference = explore(&factory, &base);
-    let total = match reference {
+    let total = match explore(&factory, &base) {
         ExploreOutcome::Verified { states, .. } => states,
-        ref other => panic!("S_2/budget-2 must verify: {other:?}"),
+        other => panic!("S_2/budget-2 must verify: {other:?}"),
     };
-    let capped = |bytes: usize, tier: StorageTier| {
-        explore(
-            &factory,
-            &ExploreConfig {
-                max_bytes: Some(bytes),
+    for cap in [total / 2, total - 1, total] {
+        let [packed, spill] = StorageTier::ALL.map(|tier| {
+            let config = ExploreConfig {
+                max_states: cap,
                 storage: tier,
                 spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
                 ..base.clone()
-            },
-        )
-    };
-    // Binary search for the smallest verifying cap on the default tier.
-    let (mut lo, mut hi) = (0usize, 1 << 30);
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if capped(mid, base.storage).is_verified() {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    let exact = hi;
-    for tier in StorageTier::ALL {
+            };
+            checked_edges(explore_with_stats(&factory, &config)).1
+        });
         assert_eq!(
-            capped(exact, tier),
-            reference,
-            "{tier}: the exact cap verifies"
+            packed.witness_bytes,
+            8 * cap,
+            "cap {cap}: one 8-byte link per accepted state"
         );
         assert_eq!(
-            capped(exact - 1, tier),
-            ExploreOutcome::Truncated { states: total - 1 },
-            "{tier}: one byte less cuts the last accepted state"
-        );
-    }
-    // A tight cap truncates at the same accepted-state count everywhere.
-    let cut = match capped(2_000, base.storage) {
-        ExploreOutcome::Truncated { states } => states,
-        other => panic!("2000-byte cap must truncate S_2/budget-2: {other:?}"),
-    };
-    assert!(cut > 0, "a 2000-byte cap fits more than the root");
-    for tier in StorageTier::ALL {
-        assert_eq!(
-            capped(2_000, tier),
-            ExploreOutcome::Truncated { states: cut },
-            "byte-cap cut moved under {tier}"
+            (spill.witness_bytes, spill.interned_bytes),
+            (packed.witness_bytes, packed.interned_bytes),
+            "cap {cap}: the byte accounts moved with the tier"
         );
     }
 }
