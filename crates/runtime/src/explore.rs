@@ -102,7 +102,7 @@ use crate::footprint::{
 use crate::intern::{FxHashMap, ValueInterner};
 use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
-use crate::sched::Action;
+use crate::sched::{Action, SchedContext, Scheduler};
 use crate::storage::{PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, Value};
 use std::cmp::Ordering;
@@ -456,6 +456,14 @@ impl SysState {
              {}-process systems are far beyond exact exploration anyway",
             programs.len()
         );
+        SysState::initial(mem, programs)
+    }
+
+    /// The initial state of a build, for any process count. Only the
+    /// checker reads `decided`, so only its [`root`](Self::root) bounds
+    /// the process count; the swarm's [`MemoExecutor`] keeps its own
+    /// decided flags.
+    fn initial(mem: Memory, programs: Vec<Box<dyn Program>>) -> Self {
         SysState {
             mem: CowMemory::from_memory(&mem),
             programs: programs.into_iter().map(Rc::new).collect(),
@@ -634,12 +642,13 @@ struct Stepped {
     step: Step,
 }
 
-fn run_step(parent: &SysState, action: Action) -> Stepped {
-    let (Action::Step(p) | Action::Branch(p, _)) = action else {
-        unreachable!("crashes are not steps")
-    };
-    let mut prog = parent.programs[p].boxed_clone();
-    let mut overlay = StepOverlay::new(&parent.mem.cells);
+fn run_step(prog: &dyn Program, cells: &[CowCell], action: Action) -> Stepped {
+    assert!(
+        matches!(action, Action::Step(_) | Action::Branch(..)),
+        "crashes are not steps"
+    );
+    let mut prog = prog.boxed_clone();
+    let mut overlay = StepOverlay::new(cells);
     let step = match action {
         Action::Branch(_, choice) => prog.step_choice(&mut overlay, choice),
         _ => prog.step(&mut overlay),
@@ -669,7 +678,7 @@ fn apply_to_child(parent: &SysState, action: Action) -> (SysState, Option<Value>
     let mut child = parent.clone();
     match action {
         Action::Step(p) | Action::Branch(p, _) => {
-            let stepped = run_step(parent, action);
+            let stepped = run_step(&**parent.programs[p], &parent.mem.cells, action);
             child.programs[p] = Rc::new(stepped.prog);
             if let Some((cell, content)) = stepped.write {
                 child.mem.cells[cell] = content;
@@ -828,7 +837,9 @@ struct StepOutcome {
 /// engine's fixed order — written cell, program key, decided value —
 /// only once the decision passed its checks. A value is always first
 /// produced on a miss, so ids, keys and every byte account are the ones
-/// stepping every edge would give.
+/// stepping every edge would give. A sweep worker's [`MemoExecutor`]
+/// keeps one memo for all its seeds and records a miss without checks:
+/// the sweep judges whole executions.
 #[derive(Default)]
 struct StepMemo {
     /// (action code, program-state id) → the cell the step accesses, or
@@ -859,36 +870,66 @@ impl StepMemo {
         interner: &mut ValueInterner,
         inputs: Option<&[Value]>,
     ) -> Result<u32, (ViolationKind, Vec<Value>)> {
-        let local = u64::from(action_code(action)) << 32 | u64::from(parent_key[layout.prog(p)]);
-        let cell_id = |cell: u32| match cell {
-            Self::NO_CELL => ValueInterner::NONE,
-            cell => parent_key[cell as usize],
-        };
-        if let Some(&cell) = self.access.get(&local) {
-            if let Some(&i) = self.index.get(&(local, cell_id(cell))) {
-                if let Some((v, _)) = &self.outcomes[i as usize].decided {
-                    check_decision(parent.decided_value.as_ref(), v, inputs)?;
-                }
-                return Ok(i);
+        let check = |v: &Value| check_decision(parent.decided_value.as_ref(), v, inputs);
+        if let Some(i) = self.lookup(parent_key, action, p, layout) {
+            if let Some((v, _)) = &self.outcomes[i as usize].decided {
+                check(v)?;
             }
+            return Ok(i);
         }
-        let stepped = run_step(parent, action);
-        let decided = match stepped.step {
-            Step::Decided(v) => {
-                check_decision(parent.decided_value.as_ref(), &v, inputs)?;
-                Some(v)
-            }
-            Step::Running => None,
-        };
+        let stepped = run_step(&**parent.programs[p], &parent.mem.cells, action);
+        if let Step::Decided(v) = &stepped.step {
+            check(v)?;
+        }
+        Ok(self.record(parent_key, action, p, layout, interner, stepped))
+    }
+
+    /// The transition's local half: (action code, program-state id).
+    fn local(key: &[u32], action: Action, p: usize, layout: &KeyLayout) -> u64 {
+        u64::from(action_code(action)) << 32 | u64::from(key[layout.prog(p)])
+    }
+
+    /// The id of the value in `cell`, read from `key`.
+    fn cell_id(key: &[u32], cell: u32) -> u32 {
+        match cell {
+            Self::NO_CELL => ValueInterner::NONE,
+            cell => key[cell as usize],
+        }
+    }
+
+    /// The memoized outcome of `action`, a step of process `p`, from the
+    /// state with key `key`, if the memo has taken that transition.
+    fn lookup(&self, key: &[u32], action: Action, p: usize, layout: &KeyLayout) -> Option<u32> {
+        let local = Self::local(key, action, p, layout);
+        let &cell = self.access.get(&local)?;
+        self.index.get(&(local, Self::cell_id(key, cell))).copied()
+    }
+
+    /// Memoizes `stepped`, the step `action` of process `p` from the state
+    /// with key `key`, interning in the engine's fixed order — written
+    /// cell, program key, decided value — and returns its index.
+    fn record(
+        &mut self,
+        key: &[u32],
+        action: Action,
+        p: usize,
+        layout: &KeyLayout,
+        interner: &mut ValueInterner,
+        stepped: Stepped,
+    ) -> u32 {
+        let local = Self::local(key, action, p, layout);
         let write = stepped.write.map(|(cell, content)| {
             let id = interner.intern(content.value());
             (cell, content, id)
         });
         let prog_id = interner.intern(&stepped.prog.state_key());
-        let decided = decided.map(|v| {
-            let id = interner.intern(&v);
-            (v, id)
-        });
+        let decided = match stepped.step {
+            Step::Decided(v) => {
+                let id = interner.intern(&v);
+                Some((v, id))
+            }
+            Step::Running => None,
+        };
         let cell = stepped.access.map_or(Self::NO_CELL, |cell| {
             u32::try_from(cell).expect("cell index fits u32")
         });
@@ -900,14 +941,192 @@ impl StepMemo {
              volatile state"
         );
         let i = u32::try_from(self.outcomes.len()).expect("step memo fits u32");
-        self.index.insert((local, cell_id(cell)), i);
+        self.index.insert((local, Self::cell_id(key, cell)), i);
         self.outcomes.push(StepOutcome {
             prog: Rc::new(stepped.prog),
             prog_id,
             write,
             decided,
         });
-        Ok(i)
+        i
+    }
+}
+
+/// The swarm's executor: runs seeded executions of one build on a step
+/// memo, as [`run`](crate::run) runs them over [`Memory`].
+///
+/// An execution is its state key (only the cell and program slots are
+/// kept), the program in each slot, the decided flags and each
+/// process's decisions as interned ids. It starts from a copy of the
+/// root's key and program handles. A step patches the key from the
+/// [`StepMemo`] and steps a program clone against a [`StepOverlay`] only
+/// on a miss; a crash swaps in the precomputed post-crash program and
+/// id ([`CrashedSet`]). So an execution rests on the [`Program`]
+/// contract the checker rests on — a step makes one access, `state_key`
+/// is the complete volatile state, and `on_crash` resets a program to
+/// its post-crash state — and the memo's assertions fire on a step that
+/// breaks its first two clauses. Nothing bounds the process count.
+pub(crate) struct MemoExecutor {
+    layout: KeyLayout,
+    interner: ValueInterner,
+    crashes: CrashedSet,
+    memo: StepMemo,
+    root_key: Vec<u32>,
+    root_programs: Vec<Rc<Box<dyn Program>>>,
+    key: Vec<u32>,
+    programs: Vec<Rc<Box<dyn Program>>>,
+    decided: Vec<bool>,
+    outputs: Vec<Vec<u32>>,
+    /// The memory a memo miss steps against, rebuilt from `key` on each
+    /// miss.
+    cells: Vec<CowCell>,
+}
+
+/// What one [`MemoExecutor::run`] did, as [`Execution`](crate::Execution)
+/// reports it.
+pub(crate) struct MemoRun {
+    pub(crate) steps: usize,
+    pub(crate) crashes: usize,
+    pub(crate) all_decided: bool,
+    pub(crate) hit_step_limit: bool,
+}
+
+impl MemoExecutor {
+    /// An executor of the system that starts as `mem` and `programs`.
+    pub(crate) fn new(mem: Memory, programs: Vec<Box<dyn Program>>) -> Self {
+        let root = SysState::initial(mem, programs);
+        let layout = KeyLayout::of(&root, false);
+        let mut interner = ValueInterner::new();
+        let crashes = CrashedSet::new(&root, &mut interner);
+        let root_key = root_key(&root, &layout, &mut interner);
+        MemoExecutor {
+            layout,
+            interner,
+            crashes,
+            memo: StepMemo::default(),
+            key: root_key.clone(),
+            root_key,
+            programs: root.programs.clone(),
+            root_programs: root.programs,
+            decided: vec![false; layout.n],
+            outputs: vec![Vec::new(); layout.n],
+            cells: root.mem.cells,
+        }
+    }
+
+    /// Runs one execution under `sched` until the scheduler ends it or
+    /// `max_actions` actions were taken, exactly as [`run`](crate::run)
+    /// with that bound would.
+    pub(crate) fn run(&mut self, sched: &mut impl Scheduler, max_actions: usize) -> MemoRun {
+        let n = self.layout.n;
+        self.key.copy_from_slice(&self.root_key);
+        self.programs.clone_from_slice(&self.root_programs);
+        self.decided.fill(false);
+        self.outputs.iter_mut().for_each(Vec::clear);
+        let (mut steps, mut crashes, mut actions) = (0, 0, 0);
+        let hit_step_limit = loop {
+            if actions >= max_actions {
+                break true;
+            }
+            let ctx = SchedContext {
+                n,
+                decided: &self.decided,
+                steps_taken: steps,
+                crashes_injected: crashes,
+            };
+            let Some(action) = sched.next_action(&ctx) else {
+                break false;
+            };
+            actions += 1;
+            match action {
+                Action::Step(p) | Action::Branch(p, _) => {
+                    assert!(p < n, "scheduler stepped unknown process {p}");
+                    if !self.decided[p] {
+                        steps += 1;
+                        self.step(action, p);
+                    }
+                }
+                Action::Crash(p) => {
+                    assert!(p < n, "scheduler crashed unknown process {p}");
+                    crashes += 1;
+                    self.crash(p);
+                }
+                Action::CrashAll => {
+                    crashes += 1;
+                    (0..n).for_each(|p| self.crash(p));
+                }
+            }
+        };
+        MemoRun {
+            steps,
+            crashes,
+            all_decided: self.decided.iter().all(|&d| d),
+            hit_step_limit,
+        }
+    }
+
+    fn step(&mut self, action: Action, p: usize) {
+        let layout = self.layout;
+        let i = match self.memo.lookup(&self.key, action, p, &layout) {
+            Some(i) => i,
+            None => {
+                self.sync_cells();
+                let stepped = run_step(&**self.programs[p], &self.cells, action);
+                let (key, interner) = (&self.key, &mut self.interner);
+                self.memo.record(key, action, p, &layout, interner, stepped)
+            }
+        };
+        let outcome = &self.memo.outcomes[i as usize];
+        self.key[layout.prog(p)] = outcome.prog_id;
+        self.programs[p] = Rc::clone(&outcome.prog);
+        if let Some((cell, _, id)) = outcome.write {
+            self.key[cell] = id;
+        }
+        if let Some((_, id)) = outcome.decided {
+            self.decided[p] = true;
+            self.outputs[p].push(id);
+        }
+    }
+
+    fn crash(&mut self, p: usize) {
+        self.key[self.layout.prog(p)] = self.crashes.ids[p];
+        self.programs[p] = Rc::clone(&self.crashes.progs[p]);
+        self.decided[p] = false;
+    }
+
+    /// Sets every cell's content to the value `key` names.
+    fn sync_cells(&mut self) {
+        for (cell, &id) in self.cells.iter_mut().zip(&self.key) {
+            let (CowCell::Register(content) | CowCell::Object { state: content, .. }) = cell;
+            *content = Rc::new(self.interner.value(id).clone());
+        }
+    }
+
+    /// The last execution's final key slots: every cell's content id,
+    /// then every program's state-key id.
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.key[..self.layout.prog(self.layout.n)]
+    }
+
+    /// The number of memory cells, the first [`slots`](Self::slots).
+    pub(crate) fn cell_count(&self) -> usize {
+        self.layout.cells
+    }
+
+    /// Every decision of the last execution, per process in run order,
+    /// as interned ids.
+    pub(crate) fn outputs(&self) -> &[Vec<u32>] {
+        &self.outputs
+    }
+
+    /// The id of `value` in this executor's interner.
+    pub(crate) fn intern(&mut self, value: &Value) -> u32 {
+        self.interner.intern(value)
+    }
+
+    /// The value behind an id of this executor.
+    pub(crate) fn value(&self, id: u32) -> &Value {
+        self.interner.value(id)
     }
 }
 

@@ -59,9 +59,12 @@
 //!   the process slots during symmetry reduction.
 //! * [`swarm`] — randomized swarm verification past the exhaustive
 //!   frontier: millions of deterministically-seeded schedules fanned
-//!   across all cores ([`swarm()`](swarm::swarm)), exact
-//!   distinct-final-state coverage through the packed tables,
-//!   per-seed deterministic replay ([`replay_seed`]) and
+//!   across all cores ([`swarm()`](swarm::swarm)), each executed on the
+//!   checker's step memo and so resting on the same [`Program`] step
+//!   contract (one access per step, a complete `state_key`, an
+//!   `on_crash` that resets), exact distinct-final-state coverage
+//!   through the packed tables, per-seed deterministic replay through
+//!   [`run`] ([`replay_seed`]) and
 //!   delta-debugging of violating schedules down to 1-minimal,
 //!   [`CrashModel`]-legal witnesses ([`shrink_schedule`]) that
 //!   re-verify on the checker's executor ([`replay_on_checker`]).

@@ -92,9 +92,9 @@ pub enum Step {
 ///   what makes the simulated executions *exactly* the executions of the
 ///   paper's model — the scheduler can interleave processes and inject
 ///   crashes between any two shared-memory accesses. The exhaustive
-///   checker relies on it too: it memoizes each step by the process's
-///   slot, its [`state_key`](Program::state_key) and the value of the
-///   one cell the step accesses, and panics on a step that makes a
+///   checker and the swarm rely on it too: they memoize each step by the
+///   process's slot, its [`state_key`](Program::state_key) and the value
+///   of the one cell the step accesses, and panic on a step that makes a
 ///   second access.
 /// * [`on_crash`](Program::on_crash) models a process crash: it must reset
 ///   the program counter and all local variables to their initial values.
@@ -104,11 +104,14 @@ pub enum Step {
 ///   implementations keep their input and wipe the rest.
 ///   (The `rc-core::algorithms::input_mask` transformation removes even
 ///   the stable-input assumption, exactly as described in the paper.)
+///   The checker and the swarm compute each post-crash program once and
+///   reuse it for every crash of that process.
 /// * [`state_key`](Program::state_key) returns a *complete* structural
 ///   encoding of the volatile state (program counter + locals). The model
-///   checker memoizes on it, so two programs with equal keys must behave
-///   identically forever; encoding less than the full state would make the
-///   exhaustive exploration unsound.
+///   checker and the swarm memoize on it, so two programs with equal keys
+///   must behave identically forever; encoding less than the full state
+///   would make the exhaustive exploration unsound and the swarm's
+///   executions wrong.
 ///
 /// Programs are passive data (`Send + Sync`): nothing runs without a
 /// scheduler calling [`step`](Program::step); the model checker's
@@ -120,9 +123,9 @@ pub trait Program: fmt::Debug + Send + Sync {
     ///
     /// Which cell the step accesses must depend only on the volatile
     /// state, and its effect only on that state and the accessed cell's
-    /// value: the exhaustive checker steps each (slot, state key, cell
-    /// value) once and reuses the outcome for every state that repeats
-    /// it.
+    /// value: the exhaustive checker and the swarm step each (slot, state
+    /// key, cell value) once and reuse the outcome for every state that
+    /// repeats it.
     ///
     /// For internally nondeterministic programs this must execute the
     /// *first* alternative of [`choices`](Program::choices) — schedulers

@@ -6,7 +6,7 @@
 //! offer only one-shot [`RandomScheduler`] runs. This module turns that
 //! one-shot into a *service*: [`swarm`] partitions a contiguous seed
 //! range across worker threads, runs one full seeded execution per seed
-//! through the shared [`run`] loop, checks every execution
+//! on the exhaustive checker's step memo, checks every execution
 //! against the recoverable-consensus contract
 //! ([`verify`](crate::verify)), and aggregates
 //!
@@ -20,27 +20,47 @@
 //!
 //! ## Determinism contract
 //!
-//! Seed `s` always denotes the same execution: the run is
-//! `run(factory(), RandomScheduler(seed = s), …)` and both the factory
-//! and the scheduler are deterministic (see the
-//! [`sched`](crate::sched) module contract). Consequently every
-//! *deterministic* aggregate — violating seed set, distinct-final-state
-//! count, total steps and crashes — is a pure function of
-//! `(factory, SwarmConfig)` and is **byte-identical across thread
-//! counts**: workers only partition the seed range; the merge is a set
-//! union and a sort. Wall-clock fields are the only machine-dependent
-//! outputs. The property suite asserts this across thread counts.
+//! Seed `s` always denotes the same execution:
+//! `run(factory(), RandomScheduler(seed = s), …)`. Both the factory and
+//! the scheduler are deterministic (see the [`sched`](crate::sched)
+//! module contract). Consequently every *deterministic* aggregate —
+//! violating seed set, distinct-final-state count, total steps and
+//! crashes — is a pure function of `(factory, SwarmConfig)` and is
+//! **byte-identical across thread counts**: workers only partition the
+//! seed range; the merge is a set union and a sort. Wall-clock fields
+//! are the only machine-dependent outputs. The property suite asserts
+//! this across thread counts.
 //!
-//! A sweep calls the factory **once**, on the calling thread, and runs
-//! every seed on a clone of that build: a [`Memory`] clone plus a
-//! [`Program::boxed_clone`] of every program. Nothing steps the build
-//! itself. The clone is the execution a fresh `factory()` call would
-//! start: the factory is deterministic, so every call returns the same
-//! system, and `boxed_clone` is a faithful copy — the contract the
-//! exhaustive checker already relies on when it branches a state. So
-//! seed `s` still denotes `run(factory(), …)`, and [`replay_seed`],
-//! which does call the factory, reproduces it exactly. The sweep only
-//! skips repeating the build (witness checks, allocations) per seed.
+//! A sweep calls the factory **once**, on the calling thread. Each
+//! worker turns its own clone of that build into a root state, with its
+//! own value interner, post-crash programs and step memo — the
+//! checker's key-first machinery — and runs every seed it claims from
+//! that root, not through [`run`]. A seed starts from a copy of the
+//! root's interned key and program handles. A step is a memo lookup on
+//! (process slot, program-state id, id of the one cell it accesses),
+//! and a program clone is stepped only on a miss. A crash swaps in the
+//! precomputed post-crash program. Each decision is recorded as an
+//! interned id. The verdict is computed on ids in
+//! [`check_consensus_execution`]'s order — agreement over all outputs,
+//! then validity, then termination — and returns the same violation.
+//! Final states are deduplicated on ids in the worker's own table, and
+//! only the finals new to a worker are translated to value words for
+//! the merge.
+//!
+//! So the sweep relies on the [`Program`](crate::Program) step contract
+//! the checker relies on:
+//!
+//! * a step makes at most one shared-memory access;
+//! * `state_key` captures the complete volatile state;
+//! * `on_crash` resets the program to its post-crash state.
+//!
+//! The memo's assertions fire if a program breaks the first two clauses:
+//! a second access in one step panics, and so do two programs with equal
+//! state keys in one slot that access different cells. [`run`] stays the
+//! executor of [`replay_seed`], [`replay_schedule`] and
+//! [`shrink_schedule`], so every reported seed is re-derived by a
+//! second, independent executor, and the tests compare whole sweeps
+//! against a per-seed loop of `run` on fresh builds.
 //!
 //! ## Shrinking
 //!
@@ -53,9 +73,9 @@
 //! checker's executor ([`replay_on_checker`]): the checker's
 //! copy-on-write child builder replays it from the root state, and the
 //! witness is `witness_verified` when the checker makes the same
-//! decisions in the same order as [`run`] over [`Memory`] and flags a
-//! safety violation. Two executors of the crash–recover model then agree
-//! on the witness.
+//! decisions in the same order as [`run`] over
+//! [`Memory`](crate::Memory) and flags a safety violation. Two executors
+//! of the crash–recover model then agree on the witness.
 //!
 //! Only safety violations (agreement, validity) shrink. A termination
 //! violation is a liveness property: *every* prefix of a schedule
@@ -66,9 +86,7 @@
 
 use crate::crash::CrashModel;
 use crate::exec::{run, Execution, RunOptions};
-use crate::explore::{replay_on_checker, SystemFactory};
-use crate::memory::Memory;
-use crate::program::Program;
+use crate::explore::{replay_on_checker, MemoExecutor, MemoRun, SystemFactory};
 use crate::sched::{Action, RandomScheduler, RandomSchedulerConfig, SchedContext, Scheduler};
 use crate::storage::PackedStateTable;
 use crate::verify::{check_agreement, check_consensus_execution, RcViolation};
@@ -240,8 +258,9 @@ pub fn swarm_with_progress(
 ) -> SwarmReport {
     let started = Instant::now();
     let threads = config.effective_threads();
-    // The one build of the sweep; workers share it read-only and run
-    // each seed on a clone (see the module docs' determinism contract).
+    // The one build of the sweep; each worker runs every seed it claims
+    // on an executor of its own clone (see the module docs' determinism
+    // contract).
     let (proto_mem, proto_programs) = factory();
     // Workers claim fixed-size seed chunks from a shared cursor: which
     // worker runs which seed varies with timing, but every aggregate
@@ -253,6 +272,11 @@ pub fn swarm_with_progress(
     let violations_found = AtomicU64::new(0);
 
     let worker = || -> WorkerOutput {
+        let mut exec = MemoExecutor::new(proto_mem.clone(), proto_programs.clone());
+        let inputs: Option<Vec<u32>> = config
+            .inputs
+            .as_ref()
+            .map(|inputs| inputs.iter().map(|v| exec.intern(v)).collect());
         let mut table = PackedStateTable::new(None);
         let mut out = WorkerOutput {
             fresh_keys: Vec::new(),
@@ -270,29 +294,20 @@ pub fn swarm_with_progress(
             let hi = (lo + CHUNK).min(config.seeds);
             for offset in lo..hi {
                 let seed = config.seed_start + offset;
-                let mut mem = proto_mem.clone();
-                let mut programs = proto_programs.clone();
-                let mut sched = config.scheduler_for(seed);
-                let exec = run(
-                    &mut mem,
-                    &mut programs,
-                    &mut sched,
-                    RunOptions {
-                        max_actions: config.max_actions,
-                        record_trace: false,
-                    },
-                );
-                out.steps += exec.steps as u64;
-                out.crashes += exec.crashes as u64;
+                let run = exec.run(&mut config.scheduler_for(seed), config.max_actions);
+                out.steps += run.steps as u64;
+                out.crashes += run.crashes as u64;
+                let flags = u32::from(run.all_decided) | (u32::from(run.hit_step_limit) << 1);
                 key.clear();
-                final_state_words(&mem, &programs, &exec, &mut key);
-                let (_, fresh) = table.insert(&key);
-                if fresh {
-                    out.fresh_keys
-                        .push(u32::try_from(key.len()).expect("key words fit u32"));
-                    out.fresh_keys.extend_from_slice(&key);
+                final_state_ids(&exec, flags, &mut key);
+                if table.insert(&key).1 {
+                    let at = out.fresh_keys.len();
+                    out.fresh_keys.push(0);
+                    encode_final_state(&exec, flags, &mut out.fresh_keys);
+                    out.fresh_keys[at] =
+                        u32::try_from(out.fresh_keys.len() - at - 1).expect("key words fit u32");
                 }
-                if let Err(violation) = check_execution(&exec, config.inputs.as_deref()) {
+                if let Err(violation) = verdict(&exec, &run, inputs.as_deref()) {
                     out.violations.push(SwarmViolation { seed, violation });
                     violations_found.fetch_add(1, Ordering::Relaxed);
                 }
@@ -647,29 +662,67 @@ fn check_execution(exec: &Execution, inputs: Option<&[Value]>) -> Result<(), RcV
     }
 }
 
-/// Appends the canonical injective word encoding of one final state —
-/// every output of every run, each program's state key, the decided
-/// flags and the full shared-memory snapshot — to `out`. Two runs
-/// append equal words iff those observables are structurally equal, so
-/// inserting the words into a [`PackedStateTable`] counts distinct
-/// final states exactly.
-fn final_state_words(
-    mem: &Memory,
-    programs: &[Box<dyn Program>],
-    exec: &Execution,
-    out: &mut Vec<u32>,
-) {
-    out.push(u32::try_from(programs.len()).expect("process count fits u32"));
-    for (p, program) in programs.iter().enumerate() {
-        encode_value(&program.state_key(), out);
-        out.push(u32::try_from(exec.outputs[p].len()).expect("run count fits u32"));
-        for v in &exec.outputs[p] {
-            encode_value(v, out);
+/// The verdict of the executor's last execution, computed on interned
+/// ids in [`check_execution`]'s order: agreement over every output
+/// (process by process, each in run order), then validity against the
+/// input ids when inputs are declared, then termination. Ids are
+/// injective, so it returns the violation `check_execution` returns on
+/// the same execution.
+fn verdict(exec: &MemoExecutor, run: &MemoRun, inputs: Option<&[u32]>) -> Result<(), RcViolation> {
+    let mut outputs = exec.outputs().iter().flatten();
+    if let Some(&first) = outputs.next() {
+        if let Some(&second) = outputs.find(|&&id| id != first) {
+            return Err(RcViolation::Agreement {
+                first: exec.value(first).clone(),
+                second: exec.value(second).clone(),
+            });
+        }
+        // Every output equals the first, so the first is the one to check.
+        if inputs.is_some_and(|inputs| !inputs.contains(&first)) {
+            return Err(RcViolation::Validity {
+                output: exec.value(first).clone(),
+            });
         }
     }
-    out.push(u32::from(exec.all_decided) | (u32::from(exec.hit_step_limit) << 1));
-    for v in mem.contents() {
-        encode_value(v, out);
+    if !run.all_decided || run.hit_step_limit {
+        return Err(RcViolation::Termination);
+    }
+    Ok(())
+}
+
+/// Appends the executor's last final state as interned ids — every
+/// cell's content, every program's state key, each process's outputs
+/// (count, then values) and `flags` (all decided, step limit hit). The
+/// ids are the worker's own, so equal words mean equal finals within one
+/// worker only.
+fn final_state_ids(exec: &MemoExecutor, flags: u32, out: &mut Vec<u32>) {
+    out.extend_from_slice(exec.slots());
+    for outputs in exec.outputs() {
+        out.push(u32::try_from(outputs.len()).expect("run count fits u32"));
+        out.extend_from_slice(outputs);
+    }
+    out.push(flags);
+}
+
+/// Appends the canonical injective word encoding of the executor's last
+/// final state — the process count, then per process its state key and
+/// every output of every run, then `flags`, then every memory cell — to
+/// `out`. Two finals append equal words iff those observables are
+/// structurally equal, whichever worker ran them, so inserting the words
+/// into one [`PackedStateTable`] counts distinct final states exactly.
+fn encode_final_state(exec: &MemoExecutor, flags: u32, out: &mut Vec<u32>) {
+    let (cells, programs) = exec.slots().split_at(exec.cell_count());
+    out.push(u32::try_from(programs.len()).expect("process count fits u32"));
+    for (&program, outputs) in programs.iter().zip(exec.outputs()) {
+        encode_value(exec.value(program), out);
+        out.push(u32::try_from(outputs.len()).expect("run count fits u32"));
+        for &id in outputs {
+            encode_value(exec.value(id), out);
+        }
+    }
+    out.push(flags);
+    for &id in cells {
+        encode_value(exec.value(id), out);
     }
 }
 
@@ -713,8 +766,8 @@ fn encode_value(v: &Value, out: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{Addr, MemOps};
-    use crate::program::Step;
+    use crate::memory::{Addr, MemOps, Memory};
+    use crate::program::{Program, Step};
     use std::sync::Arc;
 
     /// Writes its input, reads the register back, decides what it read.
@@ -810,6 +863,53 @@ mod tests {
         (mem, programs)
     }
 
+    /// Two processes write their inputs, 0 and 5, then decide what they
+    /// read: a schedule agrees on 0, agrees on 5 (outside the declared
+    /// inputs 0 and 1: validity) or decides both (agreement).
+    fn validity_system() -> (Memory, Vec<Box<dyn Program>>) {
+        let mut mem = Memory::new();
+        let addr = mem.alloc_register(Value::Bottom);
+        let programs: Vec<Box<dyn Program>> = [0, 5]
+            .into_iter()
+            .map(|input| {
+                Box::new(WriteReadDecide {
+                    addr,
+                    input: Value::Int(input),
+                    pc: 0,
+                }) as Box<dyn Program>
+            })
+            .collect();
+        (mem, programs)
+    }
+
+    /// Re-reads a register until it leaves ⊥; alone, it never decides.
+    #[derive(Clone, Debug)]
+    struct Spinner {
+        addr: Addr,
+    }
+
+    impl Program for Spinner {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            match mem.read_register(self.addr) {
+                Value::Bottom => Step::Running,
+                v => Step::Decided(v),
+            }
+        }
+        fn on_crash(&mut self) {}
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn spinner_system() -> (Memory, Vec<Box<dyn Program>>) {
+        let mut mem = Memory::new();
+        let addr = mem.alloc_register(Value::Bottom);
+        (mem, vec![Box::new(Spinner { addr }) as Box<dyn Program>])
+    }
+
     fn small_config(seeds: u64, threads: usize) -> SwarmConfig {
         SwarmConfig {
             seeds,
@@ -829,6 +929,147 @@ mod tests {
         assert!(one.violations.is_empty(), "common-input pair always agrees");
         assert!(one.distinct_final_states > 1, "several final states");
         assert_eq!(four.threads_used, 4);
+    }
+
+    /// Every verdict kind through the sweep: on each fixture, sweeps at
+    /// one and two threads report exactly what a per-seed loop of `run`
+    /// on fresh builds and `check_execution` reports — steps, crashes,
+    /// distinct finals (a `HashSet` of structural observables) and the
+    /// sorted `(seed, violation)` list. 600 seeds span three 256-seed
+    /// chunks, so two workers intern values in different orders. Under
+    /// a 5-action limit, two processes that decide within 4 steps end
+    /// in finals that differ only in the step-limit flag. The 65-process
+    /// system is past the checker's 64-process bound, which the sweep
+    /// does not have.
+    #[test]
+    fn sweeps_match_run_on_every_verdict_kind() {
+        type Fixture = (
+            &'static str,
+            fn() -> (Memory, Vec<Box<dyn Program>>),
+            Option<Vec<Value>>,
+            usize,
+            Option<&'static str>,
+        );
+        let ints = |vs: &[i64]| Some(vs.iter().map(|&i| Value::Int(i)).collect());
+        let fixtures: [Fixture; 7] = [
+            (
+                "agreeing",
+                || agreeing_system(3),
+                ints(&[42]),
+                100_000,
+                None,
+            ),
+            (
+                "decide-own",
+                broken_system,
+                ints(&[0, 1]),
+                100_000,
+                Some("agreement"),
+            ),
+            (
+                "decide-own, no inputs",
+                broken_system,
+                None,
+                100_000,
+                Some("agreement"),
+            ),
+            (
+                "validity",
+                validity_system,
+                ints(&[0, 1]),
+                100_000,
+                Some("validity"),
+            ),
+            (
+                "spinner",
+                spinner_system,
+                ints(&[1]),
+                50,
+                Some("termination"),
+            ),
+            (
+                "step limit",
+                || agreeing_system(2),
+                ints(&[42]),
+                5,
+                Some("termination"),
+            ),
+            (
+                "65 processes",
+                || agreeing_system(65),
+                ints(&[42]),
+                100_000,
+                None,
+            ),
+        ];
+        let kind = |v: &RcViolation| match v {
+            RcViolation::Agreement { .. } => "agreement",
+            RcViolation::Validity { .. } => "validity",
+            RcViolation::Termination => "termination",
+        };
+        for (name, factory, inputs, max_actions, expect) in fixtures {
+            let config = SwarmConfig {
+                seed_start: 1_000,
+                max_actions,
+                inputs,
+                ..small_config(600, 1)
+            };
+            let mut finals = std::collections::HashSet::new();
+            let (mut steps, mut crashes) = (0u64, 0u64);
+            let mut violations = Vec::new();
+            for seed in config.seed_start..config.seed_start + config.seeds {
+                let (mut mem, mut programs) = factory();
+                let options = RunOptions {
+                    max_actions,
+                    record_trace: false,
+                };
+                let exec = run(
+                    &mut mem,
+                    &mut programs,
+                    &mut config.scheduler_for(seed),
+                    options,
+                );
+                steps += exec.steps as u64;
+                crashes += exec.crashes as u64;
+                if let Err(violation) = check_execution(&exec, config.inputs.as_deref()) {
+                    violations.push((seed, violation));
+                }
+                let keys: Vec<Value> = programs.iter().map(|p| p.state_key()).collect();
+                finals.insert((
+                    keys,
+                    exec.outputs,
+                    exec.all_decided,
+                    exec.hit_step_limit,
+                    mem.state_key(),
+                ));
+            }
+            match expect {
+                None => assert!(violations.is_empty(), "{name}: {violations:?}"),
+                Some(expected) => assert!(
+                    violations.iter().any(|(_, v)| kind(v) == expected),
+                    "{name}: the reference loop sees the fixture's violation"
+                ),
+            }
+            for threads in [1, 2] {
+                let report = swarm(
+                    &factory,
+                    &SwarmConfig {
+                        threads,
+                        ..config.clone()
+                    },
+                );
+                let at = format!("{name} at {threads} threads");
+                assert_eq!(report.total_steps, steps, "{at}: steps");
+                assert_eq!(report.total_crashes, crashes, "{at}: crashes");
+                assert_eq!(report.distinct_final_states, finals.len(), "{at}: finals");
+                let found: Vec<_> = report
+                    .violations
+                    .into_iter()
+                    .map(|v| (v.seed, v.violation))
+                    .collect();
+                assert_eq!(found, violations, "{at}: violating seeds");
+            }
+        }
     }
 
     #[test]

@@ -78,11 +78,13 @@ proptest! {
 /// `scheduler_for(seed)`, is checked with `check_consensus_execution`,
 /// and its final state goes into a std `HashSet` of structural
 /// observables (program state keys, every output, the decided and
-/// step-limit flags, `Memory::state_key()`). The swarm shares only
-/// `run`, the scheduler and the checker with it: it sweeps clones of
-/// one build, keys finals as packed words and merges per-worker tables.
-/// At one and at three threads it must report exactly the loop's
-/// coverage, step and crash totals and violating seeds.
+/// step-limit flags, `Memory::state_key()`). The swarm shares only the
+/// scheduler with it: it runs each seed on the checker's step memo from
+/// one build, not through `run`, computes its verdict on interned ids,
+/// keys finals as packed words and merges per-worker tables. So this is
+/// a check across two executors: at one and at three threads the sweep
+/// must report exactly the loop's coverage, step and crash totals and
+/// violating seeds.
 ///
 /// Each seed's recorded schedule also replays on the exhaustive
 /// checker's executor (`replay_on_checker`: copy-on-write child builder,
