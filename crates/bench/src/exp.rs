@@ -2356,9 +2356,6 @@ pub struct CatalogLintRow {
     /// The same under the **crash** footprint (`on_crash` edges
     /// included) — the sound one the lint verdict is based on.
     pub accesses_crash: usize,
-    /// Statically-independent process pairs (disjoint write∩access
-    /// footprints), from the crash footprint.
-    pub independent_pairs: usize,
     /// Cells touched by exactly one process: derivable owned-cell
     /// candidates.
     pub derived_owned: usize,
@@ -2400,7 +2397,6 @@ pub struct CatalogLintRow {
 pub fn catalog_lint_rows() -> Vec<CatalogLintRow> {
     use rc_runtime::{
         analyze_system, lint_ample, lint_with_analysis, system_analysis_cached, AnalysisBudget,
-        StaticIndependence,
     };
     lint_catalog()
         .into_iter()
@@ -2433,7 +2429,6 @@ pub fn catalog_lint_rows() -> Vec<CatalogLintRow> {
             let count = |fp: &rc_runtime::SystemFootprint| -> usize {
                 fp.per_process.iter().map(|p| p.cells.len()).sum()
             };
-            let indep = StaticIndependence::from_footprint(&report.footprint);
             CatalogLintRow {
                 system,
                 n: programs.len(),
@@ -2447,7 +2442,6 @@ pub fn catalog_lint_rows() -> Vec<CatalogLintRow> {
                 probes: report.footprint.probes,
                 accesses_crash_free: count(&crash_free),
                 accesses_crash: count(&report.footprint),
-                independent_pairs: indep.independent_pairs().len(),
                 derived_owned: report.derived_owned.iter().map(Vec::len).sum(),
                 errors: report.errors,
                 warnings: report.warnings,
@@ -2546,7 +2540,6 @@ pub fn e14_catalog_lint() -> (String, bool) {
         "probes",
         "accesses (no crash)",
         "accesses (crash)",
-        "indep pairs",
         "derived owned",
         "verdict",
         "ample (spot st/pairs)",
@@ -2587,7 +2580,6 @@ pub fn e14_catalog_lint() -> (String, bool) {
             r.probes.to_string(),
             r.accesses_crash_free.to_string(),
             r.accesses_crash.to_string(),
-            r.independent_pairs.to_string(),
             r.derived_owned.to_string(),
             verdict,
             format!("{ample} ({}/{})", r.spot_states, r.spot_pairs),
@@ -2617,11 +2609,11 @@ pub fn e14_catalog_lint() -> (String, bool) {
          shipped system's `referenced_cells` and owned-cell declarations \
          checked against the analyzed cell-access footprint; crash edges \
          can only widen footprints (a re-run revisits cells from a reset \
-         pc), so the crash column is the sound basis for the verdicts and \
-         the static independence relation. The ample column is the \
-         POR soundness lint (`lint_ample`): static C0–C2-style checks \
-         plus a dynamic spot-check that re-executes pruned interleavings \
-         at sampled states — `ineligible` (A1/A2) means the engine \
+         pc), so the crash column is the sound basis for the verdicts. \
+         The ample column is the POR soundness lint (`lint_ample`): \
+         static C0–C2-style checks plus a dynamic spot-check that \
+         re-executes pruned interleavings at sampled states — \
+         `ineligible` (A1/A2) means the engine \
          refuses POR for that system, which keeps the gate green; an \
          A3–A5 soundness violation fails it. The scalarset column is the \
          equivariance certificate (`lint_scalarset`) for declared \

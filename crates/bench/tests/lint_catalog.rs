@@ -58,6 +58,54 @@ fn every_catalog_system_lints_clean() {
     assert!(report.contains("certified"), "{report}");
 }
 
+/// E14, row by row: every count the audit reports and the A3
+/// spot-check's reach are deterministic, so they are pinned exactly.
+/// Each row lists n, cells, local states, probes, the crash-free and
+/// crash access counts, derived owned cells, the declaration lint's
+/// error and warning counts, the ample lint's error and warning counts,
+/// and the A3 walk's states and re-executed pairs.
+#[test]
+fn catalog_lint_rows_are_pinned() {
+    #[rustfmt::skip]
+    let expected: [(&str, [usize; 13]); 10] = [
+        ("team consensus T_4 (sym)",           [4, 3, 40, 162, 12, 12, 0, 0, 0, 0, 1, 128, 0]),
+        ("masked team consensus T_4 (sym)",    [4, 7, 48, 178, 16, 16, 4, 0, 0, 0, 0, 128, 165]),
+        ("tournament consensus T_4",           [4, 9, 96, 518, 24, 24, 0, 0, 0, 0, 0, 128, 48]),
+        ("team RC S_3 (sym)",                  [3, 3, 26, 111, 9, 9, 0, 0, 0, 0, 1, 128, 0]),
+        ("masked team RC S_3 (sym)",           [3, 6, 32, 123, 12, 12, 3, 0, 0, 0, 0, 128, 134]),
+        ("broken team RC S_3 (sym)",           [3, 3, 26, 111, 9, 9, 0, 0, 0, 0, 1, 128, 0]),
+        ("masked broken team RC S_3 (sym)",    [3, 6, 32, 123, 12, 12, 3, 0, 0, 0, 0, 128, 134]),
+        ("tournament RC S_3",                  [3, 6, 68, 302, 15, 15, 0, 0, 0, 0, 0, 128, 12]),
+        ("SimultaneousRc n=2 (sym)",           [2, 8, 146, 1215, 16, 16, 0, 0, 0, 0, 0, 128, 71]),
+        ("SimultaneousRc n=3 scalarset (sym)", [3, 9, 291, 3987, 27, 27, 0, 0, 0, 0, 0, 128, 134]),
+    ];
+    let rows = catalog_lint_rows();
+    let actual: Vec<(&str, [usize; 13])> = rows
+        .iter()
+        .map(|r| {
+            (
+                r.system.as_str(),
+                [
+                    r.n,
+                    r.cells,
+                    r.local_states,
+                    r.probes,
+                    r.accesses_crash_free,
+                    r.accesses_crash,
+                    r.derived_owned,
+                    r.errors.len(),
+                    r.warnings.len(),
+                    r.ample_errors.len(),
+                    r.ample_warnings.len(),
+                    r.spot_states,
+                    r.spot_pairs,
+                ],
+            )
+        })
+        .collect();
+    assert_eq!(actual, expected);
+}
+
 /// Forwards every `Program` method to the wrapped catalog program but
 /// omits one known-accessed cell from `referenced_cells` — the seeded
 /// under-declaration the linter must catch.

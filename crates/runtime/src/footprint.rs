@@ -65,12 +65,9 @@
 //!   touched by exactly one process are reported as derived owned-cell
 //!   candidates. The `tables lint` CLI (rc-bench) runs this across the
 //!   whole catalog as experiment E14.
-//! * [`StaticIndependence`] — steps of distinct processes whose write
-//!   footprint is disjoint from each other's access footprint commute in
-//!   every state. A whole-process summary that the E14 audit reports; no
-//!   search decision reads it. Partial-order reduction prunes on the
-//!   finer per-local-state footprints ([`analyze_system_states`]), whose
-//!   pruned step orders [`lint_ample`](crate::lint_ample) re-executes.
+//! * [`analyze_system_states`] — the per-local-state footprints
+//!   partial-order reduction prunes on; [`lint_ample`](crate::lint_ample)
+//!   re-executes the step orders they prune.
 //! * the symmetry validation in `explore` uses analyzed footprints as
 //!   reference sets where the analysis converges, so owned-cell systems
 //!   built from programs without `referenced_cells` are validated (or
@@ -1221,65 +1218,6 @@ pub fn system_analysis_cached(
     Ok(analysis)
 }
 
-/// The static independence relation derived from a [`SystemFootprint`]:
-/// steps of two distinct processes commute in **every** state when each
-/// one's write footprint is disjoint from the other's access footprint —
-/// neither step can change a cell the other touches, so both orders
-/// produce identical memory and identical per-process behaviour. A
-/// whole-process summary that the E14 audit reports: partial-order
-/// reduction prunes on the finer per-local-state footprints of
-/// [`SystemAnalysis`] instead.
-#[derive(Clone, Debug)]
-pub struct StaticIndependence {
-    accessed: Vec<BTreeSet<usize>>,
-    mutated: Vec<BTreeSet<usize>>,
-}
-
-impl StaticIndependence {
-    /// Derives the relation from analyzed footprints.
-    pub fn from_footprint(fp: &SystemFootprint) -> Self {
-        StaticIndependence {
-            accessed: fp
-                .per_process
-                .iter()
-                .map(|p| p.cells.keys().map(|a| a.index()).collect())
-                .collect(),
-            mutated: fp
-                .per_process
-                .iter()
-                .map(|p| {
-                    p.cells
-                        .iter()
-                        .filter(|(_, m)| m.mutates())
-                        .map(|(a, _)| a.index())
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.accessed.len()
-    }
-
-    /// Whether every step of `p` commutes with every step of `q`.
-    pub fn are_independent(&self, p: Pid, q: Pid) -> bool {
-        p != q
-            && self.mutated[p].is_disjoint(&self.accessed[q])
-            && self.mutated[q].is_disjoint(&self.accessed[p])
-    }
-
-    /// All independent pairs `(p, q)` with `p < q`, ascending.
-    pub fn independent_pairs(&self) -> Vec<(Pid, Pid)> {
-        let n = self.n();
-        (0..n)
-            .flat_map(|p| (p + 1..n).map(move |q| (p, q)))
-            .filter(|&(p, q)| self.are_independent(p, q))
-            .collect()
-    }
-}
-
 /// The declaration linter's verdict on one system.
 #[derive(Clone, Debug)]
 pub struct LintReport {
@@ -1510,43 +1448,6 @@ mod tests {
     }
 
     #[test]
-    fn independence_needs_disjoint_write_and_access_sets() {
-        let (mem, programs) = two_writer_system();
-        let fp = analyze_system(&mem, &programs, true, AnalysisBudget::default()).unwrap();
-        let indep = StaticIndependence::from_footprint(&fp);
-        // Both only *read* the shared cell and write disjoint cells.
-        assert!(indep.are_independent(0, 1));
-        assert!(!indep.are_independent(0, 0));
-        assert_eq!(indep.independent_pairs(), vec![(0, 1)]);
-    }
-
-    #[test]
-    fn writers_of_a_read_cell_are_dependent() {
-        let mut mem = Memory::new();
-        let shared = mem.alloc_register(Value::Bottom);
-        let mine = mem.alloc_register(Value::Bottom);
-        let programs: Vec<Box<dyn Program>> = vec![
-            // p0 writes the cell p1 reads.
-            Box::new(WriteThenRead {
-                mine: shared,
-                shared: mine,
-                input: Value::Int(3),
-                pc: 0,
-            }),
-            Box::new(WriteThenRead {
-                mine,
-                shared,
-                input: Value::Int(4),
-                pc: 0,
-            }),
-        ];
-        let fp = analyze_system(&mem, &programs, true, AnalysisBudget::default()).unwrap();
-        let indep = StaticIndependence::from_footprint(&fp);
-        assert!(!indep.are_independent(0, 1));
-        assert!(indep.independent_pairs().is_empty());
-    }
-
-    #[test]
     fn read_branching_covers_values_other_processes_write() {
         /// Reads `watch`; if it ever sees `Int(1)` it writes `tattle`.
         #[derive(Clone, Debug)]
@@ -1658,8 +1559,6 @@ mod tests {
             // (pc 0/1/2, running) plus (pc 1/2, decided).
             assert_eq!(fp.per_process[p].local_states, 5);
         }
-        let indep = StaticIndependence::from_footprint(&fp);
-        assert!(!indep.are_independent(0, 1), "both RMW the same object");
     }
 
     #[test]

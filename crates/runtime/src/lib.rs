@@ -34,8 +34,10 @@
 //!   the exact and randomized layers, so they cannot drift apart.
 //! * [`explore`] — a bounded-exhaustive model checker: one iterative
 //!   worklist DFS over *all* interleavings and crash placements (up to a
-//!   crash budget) with hash-consed full-fidelity state memoization
-//!   ([`ValueInterner`]), an exact `max_states` cap cut in its
+//!   crash budget) whose nodes are hash-consed full-fidelity state keys
+//!   ([`ValueInterner`] ids) plus program handles, advanced by one
+//!   step-memo transition that the swarm, the ample lint and
+//!   [`replay_on_checker`] share, an exact `max_states` cap cut in its
 //!   acceptance order, one packed visited-set table with an optional
 //!   disk tier ([`StorageTier`]) and opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
@@ -47,9 +49,7 @@
 //! * [`footprint`] — cell-access footprint analysis over the program
 //!   catalog: an instrumenting recorder plus a fixpoint walk of each
 //!   program's memoized local-state graph, feeding a declaration linter
-//!   ([`lint_system`]), a static step-independence relation
-//!   ([`StaticIndependence`], a per-process summary the E14 audit
-//!   reports), the per-local-state access maps POR prunes with
+//!   ([`lint_system`]), the per-local-state access maps POR prunes with
 //!   ([`analyze_system_states`], cached per catalog id via
 //!   [`system_analysis_cached`]) and the symmetry validation.
 //! * `scalarset` — the scalarset equivariance certifier
@@ -59,15 +59,15 @@
 //!   the process slots during symmetry reduction.
 //! * [`swarm`] — randomized swarm verification past the exhaustive
 //!   frontier: millions of deterministically-seeded schedules fanned
-//!   across all cores ([`swarm()`](swarm::swarm)), each executed on the
-//!   checker's step memo and so resting on the same [`Program`] step
-//!   contract (one access per step, a complete `state_key`, an
-//!   `on_crash` that resets), exact distinct-final-state coverage
-//!   through the packed tables, per-seed deterministic replay through
-//!   [`run`] ([`replay_seed`]) and
-//!   delta-debugging of violating schedules down to 1-minimal,
-//!   [`CrashModel`]-legal witnesses ([`shrink_schedule`]) that
-//!   re-verify on the checker's executor ([`replay_on_checker`]).
+//!   across all cores ([`swarm()`](swarm::swarm)), each executed by the
+//!   checker's transition on its step memo and so resting on the same
+//!   [`Program`] step contract (one access per step, a complete
+//!   `state_key`, an `on_crash` that resets), exact distinct-final-state
+//!   coverage through the packed tables, per-seed deterministic replay
+//!   through [`run`] ([`replay_seed`]) and delta-debugging of violating
+//!   schedules down to 1-minimal, [`CrashModel`]-legal witnesses
+//!   ([`shrink_schedule`]) that re-verify on the checker's executor
+//!   ([`replay_on_checker`]).
 //! * [`threaded`] — a real-thread executor (`parking_lot` mutex per object,
 //!   one OS thread per process); its one caller is the
 //!   `tests/threaded_executor.rs` suite.
@@ -135,8 +135,7 @@ pub use explore::{
 pub use footprint::{
     analysis_fixpoint_runs, analyze_system, analyze_system_states, lint_system, lint_with_analysis,
     system_analysis_cached, AccessKind, AccessModes, AnalysisBudget, CellSet, FootprintError,
-    LintReport, LocalStateInfo, ProcessFootprint, ProcessStateMap, StaticIndependence,
-    SystemAnalysis, SystemFootprint,
+    LintReport, LocalStateInfo, ProcessFootprint, ProcessStateMap, SystemAnalysis, SystemFootprint,
 };
 // The scalarset equivariance certifier: `lint_scalarset` is the
 // `tables lint` entry; the engine consults the cached certificate

@@ -137,9 +137,9 @@ impl Memory {
 
     /// A structural snapshot of every cell's current value/state — used
     /// by valency analyses and tests for exact state comparison. (The
-    /// model checker does not use this: it converts the memory into an
-    /// internal copy-on-write form once and interns cell values
-    /// directly.)
+    /// model checker does not use this: it interns each cell's content
+    /// once, into its root key, and from then on holds cells only as
+    /// interned ids in its state keys.)
     pub fn state_key(&self) -> Vec<Value> {
         self.contents().cloned().collect()
     }
@@ -148,9 +148,9 @@ impl Memory {
     /// of [`state_key`](Self::state_key): nothing is cloned for
     /// already-seen cell contents, and the ids are equal iff the
     /// structural snapshots are. This is the reference implementation of
-    /// the flattening the model checker applies to its internal
-    /// copy-on-write memory; the key-equivalence property tests build
-    /// engine-shaped keys with it.
+    /// the flattening the model checker applies to the factory's memory
+    /// when it builds its root key; the key-equivalence property tests
+    /// build engine-shaped keys with it.
     pub fn intern_state_key(
         &self,
         interner: &mut crate::intern::ValueInterner,
@@ -162,7 +162,7 @@ impl Memory {
     /// Clones a whole cell (type handle included); used by the threaded
     /// executor to build its lock-per-cell
     /// [`SharedMemory`](crate::threaded::SharedMemory) from a simulator
-    /// allocation.
+    /// allocation, and by the model checker to take each cell's kind.
     ///
     /// # Panics
     ///

@@ -32,20 +32,21 @@
 //! this across thread counts.
 //!
 //! A sweep calls the factory **once**, on the calling thread. Each
-//! worker turns its own clone of that build into a root state, with its
-//! own value interner, post-crash programs and step memo — the
-//! checker's key-first machinery — and runs every seed it claims from
-//! that root, not through [`run`]. A seed starts from a copy of the
-//! root's interned key and program handles. A step is a memo lookup on
-//! (process slot, program-state id, id of the one cell it accesses),
-//! and a program clone is stepped only on a miss. A crash swaps in the
-//! precomputed post-crash program. Each decision is recorded as an
-//! interned id. The verdict is computed on ids in
-//! [`check_consensus_execution`]'s order — agreement over all outputs,
-//! then validity, then termination — and returns the same violation.
-//! Final states are deduplicated on ids in the worker's own table, and
-//! only the finals new to a worker are translated to value words for
-//! the merge.
+//! worker turns that build into a root node of the checker — an
+//! interned state key plus one program handle per process — with its
+//! own value interner, post-crash programs and step memo, and runs every
+//! seed it claims from that root, not through [`run`]. A seed starts
+//! from a copy of the root node and advances by the checker's own
+//! transition. A step is a memo lookup on (process slot, program-state
+//! id, id of the one cell it accesses) patched into the key, and a
+//! program clone is stepped only on a miss, against that cell's value
+//! read from the key. A crash swaps in the precomputed post-crash
+//! program. Each decision is recorded as an interned id. The verdict is
+//! computed on ids in [`check_consensus_execution`]'s order — agreement
+//! over all outputs, then validity, then termination — and returns the
+//! same violation. Final states are deduplicated on ids in the worker's
+//! own table, and only the finals new to a worker are translated to
+//! value words for the merge.
 //!
 //! So the sweep relies on the [`Program`](crate::Program) step contract
 //! the checker relies on:
@@ -70,12 +71,12 @@
 //! violation kind, remains legal for the configured [`CrashModel`], and
 //! from which no single action can be removed without losing the
 //! violation. The shrunken schedule then re-verifies on the exhaustive
-//! checker's executor ([`replay_on_checker`]): the checker's
-//! copy-on-write child builder replays it from the root state, and the
-//! witness is `witness_verified` when the checker makes the same
-//! decisions in the same order as [`run`] over
-//! [`Memory`](crate::Memory) and flags a safety violation. Two executors
-//! of the crash–recover model then agree on the witness.
+//! checker's executor ([`replay_on_checker`]): the checker's transition
+//! on interned keys replays it from the root node, and the witness is
+//! `witness_verified` when the checker makes the same decisions in the
+//! same order as [`run`] over [`Memory`](crate::Memory) and flags a
+//! safety violation. Two executors of the crash–recover model then
+//! agree on the witness.
 //!
 //! Only safety violations (agreement, validity) shrink. A termination
 //! violation is a liveness property: *every* prefix of a schedule
@@ -272,7 +273,7 @@ pub fn swarm_with_progress(
     let violations_found = AtomicU64::new(0);
 
     let worker = || -> WorkerOutput {
-        let mut exec = MemoExecutor::new(proto_mem.clone(), proto_programs.clone());
+        let mut exec = MemoExecutor::new(&proto_mem, proto_programs.clone());
         let inputs: Option<Vec<u32>> = config
             .inputs
             .as_ref()
@@ -542,8 +543,9 @@ pub struct ShrunkWitness {
     /// Candidate schedules replayed during delta-debugging.
     pub candidates_tested: usize,
     /// Whether the witness re-verified on the checker's executor
-    /// ([`replay_on_checker`]): the checker made the same decisions in
-    /// the same order as [`run`] and flagged a safety violation.
+    /// ([`replay_on_checker`], the checker's transition on interned
+    /// keys): the checker made the same decisions in the same order as
+    /// [`run`] and flagged a safety violation.
     pub witness_verified: bool,
 }
 

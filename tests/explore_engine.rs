@@ -640,30 +640,7 @@ fn symmetric_witness_replays_on_the_original_system() {
 #[test]
 fn symmetric_search_finds_the_broken_guard_violation() {
     use rc_core::algorithms::build_broken_team_rc_system_sym;
-    use rc_core::find_recording_witness;
-    use rc_spec::types::Cas;
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("cas witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
-    let inputs: Vec<Value> = w
-        .assignment
-        .teams
-        .iter()
-        .map(|t| match t {
-            Team::A => Value::Int(0),
-            Team::B => Value::Int(1),
-        })
-        .collect();
+    let (cas, w, inputs) = broken_guard_system();
     let sym_factory = || build_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
     let config = ExploreConfig {
         crash: CrashModel::none(),
@@ -911,30 +888,7 @@ fn rebind_witness_replays_on_the_original_masked_system() {
 /// system to the same agreement failure.
 #[test]
 fn rebind_search_finds_the_masked_broken_guard_violation() {
-    use rc_core::find_recording_witness;
-    use rc_spec::types::Cas;
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("cas witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
-    let inputs: Vec<Value> = w
-        .assignment
-        .teams
-        .iter()
-        .map(|t| match t {
-            Team::A => Value::Int(0),
-            Team::B => Value::Int(1),
-        })
-        .collect();
+    let (cas, w, inputs) = broken_guard_system();
     let sym_factory = || build_masked_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
     let config = ExploreConfig {
         crash: CrashModel::none(),
@@ -1098,4 +1052,141 @@ fn memory_counters_are_monotone_in_the_searched_space() {
         }
         previous = Some(stats);
     }
+}
+
+/// The CAS(2) broken-guard instance of Section 3.1 (E2's last line): a
+/// 3-row recording witness with team B holding at least two rows, and
+/// team inputs 0 (A) and 1 (B).
+fn broken_guard_system() -> (TypeHandle, RecordingWitness, Vec<Value>) {
+    use rc_core::find_recording_witness;
+    use rc_spec::types::Cas;
+    let cas: TypeHandle = Arc::new(Cas::new(2));
+    let w = find_recording_witness(&cas, 3)
+        .expect("cas witness")
+        .normalized();
+    let w = if w.assignment.team_size(Team::B) >= 2 {
+        w
+    } else {
+        RecordingWitness {
+            assignment: w.assignment.swap_teams(),
+            q_a: w.q_b.clone(),
+            q_b: w.q_a.clone(),
+        }
+    };
+    let inputs: Vec<Value> = w
+        .assignment
+        .teams
+        .iter()
+        .map(|t| match t {
+            Team::A => Value::Int(0),
+            Team::B => Value::Int(1),
+        })
+        .collect();
+    (cas, w, inputs)
+}
+
+/// The search counters of four fixed searches, pinned exactly: the
+/// outcome and the whole [`ExploreStats`] — edges, duplicates, the
+/// interner, table, peak-table and witness-log bytes and the reduction
+/// flags. Every one is deterministic, so a checker refactor that keeps
+/// the search moves none of them. The searches cover a plain Fig. 2
+/// search, masked `S_4` under POR and rebind symmetry, Fig. 4 under
+/// scalarset symmetry with a simultaneous crash, and the broken-guard
+/// violation with its schedule. The tier is fixed to `Packed`, so the
+/// `EXPLORE_TEST_STORAGE` axis does not move the byte accounts.
+#[test]
+fn search_counters_are_pinned() {
+    let packed = |crash: CrashModel, inputs: &[Value]| ExploreConfig {
+        crash: crash.after_decide(true),
+        inputs: Some(inputs.to_vec()),
+        storage: StorageTier::Packed,
+        ..ExploreConfig::default()
+    };
+    let stats = |symmetry, por, counts: [usize; 7]| ExploreStats {
+        max_level_workers: 1,
+        symmetry,
+        por,
+        edges: counts[0],
+        duplicates: counts[1],
+        interned_bytes: counts[2],
+        table_bytes: counts[3],
+        peak_table_bytes: counts[4],
+        spilled_bytes: counts[5],
+        witness_bytes: counts[6],
+    };
+
+    let (ty, w, inputs) = sn_system(3);
+    assert_eq!(
+        explore_with_stats(
+            &|| build_team_rc_system(ty.clone(), &w, &inputs),
+            &packed(CrashModel::independent(2), &inputs),
+        ),
+        (
+            ExploreOutcome::Verified {
+                states: 3981,
+                leaves: 9
+            },
+            stats(false, false, [16598, 12618, 3222, 138857, 138857, 0, 31848]),
+        ),
+        "Fig. 2, S_3, independent budget 2"
+    );
+
+    let (ty, w, inputs) = sn_system(4);
+    assert_eq!(
+        explore_symmetric_with_stats(
+            &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
+            &por_config(
+                &packed(CrashModel::independent(0), &inputs),
+                "test/pin/masked-S_4".into()
+            ),
+        ),
+        (
+            ExploreOutcome::Verified {
+                states: 1306,
+                leaves: 11
+            },
+            stats(true, true, [2255, 950, 5768, 65026, 65026, 0, 10528]),
+        ),
+        "masked S_4, budget 0, POR and rebind symmetry"
+    );
+
+    let objects = ConsensusObjectFactory { domain: 4 };
+    let inputs = [0, 0, 1].map(Value::Int);
+    assert_eq!(
+        explore_symmetric_with_stats(
+            &|| build_simultaneous_rc_system_sym(&objects, &inputs, 4),
+            &packed(CrashModel::simultaneous(1), &inputs),
+        ),
+        (
+            ExploreOutcome::Verified {
+                states: 93963,
+                leaves: 24
+            },
+            stats(
+                true,
+                false,
+                [376863, 282901, 13136, 4681623, 4681623, 0, 751723]
+            ),
+        ),
+        "Fig. 4 n=3, simultaneous budget 1, scalarset symmetry"
+    );
+
+    let (cas, w, inputs) = broken_guard_system();
+    assert_eq!(
+        explore_with_stats(
+            &|| build_broken_team_rc_system(cas.clone(), &w, &inputs),
+            &packed(CrashModel::none(), &inputs),
+        ),
+        (
+            ExploreOutcome::Violation {
+                kind: rc_runtime::ViolationKind::Agreement,
+                schedule: [1, 1, 1, 0, 0, 2, 2, 1, 0, 0, 0, 1, 1, 2]
+                    .map(Action::Step)
+                    .to_vec(),
+                outputs: vec![Value::Int(1), Value::Int(0)],
+            },
+            stats(false, false, [506, 268, 2400, 8522, 8522, 0, 1904]),
+        ),
+        "the broken guard, crash-free"
+    );
 }

@@ -87,7 +87,7 @@ proptest! {
 /// violating seeds.
 ///
 /// Each seed's recorded schedule also replays on the exhaustive
-/// checker's executor (`replay_on_checker`: copy-on-write child builder,
+/// checker's executor (`replay_on_checker`: the checker's transition on keys,
 /// per-decision checks), which must make the same decisions in the same
 /// order and flag a violation exactly when the reference verdict is a
 /// safety violation. Flags are compared, not kinds: the reference checks
