@@ -20,8 +20,8 @@ use rc_runtime::swarm::swarm;
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
     explore, explore_symmetric_with_stats, explore_with_stats, run, CrashModel, ExploreConfig,
-    ExploreOutcome, ExploreStats, Memory, Program, RunOptions, StorageTier, SwarmConfig,
-    SwarmReport, SymmetricSystemFactory, SystemFactory,
+    ExploreOutcome, ExploreStats, Memory, Program, RunOptions, SwarmConfig, SwarmReport,
+    SymmetricSystemFactory, SystemFactory,
 };
 use rc_spec::catalog::{catalog, ConsensusNumber};
 use rc_spec::random::{random_table_type, RandomTypeConfig};
@@ -858,8 +858,8 @@ pub struct Measured {
     /// `"rebind"`, `"por"`, `"por+rebind"`, `"scalarset"`,
     /// `"scalarset+por"`); E16 calls its plain rows `"unreduced"`.
     pub mode: &'static str,
-    /// The search's configuration: adversary and crash budget, caps,
-    /// storage tier and reductions.
+    /// The search's configuration: adversary and crash budget, caps and
+    /// reductions.
     pub config: ExploreConfig,
     /// `Verified` or `Truncated` with the state and leaf counts
     /// (deterministic; the sweeps check correct systems only, so a
@@ -935,7 +935,6 @@ impl Measured {
             ("system", Json::Str(self.system.clone())),
             ("crash_budget", int(self.crash_budget())),
             ("mode", Json::Str(self.mode.into())),
-            ("tier", Json::Str(self.config.storage.to_string())),
             ("max_states", int(self.config.max_states)),
             ("verdict", Json::Str(self.verdict().into())),
             ("states", int(self.states())),
@@ -952,7 +951,6 @@ impl Measured {
                 Json::Bool(self.reduction_is_lower_bound),
             ),
             ("peak_table_mb", mib(self.stats.peak_table_bytes)),
-            ("spilled_mb", mib(self.stats.spilled_bytes)),
             ("witness_mb", mib(self.stats.witness_bytes)),
         ]
     }
@@ -1141,7 +1139,6 @@ const SWEEP_COLUMNS: &[Column<Measured>] = &[
 const E16_COLUMNS: &[Column<Measured>] = &[
     SYSTEM,
     ("budget", |r| r.crash_budget().to_string()),
-    ("tier", |r| r.config.storage.to_string()),
     MODE,
     CAP,
     VERDICT,
@@ -1149,7 +1146,6 @@ const E16_COLUMNS: &[Column<Measured>] = &[
     LEAVES,
     ("ms", |r| format!("{:.0}", r.millis())),
     ("peak MB", |r| mib(r.stats.peak_table_bytes)),
-    ("spill MB", |r| mib(r.stats.spilled_bytes)),
     ("wit MB", |r| mib(r.stats.witness_bytes)),
 ];
 
@@ -1625,18 +1621,17 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<Measured>) {
 /// E16: bit-packed state storage at scale — the catalog instances the
 /// default cap recorded as `Truncated` (E12's `S_8`/budget-0 off row,
 /// E13's masked `S_7`/budget-0 off row), re-run **unreduced** with the
-/// cap lifted under both storage tiers
-/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)): one row
-/// per tier, every row asserted `Verified` past the catalog's cap with
-/// byte-identical state and weighted-leaf counts, and the leaf count
-/// asserted equal to what the catalog's *reduced* searches (rebind /
-/// symmetry-on) computed for the same instance — the full unreduced
-/// search independently confirms the reduction machinery's answer. The
-/// masked instance also re-runs with por+rebind on both tiers.
+/// cap lifted: every row asserted `Verified` past the catalog's cap,
+/// and the leaf count asserted equal to what the catalog's *reduced*
+/// searches (rebind / symmetry-on) computed for the same instance — the
+/// full unreduced search independently confirms the reduction
+/// machinery's answer. The masked instance also re-runs with
+/// por+rebind.
 ///
-/// Exactness is the point: the spill tier compares full key bytes on
-/// disk, so — unlike bitstate/supertrace hashing — both tiers return
-/// the same exact verdict (see DESIGN §3).
+/// Exactness is the point: the visited set
+/// ([`rc_runtime::PackedStateTable`]) compares full key bytes, so —
+/// unlike bitstate/supertrace hashing — the verdict is exact (see
+/// DESIGN §3).
 pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     // (n, masked, budget, the weighted leaf count a *reduced* catalog
     // run — E12 symmetry-on / E13 rebind — computed for the instance).
@@ -1652,9 +1647,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
     } else {
         (5_000_000, 20_000_000)
     };
-    // Small enough that every lifted-cap spill row freezes runs; run
-    // probes stay cheap behind the per-run Blooms.
-    let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
     let mut rows = Vec::new();
     for &(n, masked, budget, expected_leaves) in sweep {
         let (ty, w) = sn_witness(n);
@@ -1671,77 +1663,51 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
                 build_team_rc_system(ty.clone(), &w, &inputs)
             }
         };
-        let plain = Factory::Plain(&build);
-        let base = sweep_config(CrashModel::independent(budget), &inputs);
-        let lifted = |tier: StorageTier| ExploreConfig {
+        let lifted = ExploreConfig {
             max_states: lifted_cap,
-            storage: tier,
-            spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
-            ..base.clone()
+            ..sweep_config(CrashModel::independent(budget), &inputs)
         };
-        let grid_start = rows.len();
-        for tier in StorageTier::ALL {
-            let row = measure(&system, "unreduced", plain, &lifted(tier));
+        let row = measure(&system, "unreduced", Factory::Plain(&build), &lifted);
+        assert_eq!(
+            row.verdict(),
+            "Verified",
+            "{system}/{budget}: the lifted cap must verify exactly"
+        );
+        assert!(
+            row.states() > catalog_cap,
+            "{system}/{budget}: the instance must really exceed the catalog's cap"
+        );
+        if let Some(expected) = expected_leaves {
             assert_eq!(
-                row.verdict(),
-                "Verified",
-                "{system}/{budget}: the lifted cap must verify exactly under {tier}"
+                row.leaves(),
+                expected,
+                "{system}/{budget}: the unreduced search must reproduce the catalog's \
+                 reduced-search weighted leaf count"
             );
-            assert!(
-                row.states() > catalog_cap,
-                "{system}/{budget}: the instance must really exceed the catalog's cap"
-            );
-            if let Some(expected) = expected_leaves {
-                assert_eq!(
-                    row.leaves(),
-                    expected,
-                    "{system}/{budget}: the unreduced search must reproduce the catalog's \
-                     reduced-search weighted leaf count"
-                );
-            }
-            let first = rows.get(grid_start).unwrap_or(&row);
-            assert_eq!(
-                (row.states(), row.leaves()),
-                (first.states(), first.leaves()),
-                "{system}/{budget}: byte-identical outcomes across tiers ({tier})"
-            );
-            if tier == StorageTier::PackedSpill {
-                assert!(
-                    row.stats.spilled_bytes > 0,
-                    "{system}/{budget}: the spill row must freeze runs"
-                );
-            }
-            rows.push(row);
         }
+        rows.push(row);
         if masked {
-            // The composed reducers (por+rebind, as in E15) on top of
-            // the packed and spill tiers: the storage layer must stay
-            // exact under the reduced search too — byte-identical
-            // canonical state counts across tiers, and the same weighted
-            // leaf count as the unreduced grid.
+            // The composed reducers (por+rebind, as in E15) under the
+            // lifted cap: Verified, with the unreduced row's weighted
+            // leaves, on fewer states.
             let sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
-            let mut reduced = StorageTier::ALL.map(|tier| {
-                let cfg = ExploreConfig {
-                    por: true,
-                    analysis_id: Some(format!("bench/e16/masked-S_{n}")),
-                    ..lifted(tier)
-                };
-                measure(&system, "por+rebind", Factory::Symmetric(&sym), &cfg)
-            });
-            // Verified, with the unreduced packed row's weighted leaves.
-            against_off(&rows[grid_start], &mut reduced);
-            for row in &reduced {
-                let tier = row.config.storage;
-                assert!(
-                    row.states() < rows[grid_start].states(),
-                    "{system}/{budget}: por+rebind must visit fewer states than unreduced"
-                );
-                assert_eq!(
-                    (row.states(), row.leaves()),
-                    (reduced[0].states(), reduced[0].leaves()),
-                    "{system}/{budget}: reduced outcomes byte-identical across tiers ({tier})"
-                );
-            }
+            let cfg = ExploreConfig {
+                por: true,
+                analysis_id: Some(format!("bench/e16/masked-S_{n}")),
+                ..lifted
+            };
+            let unreduced = rows.last().expect("the unreduced row");
+            let mut reduced = [measure(
+                &system,
+                "por+rebind",
+                Factory::Symmetric(&sym),
+                &cfg,
+            )];
+            against_off(unreduced, &mut reduced);
+            assert!(
+                reduced[0].states() < unreduced.states(),
+                "{system}/{budget}: por+rebind must visit fewer states than unreduced"
+            );
             rows.extend(reduced);
         }
     }
@@ -1749,40 +1715,33 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<Measured>) {
         .iter()
         .max_by_key(|r| r.states())
         .expect("grid rows exist");
-    let peak = |tier: StorageTier| {
-        rows.iter()
-            .filter(|r| r.config.storage == tier)
-            .map(|r| r.stats.peak_table_bytes as f64 / (1 << 20) as f64)
-            .fold(0.0f64, f64::max)
-    };
+    let peak = rows
+        .iter()
+        .map(|r| r.stats.peak_table_bytes as f64 / (1 << 20) as f64)
+        .fold(0.0f64, f64::max);
     let cap_note = if fast {
         "(fast mode shrinks both caps; the full sweep lifts the real 5M \
          catalog cap on masked S_7 and S_8)"
     } else {
-        "every grid row exceeds the catalog's 5M cap, at which E12 §S_8 \
-         and E13 §masked S_7 record Truncated (asserted)"
+        "every unreduced row exceeds the catalog's 5M cap, at which E12 \
+         §S_8 and E13 §masked S_7 record Truncated (asserted)"
     };
     let report = format!(
-        "E16 — bit-packed state storage (packed arena keys, file-backed \
-         spill runs): catalog instances past the catalog's state cap, \
-         re-run unreduced with the cap lifted, on both storage tiers:\n{}\n\
-         largest exact search: {} states ({}/budget-{}); outcomes \
-         byte-identical across both tiers, weighted leaf counts equal to \
-         the catalog's reduced-search records (all asserted). Peak \
-         resident visited-set: {:.0} MB packed vs {:.0} MB packed+spill. \
-         Spill rows freeze resident arenas to disk behind per-run Blooms \
-         and stay exact — full key bytes are compared on disk, never hash \
-         fingerprints alone. The masked instance additionally re-runs with both \
-         reducers composed (por+rebind, as in E15) on both tiers: the \
-         reduced search's canonical state counts are byte-identical \
-         across tiers and its weighted leaves match the unreduced grid \
-         (asserted). Also {cap_note}.\n",
+        "E16 — bit-packed state storage (packed arena keys in one in-RAM \
+         table): catalog instances past the catalog's state cap, re-run \
+         unreduced with the cap lifted:\n{}\n\
+         largest exact search: {} states ({}/budget-{}); weighted leaf \
+         counts equal to the catalog's reduced-search records (asserted). \
+         Peak visited-set: {:.0} MB. The table compares full key bytes, \
+         never hash fingerprints alone, so every verdict is exact. The \
+         masked instance additionally re-runs with both reducers composed \
+         (por+rebind, as in E15): fewer states, and weighted leaves that \
+         match the unreduced row (asserted). Also {cap_note}.\n",
         render(E16_COLUMNS, &rows),
         largest.states(),
         largest.system,
         largest.crash_budget(),
-        peak(StorageTier::Packed),
-        peak(StorageTier::PackedSpill),
+        peak,
     );
     (report, rows)
 }
@@ -2146,7 +2105,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 11;
+const SNAPSHOT_SCHEMA: u64 = 12;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {
@@ -2671,68 +2630,65 @@ mod tests {
     }
 
     /// `tables e11 e12 e13 e15 e16 e17 e18 --fast`, row by row: each
-    /// row's key (system, budget, tier, mode, caps) and its deterministic
+    /// row's key (system, budget, mode, caps) and its deterministic
     /// columns (verdict, states, leaves; for E18 finals, violations, first
     /// seed and witness lengths). Each sweep asserts its own invariants
     /// while it runs.
     const E11_FAST: &[&str] = &[
-        "S_2 | 0 | packed | off | 5000000 | Verified | 68 | 5",
-        "S_2 | 1 | packed | off | 5000000 | Verified | 279 | 6",
-        "S_2 | 2 | packed | off | 5000000 | Verified | 514 | 6",
-        "S_3 | 0 | packed | off | 5000000 | Verified | 561 | 8",
-        "S_3 | 1 | packed | off | 5000000 | Verified | 2161 | 9",
-        "S_3 | 2 | packed | off | 5000000 | Verified | 3981 | 9",
-        "S_4 | 0 | packed | off | 5000000 | Verified | 4315 | 11",
-        "S_4 | 1 | packed | off | 5000000 | Verified | 15557 | 12",
+        "S_2 | 0 | off | 5000000 | Verified | 68 | 5",
+        "S_2 | 1 | off | 5000000 | Verified | 279 | 6",
+        "S_2 | 2 | off | 5000000 | Verified | 514 | 6",
+        "S_3 | 0 | off | 5000000 | Verified | 561 | 8",
+        "S_3 | 1 | off | 5000000 | Verified | 2161 | 9",
+        "S_3 | 2 | off | 5000000 | Verified | 3981 | 9",
+        "S_4 | 0 | off | 5000000 | Verified | 4315 | 11",
+        "S_4 | 1 | off | 5000000 | Verified | 15557 | 12",
     ];
     const E12_FAST: &[&str] = &[
-        "S_3 | 1 | packed | off | 5000000 | Verified | 2161 | 9",
-        "S_3 | 1 | packed | on | 5000000 | Verified | 1258 | 9",
-        "S_3 | 2 | packed | off | 5000000 | Verified | 3981 | 9",
-        "S_3 | 2 | packed | on | 5000000 | Verified | 2328 | 9",
-        "S_4 | 1 | packed | off | 5000000 | Verified | 15557 | 12",
-        "S_4 | 1 | packed | on | 5000000 | Verified | 4037 | 12",
+        "S_3 | 1 | off | 5000000 | Verified | 2161 | 9",
+        "S_3 | 1 | on | 5000000 | Verified | 1258 | 9",
+        "S_3 | 2 | off | 5000000 | Verified | 3981 | 9",
+        "S_3 | 2 | on | 5000000 | Verified | 2328 | 9",
+        "S_4 | 1 | off | 5000000 | Verified | 15557 | 12",
+        "S_4 | 1 | on | 5000000 | Verified | 4037 | 12",
     ];
     const E13_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | slots | 5000000 | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | off | 5000000 | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | rebind | 5000000 | Verified | 2322 | 11",
-        "masked S_4 | 1 | packed | slots | 5000000 | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | off | 5000000 | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | rebind | 5000000 | Verified | 10978 | 12",
-        "masked S_5 | 0 | packed | off | 5000000 | Verified | 94781 | 14",
-        "masked S_5 | 0 | packed | rebind | 5000000 | Verified | 7610 | 14",
-        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | Verified | 175535 | 42",
-        "SimultaneousRc n=3 | 1 | packed | slots | 5000000 | Verified | 175535 | 42",
+        "masked S_4 | 0 | slots | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | off | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | rebind | 5000000 | Verified | 2322 | 11",
+        "masked S_4 | 1 | slots | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | off | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | rebind | 5000000 | Verified | 10978 | 12",
+        "masked S_5 | 0 | off | 5000000 | Verified | 94781 | 14",
+        "masked S_5 | 0 | rebind | 5000000 | Verified | 7610 | 14",
+        "SimultaneousRc n=3 | 1 | off | 5000000 | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | slots | 5000000 | Verified | 175535 | 42",
     ];
     const E15_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | off | 5000000 | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | por | 5000000 | Verified | 6416 | 11",
-        "masked S_4 | 0 | packed | rebind | 5000000 | Verified | 2322 | 11",
-        "masked S_4 | 0 | packed | por+rebind | 5000000 | Verified | 1306 | 11",
-        "masked S_4 | 1 | packed | off | 5000000 | Verified | 48625 | 12",
-        "masked S_4 | 1 | packed | por | 5000000 | Verified | 56443 | 12",
-        "masked S_4 | 1 | packed | rebind | 5000000 | Verified | 10978 | 12",
-        "masked S_4 | 1 | packed | por+rebind | 5000000 | Verified | 12589 | 12",
-        "masked S_4 (CrashAll) | 1 | packed | off | 5000000 | Verified | 43239 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | por | 5000000 | Verified | 21205 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | rebind | 5000000 | Verified | 10287 | 11",
-        "masked S_4 (CrashAll) | 1 | packed | por+rebind | 5000000 | Verified | 5213 | 11",
-        "SimultaneousRc n=3 | 1 | packed | off | 5000000 | Verified | 175535 | 42",
-        "SimultaneousRc n=3 | 1 | packed | por | 5000000 | Verified | 126453 | 42",
+        "masked S_4 | 0 | off | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | por | 5000000 | Verified | 6416 | 11",
+        "masked S_4 | 0 | rebind | 5000000 | Verified | 2322 | 11",
+        "masked S_4 | 0 | por+rebind | 5000000 | Verified | 1306 | 11",
+        "masked S_4 | 1 | off | 5000000 | Verified | 48625 | 12",
+        "masked S_4 | 1 | por | 5000000 | Verified | 56443 | 12",
+        "masked S_4 | 1 | rebind | 5000000 | Verified | 10978 | 12",
+        "masked S_4 | 1 | por+rebind | 5000000 | Verified | 12589 | 12",
+        "masked S_4 (CrashAll) | 1 | off | 5000000 | Verified | 43239 | 11",
+        "masked S_4 (CrashAll) | 1 | por | 5000000 | Verified | 21205 | 11",
+        "masked S_4 (CrashAll) | 1 | rebind | 5000000 | Verified | 10287 | 11",
+        "masked S_4 (CrashAll) | 1 | por+rebind | 5000000 | Verified | 5213 | 11",
+        "SimultaneousRc n=3 | 1 | off | 5000000 | Verified | 175535 | 42",
+        "SimultaneousRc n=3 | 1 | por | 5000000 | Verified | 126453 | 42",
     ];
     const E16_FAST: &[&str] = &[
-        "masked S_4 | 0 | packed | unreduced | 5000000 | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed+spill | unreduced | 5000000 | Verified | 9909 | 11",
-        "masked S_4 | 0 | packed | por+rebind | 5000000 | Verified | 1306 | 11",
-        "masked S_4 | 0 | packed+spill | por+rebind | 5000000 | Verified | 1306 | 11",
-        "S_4 | 2 | packed | unreduced | 5000000 | Verified | 28675 | 12",
-        "S_4 | 2 | packed+spill | unreduced | 5000000 | Verified | 28675 | 12",
+        "masked S_4 | 0 | unreduced | 5000000 | Verified | 9909 | 11",
+        "masked S_4 | 0 | por+rebind | 5000000 | Verified | 1306 | 11",
+        "S_4 | 2 | unreduced | 5000000 | Verified | 28675 | 12",
     ];
     const E17_FAST: &[&str] = &[
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | off | 5000000 | Verified | 116777 | 24",
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset | 5000000 | Verified | 93963 | 24",
-        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | packed | scalarset+por | 5000000 | Verified | 67125 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | off | 5000000 | Verified | 116777 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | scalarset | 5000000 | Verified | 93963 | 24",
+        "SimultaneousRc n=3 (inputs 0,0,1) | 1 | scalarset+por | 5000000 | Verified | 67125 | 24",
     ];
     const E18_FAST: &[&str] = &[
         "team-rc-s3 | 24 | 0 | — | —",
@@ -2744,7 +2700,7 @@ mod tests {
         "simultaneous-rc-n3 | 65 | 0 | — | —",
     ];
     const MEASURED_PIN: &[&str] = &[
-        "system", "budget", "tier", "mode", "cap", "verdict", "states", "leaves",
+        "system", "budget", "mode", "cap", "verdict", "states", "leaves",
     ];
     const E18_PIN: &[&str] = &["system", "finals", "viol", "first", "witness"];
 

@@ -20,7 +20,7 @@
 //! | E13 | full-state symmetry (`Program::rebind`) sweep | [`exp::e13_full_state_symmetry`] |
 //! | E14 | catalog access-declaration + POR ample-set audit (`tables lint`) | [`exp::e14_catalog_lint`] |
 //! | E15 | partial-order reduction sweep (POR / rebind / both) | [`exp::e15_por_reduction`] |
-//! | E16 | tiered, bit-packed state-storage scaling sweep | [`exp::e16_storage_scaling`] |
+//! | E16 | bit-packed state-storage scaling sweep | [`exp::e16_storage_scaling`] |
 //! | E17 | scalarset-symmetry sweep for Fig. 4 | [`exp::e17_scalarset_symmetry`] |
 //! | E18 | swarm verification: seeded schedules past the exhaustive frontier | [`exp::e18_swarm`] |
 //!

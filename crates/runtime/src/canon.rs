@@ -66,7 +66,7 @@
 //! family contents where they apply — compared structurally (the checker
 //! reads them as interned ids, but unequal ids compare their values, never
 //! their id order), so the representative choice is identical across
-//! runs and storage tiers. Sorting is a true
+//! runs. Sorting is a true
 //! canonical form: two states have equal canonical keys **iff** they are
 //! related by an orbit permutation (property-tested in
 //! `tests/proptest_runtime.rs`).

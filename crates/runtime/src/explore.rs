@@ -52,13 +52,12 @@
 //! Violation schedules are reconstructed from per-node **parent links**
 //! instead of a live schedule vector.
 //!
-//! The DFS is the **only** engine. Every search — symmetric, reduced,
-//! on any storage tier — runs on it, in one deterministic acceptance
-//! order: a state is accepted when the DFS first reaches it, and the
-//! `max_states` cap cuts in that order. The cap is exact (a search
-//! truncates iff it would need a `max_states + 1`-th distinct state, and
-//! reports exactly `max_states`), and the cut does not depend on the
-//! storage tier. The first violation the DFS reaches is reported (a
+//! The DFS is the **only** engine. Every search — plain, symmetric or
+//! reduced — runs on it, in one deterministic acceptance order: a state
+//! is accepted when the DFS first reaches it, and the `max_states` cap
+//! cuts in that order. The cap is exact (a search truncates iff it
+//! would need a `max_states + 1`-th distinct state, and reports exactly
+//! `max_states`). The first violation the DFS reaches is reported (a
 //! found violation always wins, see the verdict precedence on
 //! [`ExploreOutcome`]). Parallelism lives in the
 //! [`swarm`](crate::swarm), where independent seeded runs scale across
@@ -154,21 +153,10 @@ pub struct ExploreConfig {
     /// identify the system's construction (the catalog benchmarks use
     /// their row labels); `None` analyzes uncached.
     pub analysis_id: Option<String>,
-    /// Which storage backend holds the visited set (see
-    /// [`StorageTier`]). Both tiers are exact; verdicts, state counts,
-    /// leaf counts and witnesses are byte-identical across them. Default:
-    /// [`StorageTier::Packed`], the bit-packed arena held in RAM;
-    /// [`StorageTier::PackedSpill`] also freezes it to disk at
-    /// [`spill_threshold`](Self::spill_threshold), bounding the visited
-    /// set's resident arena at the cost of slower probes. Spill bounds
-    /// the visited set only: the witness log stays resident on every
-    /// tier, at 8 B per state plus the interned permutations
-    /// ([`ExploreStats::witness_bytes`]).
+    /// Which storage backend holds the visited set. [`StorageTier`] has
+    /// one variant, [`StorageTier::Packed`], the bit-packed arena held
+    /// in RAM, so this field selects nothing.
     pub storage: StorageTier,
-    /// Resident-arena bytes that trigger a disk freeze under
-    /// [`StorageTier::PackedSpill`] (`None` = 256 MiB). Outcomes are
-    /// independent of this knob; it bounds the resident arena only.
-    pub spill_threshold: Option<usize>,
 }
 
 impl Default for ExploreConfig {
@@ -181,14 +169,9 @@ impl Default for ExploreConfig {
             por: false,
             analysis_id: None,
             storage: StorageTier::Packed,
-            spill_threshold: None,
         }
     }
 }
-
-/// Default spill threshold: freeze the resident arena to disk at
-/// 256 MiB.
-const DEFAULT_SPILL_THRESHOLD: usize = 256 << 20;
 
 /// Diagnostics about how a search executed: which reductions were
 /// active, how much work it did, and deterministic byte accounts of the
@@ -212,19 +195,12 @@ pub struct ExploreStats {
     /// payloads plus per-entry overhead). Deterministic: a pure
     /// function of the interned values.
     pub interned_bytes: usize,
-    /// Resident visited-set bytes at search end (accounted model: the
-    /// packed arena, its index and entry metadata, plus the spill runs'
-    /// in-RAM Blooms).
-    pub table_bytes: usize,
-    /// High-water resident visited-set bytes (differs from
-    /// [`table_bytes`](Self::table_bytes) only when the spill tier
-    /// froze resident entries to disk).
+    /// Visited-set bytes at search end (accounted model: the packed
+    /// arena, its index and entry metadata). The table only grows, so
+    /// this is also its peak.
     pub peak_table_bytes: usize,
-    /// Total bytes written to spill runs (0 without the spill tier).
-    pub spilled_bytes: usize,
     /// Bytes held by the witness log: one 8-byte parent link per state
-    /// plus the interned canonicalization permutations. It stays
-    /// resident under every storage tier.
+    /// plus the interned canonicalization permutations.
     pub witness_bytes: usize,
 }
 
@@ -1225,8 +1201,7 @@ fn compose_perm(m: Option<Box<[u8]>>, pi: Option<&[u8]>) -> Option<Box<[u8]>> {
 /// accumulated *before* its edge, and each edge's permutation is then
 /// composed in. Without symmetry every permutation is `None` and this
 /// degenerates to the plain parent-link walk. The log is append-only
-/// and self-contained, so reconstruction works even after the visited
-/// set spilled to disk.
+/// and self-contained, so reconstruction never reads the visited set.
 fn schedule_to(
     witness: &WitnessLog,
     root_perm: Option<&[u8]>,
@@ -1903,8 +1878,7 @@ fn persistent_singleton(infos: &[&LocalStateInfo]) -> Option<usize> {
 /// sleep bit, owned-cell and family contents — all read from the key:
 /// equal ids compare equal, and unequal ids compare their interned
 /// values **structurally**, so the representative never depends on which
-/// value happened to be interned first and is identical across runs and
-/// storage tiers.
+/// value happened to be interned first and is identical across runs.
 ///
 /// Returns whether processes moved; `perm` then holds the permutation
 /// (`perm[i]` = source slot of canonical slot `i`). `tmp` is a reusable
@@ -2238,10 +2212,7 @@ fn explore_serial(
         spec,
         por: por.as_ref(),
         machine,
-        visited: PackedStateTable::new(
-            (config.storage == StorageTier::PackedSpill)
-                .then(|| config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD)),
-        ),
+        visited: PackedStateTable::new(),
         witness: WitnessLog::new(),
         root_perm: None,
         leaves: 0,
@@ -2326,9 +2297,7 @@ fn explore_serial(
         edges: engine.edges,
         duplicates: engine.duplicates,
         interned_bytes: engine.machine.interner.approx_bytes(),
-        table_bytes: engine.visited.resident_bytes(),
-        peak_table_bytes: engine.visited.peak_resident_bytes(),
-        spilled_bytes: engine.visited.spilled_bytes(),
+        peak_table_bytes: engine.visited.resident_bytes(),
         witness_bytes: engine.witness.bytes(),
     };
     (outcome, stats)

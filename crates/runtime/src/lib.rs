@@ -38,8 +38,8 @@
 //!   ([`ValueInterner`] ids) plus program handles, advanced by one
 //!   step-memo transition that the swarm, the ample lint and
 //!   [`replay_on_checker`] share, an exact `max_states` cap cut in its
-//!   acceptance order, one packed visited-set table with an optional
-//!   disk tier ([`StorageTier`]) and opt-in process-symmetry reduction
+//!   acceptance order, one in-RAM packed visited-set table
+//!   ([`PackedStateTable`]) and opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
 //!   symmetry, where declared per-process cells permute with their
 //!   owners and relocated programs are rebound ([`Program::rebind`] +
@@ -144,13 +144,10 @@ pub use intern::ValueInterner;
 pub use memory::{Addr, Cell, MemOps, Memory};
 pub use program::{Pid, Program, Rebinding, Step};
 pub use scalarset::{lint_scalarset, ScalarsetReport};
-// The storage layer: the packed-key codec and the spill runs' Bloom
-// filter are exported for the property suite in
-// tests/proptest_runtime.rs; `StorageTier` is the `ExploreConfig` knob
-// switching the visited set's disk tier on.
-pub use storage::{
-    hash_packed, pack_key, pack_key_into, unpack_key, KeyFilter, PackedStateTable, StorageTier,
-};
+// The storage layer: the packed-key codec and the visited-set table
+// are exported for the property suite in tests/proptest_runtime.rs;
+// `StorageTier` is the type of `ExploreConfig::storage`.
+pub use storage::{pack_key, unpack_key, PackedStateTable, StorageTier};
 // The swarm service: the engine (`swarm`/`swarm_with_progress`), the
 // per-seed replay and the schedule shrinker, re-exported flat for the
 // `swarm` binary and the invariant test suites.

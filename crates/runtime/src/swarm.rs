@@ -278,7 +278,7 @@ pub fn swarm_with_progress(
             .inputs
             .as_ref()
             .map(|inputs| inputs.iter().map(|v| exec.intern(v)).collect());
-        let mut table = PackedStateTable::new(None);
+        let mut table = PackedStateTable::new();
         let mut out = WorkerOutput {
             fresh_keys: Vec::new(),
             violations: Vec::new(),
@@ -362,7 +362,7 @@ pub fn swarm_with_progress(
     // Merge: set-union the per-worker fresh keys into one exact table
     // and sort the violating seeds — both order-independent, so the
     // deterministic fields cannot depend on thread count or scheduling.
-    let mut global = PackedStateTable::new(None);
+    let mut global = PackedStateTable::new();
     let mut violations = Vec::new();
     let mut total_steps = 0u64;
     let mut total_crashes = 0u64;

@@ -811,10 +811,10 @@ proptest! {
     }
 }
 
-// The tiered-storage codec properties: the bit-packed key form is exact
-// (lossless and injective) and the spill runs' Bloom filter is
-// deterministic — the foundations the
-// storage tiers' exactness argument rests on (see DESIGN §3).
+// The storage properties: the bit-packed key form is exact (lossless
+// and injective) and the visited-set table answers like a flat map —
+// the foundations the checker's exactness argument rests on (see
+// DESIGN §3).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -834,14 +834,13 @@ proptest! {
 
     /// The packed table is observationally identical to a flat map:
     /// same `(id, was_new)` on every insert (ids in insertion order),
-    /// same lookups — resident or spilling through a tiny threshold.
+    /// same lookups.
     #[test]
     fn packed_table_matches_the_flat_reference(
         keys in proptest::collection::vec(
             proptest::collection::vec(0u32..200, 1..8), 1..120),
-        spill in any::<bool>(),
     ) {
-        let mut table = rc_runtime::PackedStateTable::new(spill.then_some(128));
+        let mut table = rc_runtime::PackedStateTable::new();
         let mut reference: std::collections::HashMap<Vec<u32>, u32> =
             std::collections::HashMap::new();
         for key in &keys {
@@ -861,28 +860,34 @@ proptest! {
         prop_assert_eq!(table.len(), reference.len());
     }
 
-    /// The spill runs' Bloom filter: every inserted key answers "maybe"
-    /// — no false negatives, the half of the Bloom contract exactness
-    /// rests on — and the bit pattern is a pure function of the key
-    /// set, independent of insertion order.
+    /// Named for the Bloom screen of the deleted disk tier; the one
+    /// table keeps its contract exactly. Filled forward or reversed, it
+    /// finds every inserted key, misses every probe it was not given,
+    /// and holds the same count and byte account: a pure function of
+    /// the key set.
     #[test]
     fn key_filter_is_exact_and_order_independent(
         keys in proptest::collection::vec(
             proptest::collection::vec(any::<u32>(), 1..8), 1..80),
-        seed in any::<u64>(),
+        probes in proptest::collection::vec(
+            proptest::collection::vec(any::<u32>(), 1..8), 0..20),
     ) {
-        let mut forward = rc_runtime::KeyFilter::new(seed, 10);
+        let mut forward = rc_runtime::PackedStateTable::new();
         for key in &keys {
-            forward.insert_key(key);
+            forward.insert(key);
         }
-        for key in &keys {
-            prop_assert!(forward.maybe_contains_key(key));
-        }
-        let mut reversed = rc_runtime::KeyFilter::new(seed, 10);
+        let mut reversed = rc_runtime::PackedStateTable::new();
         for key in keys.iter().rev() {
-            reversed.insert_key(key);
+            reversed.insert(key);
         }
-        prop_assert_eq!(forward, reversed);
+        for key in &keys {
+            prop_assert!(forward.get(key).is_some() && reversed.get(key).is_some());
+        }
+        for probe in probes.iter().filter(|probe| !keys.contains(probe)) {
+            prop_assert_eq!((forward.get(probe), reversed.get(probe)), (None, None));
+        }
+        prop_assert_eq!(forward.len(), reversed.len());
+        prop_assert_eq!(forward.resident_bytes(), reversed.resident_bytes());
     }
 }
 

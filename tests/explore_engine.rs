@@ -1,19 +1,13 @@
 //! The model-checker engine, end to end on the real Fig. 2 and Fig. 4
-//! systems: exact `max_states` truncation boundaries, byte-identical
-//! outcomes, cut points and byte accounts across storage tiers, the unified
+//! systems: exact `max_states` truncation boundaries, outcomes, cut
+//! points and byte accounts that repeat byte for byte, the unified
 //! [`CrashModel`] semantics, the reductions (process symmetry, full-state
 //! rebind, certified scalarsets, partial-order reduction: identical
 //! verdicts and weighted leaf counts on vs off, replayable un-permuted
 //! witnesses), and regressions for the crash-adversary bugs the engine
 //! rebuilds fixed (post-decide `CrashAll` handling and the state-cap
-//! off-by-one).
-//!
-//! The suite runs on the default storage tier
-//! (`ExploreConfig::default().storage`); `EXPLORE_TEST_STORAGE` ∈
-//! {`packed`, `packed+spill`} picks the tier explicitly (CI reruns the
-//! suite on `packed+spill`). `tests/explore_oracle.rs` checks
-//! the engine's state and leaf counts against an independent naive
-//! search.
+//! off-by-one). `tests/explore_oracle.rs` checks the engine's state and
+//! leaf counts against an independent naive search.
 
 use rc_core::algorithms::{
     build_broken_team_rc_system, build_masked_broken_team_rc_system,
@@ -29,7 +23,7 @@ use rc_runtime::sched::{
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
     explore_symmetric_with_stats, explore_with_stats, run, CrashModel, ExploreConfig,
-    ExploreOutcome, ExploreStats, MemOps, Memory, Program, RunOptions, Step, StorageTier,
+    ExploreOutcome, ExploreStats, MemOps, Memory, Program, RunOptions, Step,
     SymmetricSystemFactory, SystemFactory,
 };
 use rc_spec::types::Sn;
@@ -73,36 +67,6 @@ fn explore_symmetric(
     config: &ExploreConfig,
 ) -> ExploreOutcome {
     checked_edges(explore_symmetric_with_stats(factory, config)).0
-}
-
-/// The storage tier the suite's searches run under: the shipped default
-/// (`ExploreConfig::default().storage`), or whatever
-/// `EXPLORE_TEST_STORAGE` names (`packed` / `packed+spill`; the CI
-/// storage axis). Anything else fails loudly.
-fn storage_tier() -> StorageTier {
-    match std::env::var("EXPLORE_TEST_STORAGE") {
-        Err(_) => ExploreConfig::default().storage,
-        Ok(raw) => StorageTier::parse(raw.trim()).unwrap_or_else(|| {
-            panic!(
-                "EXPLORE_TEST_STORAGE must be one of packed, packed+spill; \
-                 got {raw:?}"
-            )
-        }),
-    }
-}
-
-/// The suite's base config: [`ExploreConfig::default`] with the
-/// [`storage_tier`] axis applied. Under `packed+spill` the spill
-/// threshold is forced tiny (4 KiB) so these small state spaces
-/// genuinely freeze resident entries to disk — outcomes must not
-/// change (the equivalence assertions throughout are the proof).
-fn test_config() -> ExploreConfig {
-    let storage = storage_tier();
-    ExploreConfig {
-        storage,
-        spill_threshold: (storage == StorageTier::PackedSpill).then_some(4096),
-        ..ExploreConfig::default()
-    }
 }
 
 /// `base` with the sleep-set POR engine switched on. The `analysis_id`
@@ -155,7 +119,7 @@ fn engines_agree_on_e2_systems() {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             for mode in [SymMode::Off, SymMode::Slots, SymMode::Rebind] {
                 // The masked S_3/budget-2 instance is an order of
@@ -218,7 +182,7 @@ fn symmetry_on_off_equivalence_on_e2_systems() {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             let (off_states, off_leaves) = match explore(&factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => (states, leaves),
@@ -258,7 +222,7 @@ fn cap_boundaries_are_exact() {
     let plain = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in [false, true] {
         // The POR state-space size is computed per setting — reduced
@@ -306,7 +270,7 @@ fn symmetric_cap_boundaries_are_exact() {
     let plain = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in [false, true] {
         let base = if por {
@@ -349,7 +313,7 @@ fn e2_state_counts_are_preserved() {
             &ExploreConfig {
                 crash: CrashModel::independent(2).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         match outcome {
@@ -370,7 +334,7 @@ fn s4_budget_1_verifies_within_default_cap() {
         &ExploreConfig {
             crash: CrashModel::independent(1).after_decide(true),
             inputs: Some(inputs.clone()),
-            ..test_config()
+            ..ExploreConfig::default()
         },
     );
     match outcome {
@@ -438,7 +402,7 @@ fn crash_all_respects_post_decide_policy_in_explore() {
             &forgetful_factory,
             &ExploreConfig {
                 crash: mode,
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         assert!(
@@ -449,7 +413,7 @@ fn crash_all_respects_post_decide_policy_in_explore() {
             &forgetful_factory,
             &ExploreConfig {
                 crash: mode.after_decide(true),
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         assert!(
@@ -503,7 +467,7 @@ fn state_cap_has_no_off_by_one() {
     let config = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     // 514 states (asserted above). Capping exactly there must verify…
     let outcome = explore(
@@ -565,7 +529,7 @@ fn violation_beats_truncation_when_found_first() {
         &factory,
         &ExploreConfig {
             max_states: 3,
-            ..test_config()
+            ..ExploreConfig::default()
         },
     );
     assert!(outcome.is_violation(), "{outcome:?}");
@@ -583,7 +547,7 @@ fn plain_search_reports_replayable_violations() {
     let config = ExploreConfig {
         crash: CrashModel::independent(1).after_decide(true),
         inputs: Some(bogus.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let outcome = explore(&factory, &config);
     assert_eq!(
@@ -616,7 +580,7 @@ fn symmetric_witness_replays_on_the_original_system() {
     let config = ExploreConfig {
         crash: CrashModel::independent(1).after_decide(true),
         inputs: Some(bogus.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -645,7 +609,7 @@ fn symmetric_search_finds_the_broken_guard_violation() {
     let config = ExploreConfig {
         crash: CrashModel::none(),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -673,7 +637,7 @@ fn rebind_on_off_equivalence_on_masked_systems() {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             let (off_states, off_leaves) = match explore(&factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => (states, leaves),
@@ -725,7 +689,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
         crash: CrashModel::simultaneous(0).after_decide(true),
         inputs: Some(inputs.clone()),
         analysis_id: Some("test/simultaneous-rc-n3".into()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in [false, true] {
         let config = if por {
@@ -783,7 +747,7 @@ fn por_on_off_equivalence_on_e2_systems() {
             let base = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             // Unmasked: exact verdict + leaves (even the plain teams
             // have commuting step pairs, so states may shrink).
@@ -866,7 +830,7 @@ fn rebind_witness_replays_on_the_original_masked_system() {
     let config = ExploreConfig {
         crash: CrashModel::independent(1).after_decide(true),
         inputs: Some(bogus.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -893,7 +857,7 @@ fn rebind_search_finds_the_masked_broken_guard_violation() {
     let config = ExploreConfig {
         crash: CrashModel::none(),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -907,12 +871,11 @@ fn rebind_search_finds_the_masked_broken_guard_violation() {
     assert!(err.to_string().contains("agreement"), "{err}");
 }
 
-/// Both storage tiers — packed and packed+spill — run the *same* exact
-/// search: byte-identical `Verified` outcomes (state and leaf counts) on
-/// the E2 systems, and a `max_states` cut at half the space or one state
-/// short of it stops both tiers at the same state after the same edges.
-/// The spill tier runs with a tiny threshold so resident entries
-/// genuinely freeze to disk mid-search.
+/// Named for the storage tiers the checker once had; with one in-RAM
+/// table it checks what is left of their equivalence on the E2
+/// systems. A repeat search is byte-identical: outcome and every
+/// counter. A `max_states` cut at half the space or one state short of
+/// it truncates at exactly the cap, the same way on every run.
 #[test]
 fn storage_tiers_agree_byte_identically() {
     let (ty, w, inputs) = sn_system(2);
@@ -923,64 +886,42 @@ fn storage_tiers_agree_byte_identically() {
             inputs: Some(inputs.clone()),
             ..ExploreConfig::default()
         };
-        let tiered = |tier: StorageTier, max_states: usize| {
+        let capped = |max_states: usize| {
             checked_edges(explore_with_stats(
                 &factory,
                 &ExploreConfig {
                     max_states,
-                    storage: tier,
-                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
                     ..base.clone()
                 },
             ))
         };
-        let (reference, counts) = checked_edges(explore_with_stats(&factory, &base));
-        let total = match reference {
+        let reference = capped(base.max_states);
+        let total = match reference.0 {
             ExploreOutcome::Verified { states, .. } => states,
             ref other => panic!("S_2/budget-{budget} must verify: {other:?}"),
         };
-        for tier in StorageTier::ALL {
-            let (outcome, stats) = tiered(tier, base.max_states);
-            assert_eq!(outcome, reference, "{tier} budget {budget}");
-            assert_eq!(
-                (stats.edges, stats.duplicates),
-                (counts.edges, counts.duplicates),
-                "{tier} budget {budget}: edge counts are deterministic"
-            );
-            if tier == StorageTier::PackedSpill {
-                assert!(
-                    stats.spilled_bytes > 0,
-                    "threshold 512 must spill at budget {budget}"
-                );
-            }
-        }
+        assert_eq!(
+            capped(base.max_states),
+            reference,
+            "budget {budget}: a repeat search moved"
+        );
         for cap in [total / 2, total - 1] {
-            let [(packed, packed_stats), (spill, spill_stats)] =
-                StorageTier::ALL.map(|tier| tiered(tier, cap));
+            let cut = capped(cap);
             assert_eq!(
-                packed,
+                cut.0,
                 ExploreOutcome::Truncated { states: cap },
                 "budget {budget} cap {cap}"
             );
-            assert_eq!(spill, packed, "budget {budget}: the cut at {cap} moved");
-            assert_eq!(
-                (spill_stats.edges, spill_stats.duplicates),
-                (packed_stats.edges, packed_stats.duplicates),
-                "budget {budget} cap {cap}: the cut takes the same edges"
-            );
-            assert!(
-                spill_stats.spilled_bytes > 0,
-                "threshold 512 must spill before the cut at {cap}"
-            );
+            assert_eq!(capped(cap), cut, "budget {budget}: the cut at {cap} moved");
         }
     }
 }
 
-/// The byte accounts at a `max_states` cut are exact and
-/// tier-independent: cut at half the `S_2`/budget-2 space, one state
-/// short of it, or at its size, both tiers report the same witness-log
-/// and interner bytes, and the witness log holds exactly one 8-byte
-/// parent link per accepted state.
+/// The byte accounts at a `max_states` cut are exact: cut at half the
+/// `S_2`/budget-2 space, one state short of it, or at its size, the
+/// witness log holds exactly one 8-byte parent link per accepted state,
+/// and the table and interner accounts grow with the cap (a larger cap
+/// runs the same DFS further).
 #[test]
 fn byte_cap_boundary_is_exact_across_tiers() {
     let (ty, w, inputs) = sn_system(2);
@@ -994,26 +935,23 @@ fn byte_cap_boundary_is_exact_across_tiers() {
         ExploreOutcome::Verified { states, .. } => states,
         other => panic!("S_2/budget-2 must verify: {other:?}"),
     };
+    let mut previous: Option<ExploreStats> = None;
     for cap in [total / 2, total - 1, total] {
-        let [packed, spill] = StorageTier::ALL.map(|tier| {
-            let config = ExploreConfig {
-                max_states: cap,
-                storage: tier,
-                spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
-                ..base.clone()
-            };
-            checked_edges(explore_with_stats(&factory, &config)).1
-        });
+        let config = ExploreConfig {
+            max_states: cap,
+            ..base.clone()
+        };
+        let stats = checked_edges(explore_with_stats(&factory, &config)).1;
         assert_eq!(
-            packed.witness_bytes,
+            stats.witness_bytes,
             8 * cap,
             "cap {cap}: one 8-byte link per accepted state"
         );
-        assert_eq!(
-            (spill.witness_bytes, spill.interned_bytes),
-            (packed.witness_bytes, packed.interned_bytes),
-            "cap {cap}: the byte accounts moved with the tier"
-        );
+        if let Some(prev) = previous {
+            assert!(stats.peak_table_bytes >= prev.peak_table_bytes, "cap {cap}");
+            assert!(stats.interned_bytes >= prev.interned_bytes, "cap {cap}");
+        }
+        previous = Some(stats);
     }
 }
 
@@ -1030,25 +968,17 @@ fn memory_counters_are_monotone_in_the_searched_space() {
         let config = ExploreConfig {
             crash: CrashModel::independent(budget).after_decide(true),
             inputs: Some(inputs.clone()),
-            ..test_config()
+            ..ExploreConfig::default()
         };
         let (outcome, stats) = checked_edges(explore_with_stats(&factory, &config));
         assert!(outcome.is_verified(), "{outcome:?}");
         assert!(stats.interned_bytes > 0);
-        assert!(stats.table_bytes > 0);
+        assert!(stats.peak_table_bytes > 0);
         assert!(stats.witness_bytes > 0);
-        assert!(stats.peak_table_bytes >= stats.table_bytes);
         if let Some(prev) = previous {
             assert!(stats.interned_bytes >= prev.interned_bytes);
-            // Under the spill tier the *resident* table can shrink as the
-            // search grows (a bigger search freezes more runs to disk),
-            // so monotonicity is asserted on total stored bytes —
-            // resident plus spilled.
-            assert!(
-                stats.table_bytes + stats.spilled_bytes >= prev.table_bytes + prev.spilled_bytes
-            );
-            assert!(stats.witness_bytes > prev.witness_bytes);
             assert!(stats.peak_table_bytes >= prev.peak_table_bytes);
+            assert!(stats.witness_bytes > prev.witness_bytes);
         }
         previous = Some(stats);
     }
@@ -1087,32 +1017,28 @@ fn broken_guard_system() -> (TypeHandle, RecordingWitness, Vec<Value>) {
 
 /// The search counters of four fixed searches, pinned exactly: the
 /// outcome and the whole [`ExploreStats`] — edges, duplicates, the
-/// interner, table, peak-table and witness-log bytes and the reduction
+/// interner, peak-table and witness-log bytes and the reduction
 /// flags. Every one is deterministic, so a checker refactor that keeps
 /// the search moves none of them. The searches cover a plain Fig. 2
 /// search, masked `S_4` under POR and rebind symmetry, Fig. 4 under
 /// scalarset symmetry with a simultaneous crash, and the broken-guard
-/// violation with its schedule. The tier is fixed to `Packed`, so the
-/// `EXPLORE_TEST_STORAGE` axis does not move the byte accounts.
+/// violation with its schedule.
 #[test]
 fn search_counters_are_pinned() {
     let packed = |crash: CrashModel, inputs: &[Value]| ExploreConfig {
         crash: crash.after_decide(true),
         inputs: Some(inputs.to_vec()),
-        storage: StorageTier::Packed,
         ..ExploreConfig::default()
     };
-    let stats = |symmetry, por, counts: [usize; 7]| ExploreStats {
+    let stats = |symmetry, por, counts: [usize; 5]| ExploreStats {
         max_level_workers: 1,
         symmetry,
         por,
         edges: counts[0],
         duplicates: counts[1],
         interned_bytes: counts[2],
-        table_bytes: counts[3],
-        peak_table_bytes: counts[4],
-        spilled_bytes: counts[5],
-        witness_bytes: counts[6],
+        peak_table_bytes: counts[3],
+        witness_bytes: counts[4],
     };
 
     let (ty, w, inputs) = sn_system(3);
@@ -1126,7 +1052,7 @@ fn search_counters_are_pinned() {
                 states: 3981,
                 leaves: 9
             },
-            stats(false, false, [16598, 12618, 3222, 138857, 138857, 0, 31848]),
+            stats(false, false, [16598, 12618, 3222, 138857, 31848]),
         ),
         "Fig. 2, S_3, independent budget 2"
     );
@@ -1145,7 +1071,7 @@ fn search_counters_are_pinned() {
                 states: 1306,
                 leaves: 11
             },
-            stats(true, true, [2255, 950, 5768, 65026, 65026, 0, 10528]),
+            stats(true, true, [2255, 950, 5768, 65026, 10528]),
         ),
         "masked S_4, budget 0, POR and rebind symmetry"
     );
@@ -1162,11 +1088,7 @@ fn search_counters_are_pinned() {
                 states: 93963,
                 leaves: 24
             },
-            stats(
-                true,
-                false,
-                [376863, 282901, 13136, 4681623, 4681623, 0, 751723]
-            ),
+            stats(true, false, [376863, 282901, 13136, 4681623, 751723]),
         ),
         "Fig. 4 n=3, simultaneous budget 1, scalarset symmetry"
     );
@@ -1185,7 +1107,7 @@ fn search_counters_are_pinned() {
                     .to_vec(),
                 outputs: vec![Value::Int(1), Value::Int(0)],
             },
-            stats(false, false, [506, 268, 2400, 8522, 8522, 0, 1904]),
+            stats(false, false, [506, 268, 2400, 8522, 1904]),
         ),
         "the broken guard, crash-free"
     );
