@@ -1131,9 +1131,22 @@ const E12_COLUMNS: &[Column<Measured>] = &[
     ("reduction", |r| format!("{:.1}×", r.reduction)),
 ];
 
-/// The E13, E15 and E17 reduction sweeps.
+/// The E13, E15 and E17 reduction sweeps: E11's edge count and per-edge
+/// cost beside the states, so a reduction's saving in edges and what
+/// each remaining edge costs read off one row.
 const SWEEP_COLUMNS: &[Column<Measured>] = &[
-    SYSTEM, BUDGET, CAP, MODE, VERDICT, STATES, LEAVES, MS, RATE, REDUCTION,
+    SYSTEM,
+    BUDGET,
+    CAP,
+    MODE,
+    VERDICT,
+    STATES,
+    LEAVES,
+    EDGES,
+    MS,
+    RATE,
+    NS_PER_EDGE,
+    REDUCTION,
 ];
 
 const E16_COLUMNS: &[Column<Measured>] = &[

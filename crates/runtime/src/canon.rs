@@ -64,9 +64,9 @@
 //! Within each orbit, processes are ordered by a total *signature* —
 //! `(program state key, decided bit)`, plus the sleep bit and owned and
 //! family contents where they apply — compared structurally (the checker
-//! reads them as interned ids, but unequal ids compare their values, never
-//! their id order), so the representative choice is identical across
-//! runs. Sorting is a true
+//! reads them as interned ids and compares their interner ranks, which
+//! order ids as `Value::cmp` orders their values, never by id order), so
+//! the representative choice is identical across runs. Sorting is a true
 //! canonical form: two states have equal canonical keys **iff** they are
 //! related by an orbit permutation (property-tested in
 //! `tests/proptest_runtime.rs`).

@@ -77,9 +77,11 @@
 //! by their class size), and violation witnesses are reported in
 //! *original* process ids by threading the inverse permutations through
 //! the parent links. Signatures are read from the child's key as
-//! interned ids, but unequal ids compare their values *structurally* —
-//! never by id order — so the representative of a state does not depend
-//! on which values happened to be interned first. See the
+//! interned ids, and ids compare by their interner *rank* — the position
+//! of their value in the structural order of the values interned so far
+//! ([`ValueInterner`] keeps it as values are first interned) — never by
+//! id order, so the representative of a state does not depend on which
+//! values happened to be interned first. See the
 //! [`canon`](crate::canon) module for the soundness argument.
 //!
 //! ## Partial-order reduction
@@ -101,12 +103,21 @@
 //! with its processes). [`lint_ample`] checks the
 //! eligibility conditions statically and spot-checks pruned
 //! interleavings dynamically.
+//!
+//! Expanding a node allocates nothing once the search has warmed up:
+//! the enabled actions come from one enumeration
+//! (`Machine::enabled_actions`, reading each program's choices from a
+//! memo per slot and program-state id) written onto one action stack
+//! the DFS frames index by range, POR groups processes on a pid mask,
+//! and it reads each process's footprints through a dense table from
+//! interned program-state id to analyzed local state, as
+//! `(cells + 1).div_ceil(64)` words per set.
 
 use crate::canon::{self, SymmetrySpec};
 use crate::crash::CrashModel;
 use crate::footprint::{
     analyze_system, analyze_system_states, system_analysis_cached, AnalysisBudget, CellSet,
-    LocalStateInfo, SystemAnalysis, SystemFootprint,
+    SystemAnalysis, SystemFootprint,
 };
 use crate::intern::{FxHashMap, ValueInterner};
 use crate::memory::{Addr, Cell, MemOps, Memory};
@@ -115,7 +126,6 @@ use crate::sched::{Action, SchedContext, Scheduler};
 use crate::storage::{PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, TypeHandle, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -380,50 +390,6 @@ fn program_mut(slot: &mut Rc<Box<dyn Program>>) -> &mut dyn Program {
 struct Node {
     key: Vec<u32>,
     programs: Vec<Rc<Box<dyn Program>>>,
-}
-
-impl Node {
-    /// Every action the adversary may take from this node, in the
-    /// engine's canonical order: steps of undecided processes (ascending
-    /// pid), then internal-nondeterminism branches (ascending pid, then
-    /// choice id — only for processes whose [`Program::choices`] offers
-    /// more than one alternative; single-choice processes step through
-    /// plain [`Action::Step`]), then legal crashes (matching
-    /// [`CrashModel::legal_crashes`], inlined to build one vector). The
-    /// order agrees with the `Action` `Ord`, keeping witness selection
-    /// deterministic.
-    fn enabled_actions(&self, layout: &KeyLayout, model: &CrashModel) -> Vec<Action> {
-        let n = self.programs.len();
-        let decided = |p: usize| layout.is_decided(&self.key, p);
-        let mut actions: Vec<Action> = Vec::with_capacity(2 * n + 1);
-        let mut branches: Vec<Action> = Vec::new();
-        for p in (0..n).filter(|&p| !decided(p)) {
-            let choices = self.programs[p].choices();
-            if choices.len() <= 1 {
-                actions.push(Action::Step(p));
-            } else {
-                branches.extend(choices.into_iter().map(|c| Action::Branch(p, c)));
-            }
-        }
-        actions.append(&mut branches);
-        if !model.exhausted(self.key[layout.crashes()] as usize) {
-            match model.mode {
-                crate::crash::CrashMode::Simultaneous => {
-                    if model.may_crash_all_mask(layout.read_decided(&self.key)) {
-                        actions.push(Action::CrashAll);
-                    }
-                }
-                crate::crash::CrashMode::Independent => {
-                    actions.extend(
-                        (0..n)
-                            .filter(|&p| model.may_crash(decided(p)))
-                            .map(Action::Crash),
-                    );
-                }
-            }
-        }
-        actions
-    }
 }
 
 /// Slot offsets of the flat interned state key:
@@ -768,6 +734,42 @@ impl StepMemo {
     }
 }
 
+/// The choice ids each program offers ([`Program::choices`]), memoized
+/// per (slot, program-state id) on the contract the [`StepMemo`] rests
+/// on: programs with equal `state_key` in one slot behave the same, so
+/// they offer the same choices. A node's expansion then reads each
+/// undecided process's choices from two flat vectors, where asking the
+/// program allocates the list every time.
+#[derive(Default)]
+struct ChoiceMemo {
+    /// `spans[id * n + p]`: where the choices of slot `p`'s program with
+    /// state-key id `id` lie in `ids`, as `(start, len)`;
+    /// [`UNKNOWN`](Self::UNKNOWN) until first asked.
+    spans: Vec<(u32, u32)>,
+    ids: Vec<usize>,
+}
+
+impl ChoiceMemo {
+    const UNKNOWN: (u32, u32) = (u32::MAX, 0);
+
+    /// Asks `prog`, the program at `spans` index `at`, for its choices
+    /// and memoizes them.
+    #[cold]
+    fn record(&mut self, at: usize, prog: &dyn Program) -> (u32, u32) {
+        let choices = prog.choices();
+        let span = (
+            u32::try_from(self.ids.len()).expect("choice memo fits u32"),
+            u32::try_from(choices.len()).expect("choice count fits u32"),
+        );
+        self.ids.extend(choices);
+        if at >= self.spans.len() {
+            self.spans.resize(at + 1, Self::UNKNOWN);
+        }
+        self.spans[at] = span;
+        span
+    }
+}
+
 /// What an action changes in its parent node: a step of a process, by
 /// its memoized outcome (an index into the [`StepMemo`]), or a crash of
 /// one process or of all of them.
@@ -780,7 +782,8 @@ enum Change {
 
 /// The checker's transition system over interned node keys: the key
 /// layout, the value interner, the cell-kind table, the post-crash
-/// programs and the step memo of one system. Every executor of the
+/// programs, the step memo and the choice memo of one system. Every
+/// executor of the
 /// checker advances its nodes through it — the DFS, a sweep worker's
 /// [`MemoExecutor`], [`lint_ample`]'s commutation walk and
 /// [`replay_on_checker`] — by one transition: [`patch`](Self::patch)
@@ -792,6 +795,7 @@ struct Machine {
     kinds: Vec<CellKind>,
     crashes: CrashedSet,
     memo: StepMemo,
+    choices: ChoiceMemo,
 }
 
 impl Machine {
@@ -805,7 +809,7 @@ impl Machine {
     fn root(
         mem: &Memory,
         programs: Vec<Box<dyn Program>>,
-        por: Option<Arc<SystemAnalysis>>,
+        por: Option<&SystemAnalysis>,
     ) -> (Self, Option<PorEngine>, Node) {
         let layout = KeyLayout::new(mem.len(), programs.len(), por.is_some());
         let mut interner = ValueInterner::new();
@@ -831,9 +835,63 @@ impl Machine {
             kinds,
             crashes,
             memo: StepMemo::default(),
+            choices: ChoiceMemo::default(),
         };
         let programs = programs.into_iter().map(Rc::new).collect();
         (machine, por, Node { key, programs })
+    }
+
+    /// The choice ids slot `p`'s program at `node` offers, from the
+    /// [`ChoiceMemo`]; a miss asks the program once.
+    #[inline]
+    fn choices(&mut self, node: &Node, p: usize) -> &[usize] {
+        let at = node.key[self.layout.prog(p)] as usize * self.layout.n + p;
+        let (start, len) = match self.choices.spans.get(at) {
+            Some(&span) if span != ChoiceMemo::UNKNOWN => span,
+            _ => self.choices.record(at, &**node.programs[p]),
+        };
+        &self.choices.ids[start as usize..][..len as usize]
+    }
+
+    /// Appends to `out` every action the adversary may take from `node`,
+    /// each with an empty sleep mask, in the engine's canonical order:
+    /// steps of undecided processes (ascending pid), then
+    /// internal-nondeterminism branches (ascending pid, then choice id —
+    /// only for processes whose [`Program::choices`] offers more than
+    /// one alternative; single-choice processes step through plain
+    /// [`Action::Step`]), then legal crashes (matching
+    /// [`CrashModel::legal_crashes`]). The order agrees with the
+    /// `Action` `Ord`, keeping witness selection deterministic. Every
+    /// expansion enumerates through here: the DFS, POR and
+    /// [`lint_ample`]'s walk.
+    fn enabled_actions(&mut self, node: &Node, model: &CrashModel, out: &mut Vec<(Action, u64)>) {
+        let layout = self.layout;
+        let decided = |p: usize| layout.is_decided(&node.key, p);
+        let mut branching = 0u64;
+        for p in (0..layout.n).filter(|&p| !decided(p)) {
+            if self.choices(node, p).len() <= 1 {
+                out.push((Action::Step(p), 0));
+            } else {
+                branching |= 1 << p;
+            }
+        }
+        for p in pids_in(branching) {
+            let branches = self.choices(node, p).iter();
+            out.extend(branches.map(|&c| (Action::Branch(p, c), 0)));
+        }
+        if !model.exhausted(node.key[layout.crashes()] as usize) {
+            match model.mode {
+                crate::crash::CrashMode::Simultaneous => {
+                    if model.may_crash_all_mask(layout.read_decided(&node.key)) {
+                        out.push((Action::CrashAll, 0));
+                    }
+                }
+                crate::crash::CrashMode::Independent => {
+                    let crashes = (0..layout.n).filter(|&p| model.may_crash(decided(p)));
+                    out.extend(crashes.map(|p| (Action::Crash(p), 0)));
+                }
+            }
+        }
     }
 
     /// Steps a clone of process `p`'s program at `node` by `action`.
@@ -1666,75 +1724,187 @@ fn renamed_equal(a: &CellSet, b: &CellSet, rename: &[usize]) -> bool {
     len_a == b.iter().count()
 }
 
-/// The per-search partial-order reduction engine: the per-local-state
-/// footprint analysis re-keyed by **interned** program-state ids, so the
-/// hot expansion path looks footprints up by the `u32` already in the
-/// node key instead of rebuilding `Value` state keys.
+/// The per-search partial-order reduction engine: the four crash-free
+/// footprint sets of every analyzed undecided local state, re-keyed by
+/// **interned** program-state ids, so the hot expansion path looks a
+/// process's footprints up by the `u32` already in the node key, through
+/// a dense table, and tests them as words.
 struct PorEngine {
-    analysis: Arc<SystemAnalysis>,
-    /// Per process: interned `state_key` id → index into that process's
-    /// `infos`, for **undecided** states only (enabled steps belong to
-    /// undecided processes; decided states never need a lookup).
-    by_id: Vec<HashMap<u32, usize>>,
+    n: usize,
+    /// Words per footprint set: `(cells + 1).div_ceil(64)`, the
+    /// decision pseudo-cell ([`CellSet`]) included.
+    width: usize,
+    /// `states[id * n + p]`: which analyzed local state slot `p`'s
+    /// undecided program with state-key id `id` is, or
+    /// [`NONE`](Self::NONE) when the analysis memoized no such state
+    /// (decided states never need a lookup: enabled steps belong to
+    /// undecided processes).
+    states: Vec<u32>,
+    /// Per analyzed undecided local state, its four crash-free sets of
+    /// `width` words each, in [`IMM_ACCESSED`](Self::IMM_ACCESSED),
+    /// [`IMM_MUTATED`](Self::IMM_MUTATED),
+    /// [`FUTURE_ACCESSED`](Self::FUTURE_ACCESSED),
+    /// [`FUTURE_MUTATED`](Self::FUTURE_MUTATED) order.
+    sets: Vec<u64>,
 }
 
+/// The analyzed local state of each enabled process of one node, indexed
+/// by pid ([`PorEngine::local_states`]).
+type LocalStates = [u32; 64];
+
 impl PorEngine {
+    const NONE: u32 = u32::MAX;
+    const IMM_ACCESSED: usize = 0;
+    const IMM_MUTATED: usize = 1;
+    const FUTURE_ACCESSED: usize = 2;
+    const FUTURE_MUTATED: usize = 3;
+
     /// Builds the engine, interning every analyzed state key in a fixed
     /// order (pid-major, discovery order) right after
     /// [`CrashedSet::new`], so value ids, and therefore every node key,
     /// are a pure function of the system.
-    fn new(analysis: Arc<SystemAnalysis>, interner: &mut ValueInterner) -> Self {
-        let by_id = analysis
-            .per_process
-            .iter()
-            .map(|map| {
-                let mut ids = HashMap::new();
-                for (i, info) in map.infos.iter().enumerate() {
-                    let id = interner.intern(&info.key);
-                    if !info.decided {
-                        ids.insert(id, i);
+    fn new(analysis: &SystemAnalysis, interner: &mut ValueInterner) -> Self {
+        let n = analysis.per_process.len();
+        let width = (analysis.cells + 1).div_ceil(64);
+        let mut undecided: Vec<(usize, u32)> = Vec::new();
+        let mut sets = Vec::new();
+        for (p, map) in analysis.per_process.iter().enumerate() {
+            for info in &map.infos {
+                let id = interner.intern(&info.key);
+                if info.decided {
+                    continue;
+                }
+                let s = u32::try_from(undecided.len()).expect("local states fit u32");
+                undecided.push((id as usize * n + p, s));
+                for set in [
+                    &info.imm_accessed,
+                    &info.imm_mutated,
+                    &info.future_accessed,
+                    &info.future_mutated,
+                ] {
+                    let at = sets.len();
+                    sets.resize(at + width, 0);
+                    for bit in set.iter() {
+                        sets[at + bit / 64] |= 1 << (bit % 64);
                     }
                 }
-                ids
-            })
-            .collect();
-        PorEngine { analysis, by_id }
+            }
+        }
+        let mut states = vec![Self::NONE; interner.len() * n];
+        for (at, s) in undecided {
+            states[at] = s;
+        }
+        PorEngine {
+            n,
+            width,
+            states,
+            sets,
+        }
     }
 
-    /// The analyzed footprints of process `p`'s current (undecided)
-    /// local state, by the interned key id from the node key. A
-    /// reachable state the analysis never memoized means the analyzer
-    /// under-approximated the state space — unsound, so panic.
-    fn info(&self, p: usize, id: u32) -> &LocalStateInfo {
-        let idx = self.by_id[p].get(&id).unwrap_or_else(|| {
-            panic!(
-                "POR: process p{p} reached a local state the footprint \
-                 analysis never memoized; the analyzer is unsound for \
-                 this system"
-            )
-        });
-        &self.analysis.per_process[p].infos[*idx]
+    /// The analyzed local state of each process in the pid mask
+    /// `enabled` at the node with key `key`, by the interned key id in
+    /// its program slot. A reachable state the analysis never memoized
+    /// means the analyzer under-approximated the state space — unsound,
+    /// so panic.
+    fn local_states(&self, key: &[u32], layout: &KeyLayout, enabled: u64) -> LocalStates {
+        let mut local = [Self::NONE; 64];
+        for p in pids_in(enabled) {
+            let at = key[layout.prog(p)] as usize * self.n + p;
+            local[p] = match self.states.get(at) {
+                Some(&s) if s != Self::NONE => s,
+                _ => panic!(
+                    "POR: process p{p} reached a local state the footprint \
+                     analysis never memoized; the analyzer is unsound for \
+                     this system"
+                ),
+            };
+        }
+        local
+    }
+
+    /// Footprint set `which` of analyzed local state `s`, as words.
+    #[inline]
+    fn set(&self, s: u32, which: usize) -> &[u64] {
+        &self.sets[(s as usize * 4 + which) * self.width..][..self.width]
+    }
+
+    /// Whether sets `a` of local state `s` and `b` of local state `t`
+    /// share no cell.
+    #[inline]
+    fn disjoint(&self, (s, a): (u32, usize), (t, b): (u32, usize)) -> bool {
+        let (a, b) = (self.set(s, a), self.set(t, b));
+        a.iter().zip(b).all(|(x, y)| x & y == 0)
+    }
+
+    /// Whether the immediate steps of local states `s` and `t` commute:
+    /// neither mutates a cell the other accesses.
+    fn steps_commute(&self, s: u32, t: u32) -> bool {
+        self.disjoint((t, Self::IMM_MUTATED), (s, Self::IMM_ACCESSED))
+            && self.disjoint((s, Self::IMM_MUTATED), (t, Self::IMM_ACCESSED))
+    }
+
+    /// The persistent-set rule POR prunes with, at a crash-free node
+    /// whose enabled processes are the pid mask `enabled`, with `local`
+    /// their analyzed local states: the first enabled pid (ascending) whose
+    /// immediate step no other enabled process can ever conflict with —
+    /// its immediate writes miss every other process's future accesses,
+    /// and every other process's future writes miss its immediate
+    /// accesses — or `None` when no enabled step qualifies.
+    /// [`spot_check_pruned`] re-checks exactly this choice.
+    fn persistent_singleton(&self, local: &LocalStates, enabled: u64) -> Option<usize> {
+        pids_in(enabled).find(|&p| {
+            let s = local[p];
+            pids_in(enabled & !(1 << p)).all(|q| {
+                let t = local[q];
+                self.disjoint((s, Self::IMM_MUTATED), (t, Self::FUTURE_ACCESSED))
+                    && self.disjoint((t, Self::FUTURE_MUTATED), (s, Self::IMM_ACCESSED))
+            })
+        })
     }
 }
 
-/// Expands one node under the optional POR engine: returns the child
-/// actions — each paired with the **sleep mask** its child node will
-/// carry — plus whether the node is terminal (no enabled action at all:
-/// a complete execution). Without POR every enabled action is returned
-/// with an empty mask.
+/// The pids in `mask`, ascending.
+fn pids_in(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let p = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            p
+        })
+    })
+}
+
+/// The pid a step or branch action moves, `None` for a crash.
+fn acting_pid(action: Action) -> Option<usize> {
+    match action {
+        Action::Step(p) | Action::Branch(p, _) => Some(p),
+        Action::Crash(_) | Action::CrashAll => None,
+    }
+}
+
+/// The mask of pids that step or branch in `actions`: a process whose
+/// local state offers several `Branch` actions counts once.
+fn acting_pids(actions: &[(Action, u64)]) -> u64 {
+    actions.iter().fold(0, |mask, &(a, _)| {
+        mask | acting_pid(a).map_or(0, |p| 1 << p)
+    })
+}
+
+/// Expands one node under the optional POR engine: appends the child
+/// actions to `out` — each paired with the **sleep mask** its child node
+/// will carry — and returns whether the node is terminal (no enabled
+/// action at all: a complete execution). Without POR every enabled
+/// action is appended with an empty mask.
 ///
 /// With POR, at a crash-free node (any enabled crash forces full
 /// expansion — crashes conflict with everything, which keeps every
 /// [`CrashModel`] adversary complete; crash-freedom is hereditary along
 /// step edges, so sleep sets only ever form below crash-free nodes):
 ///
-/// * the **persistent set** is the first singleton `{p}` (ascending
-///   pid) whose immediate step is statically independent of everything
-///   the other undecided processes can ever do — `imm_mutated(p)`
-///   disjoint from their crash-free `future_accessed`, their
-///   `future_mutated` disjoint from `imm_accessed(p)`, with the
-///   decision pseudo-cell making any two possibly-deciding steps
-///   conflict — else all enabled steps;
+/// * the **persistent set** is the singleton
+///   [`PorEngine::persistent_singleton`] picks, else all enabled steps;
 /// * the node's own sleep set `Z` (read from its key) drops members
 ///   whose subtrees a sibling already covers;
 /// * each expanded child inherits the sleeping pids that remain
@@ -1742,20 +1912,27 @@ impl PorEngine {
 ///   already-expanded siblings — classic sleep-set propagation, in
 ///   ascending pid order so the set is deterministic.
 ///
-/// An empty action list with `terminal == false` is a fully pruned
-/// node: visited and counted, but **not** a leaf and expanding nothing.
+/// Nothing allocates once `out` has grown: processes are grouped on a
+/// pid mask, and the reduced list is written above the enabled one and
+/// moved down over it.
+///
+/// Appending nothing for a node that is not terminal means it is fully
+/// pruned: visited and counted, but **not** a leaf and expanding
+/// nothing.
 fn expand_actions(
+    machine: &mut Machine,
     node: &Node,
-    layout: &KeyLayout,
     model: &CrashModel,
     por: Option<&PorEngine>,
-) -> (Vec<(Action, u64)>, bool) {
-    let key = &node.key;
-    let enabled = node.enabled_actions(layout, model);
-    let terminal = enabled.is_empty();
+    out: &mut Vec<(Action, u64)>,
+) -> bool {
+    let start = out.len();
+    machine.enabled_actions(node, model, out);
+    let terminal = out.len() == start;
     let Some(por) = por else {
-        return (enabled.into_iter().map(|a| (a, 0)).collect(), terminal);
+        return terminal;
     };
+    let (key, layout) = (&node.key, &machine.layout);
     let sleep = layout.read_sleep(key);
     debug_assert_eq!(
         sleep & layout.read_decided(key),
@@ -1767,11 +1944,12 @@ fn expand_actions(
         // crash-free nodes stay crash-free), so terminals carry Z = ∅
         // and POR counts exactly the unreduced leaves.
         assert_eq!(sleep, 0, "terminal node carries a sleep set");
-        return (Vec::new(), true);
+        return true;
     }
-    if enabled
+    let end = out.len();
+    if out[start..end]
         .iter()
-        .any(|a| matches!(a, Action::Crash(_) | Action::CrashAll))
+        .any(|&(a, _)| acting_pid(a).is_none())
     {
         // Crash-enabled: full expansion, and the sleep set is provably
         // empty — a node with a non-empty sleep set descends from a
@@ -1779,36 +1957,21 @@ fn expand_actions(
         // hereditary along steps (the budget never recovers, decided
         // bits only get set).
         assert_eq!(sleep, 0, "crash-enabled node carries a sleep set");
-        return (enabled.into_iter().map(|a| (a, 0)).collect(), terminal);
+        return false;
     }
     // POR reasons per **process**: a pid's internal alternatives
     // (several `Branch` actions) share one footprint entry — the
     // analyzer unions immediate sets over all choices — and are either
     // all expanded or all covered by a sibling subtree together.
-    let mut per_pid: Vec<(usize, Vec<Action>)> = Vec::new();
-    for &a in &enabled {
-        let p = match a {
-            Action::Step(p) | Action::Branch(p, _) => p,
-            _ => unreachable!("crash-free node"),
-        };
-        match per_pid.last_mut() {
-            Some((q, list)) if *q == p => list.push(a),
-            _ => per_pid.push((p, vec![a])),
-        }
-    }
-    per_pid.sort_by_key(|&(p, _)| p);
-    let steps: Vec<usize> = per_pid.iter().map(|&(p, _)| p).collect();
-    let infos: Vec<&LocalStateInfo> = steps
-        .iter()
-        .map(|&p| por.info(p, key[layout.prog(p)]))
-        .collect();
+    let enabled = acting_pids(&out[start..end]);
+    let local = por.local_states(key, layout, enabled);
     // The persistent set: the singleton `persistent_singleton` picks,
     // else every enabled step. The future sets are the crash-free ones —
     // sound precisely because this node is crash-free and stays so along
     // every step-only continuation.
-    let persistent: Vec<usize> =
-        persistent_singleton(&infos).map_or_else(|| (0..steps.len()).collect(), |i| vec![i]);
-    let mut out: Vec<(Action, u64)> = Vec::with_capacity(persistent.len());
+    let persistent = por
+        .persistent_singleton(&local, enabled)
+        .map_or(enabled, |p| 1 << p);
     // Sleep bits are pure pruning, so propagating fewer is always
     // sound. At a node where some process is mid-branch (several
     // enabled `Branch` alternatives), propagating them is also a net
@@ -1819,49 +1982,32 @@ fn expand_actions(
     // pruning saves, and suppressing it here restores the persistent-set
     // reduction (E17's scalarset+por composition). Deterministic nodes
     // keep classic sleep-set propagation unchanged.
-    let branching = per_pid.iter().any(|(_, list)| list.len() > 1);
+    let branching = end - start > enabled.count_ones() as usize;
     // `Z ∪ {already-expanded siblings}`: a pid's bit joins as its
     // subtree is scheduled, so later siblings may sleep on it.
     let mut cover = sleep;
-    for &i in &persistent {
-        let p = steps[i];
-        if sleep >> p & 1 != 0 {
-            continue; // asleep: a sibling subtree covers this step
-        }
+    for p in pids_in(persistent & !sleep) {
+        // (A sleeping pid is skipped: a sibling subtree covers its step.)
         let mut child_sleep = 0u64;
-        for (j, &r) in steps.iter().enumerate() {
-            if r == p || cover >> r & 1 == 0 || branching {
-                continue;
-            }
-            let imm_independent = infos[j].imm_mutated.is_disjoint(&infos[i].imm_accessed)
-                && infos[i].imm_mutated.is_disjoint(&infos[j].imm_accessed);
-            if imm_independent {
-                child_sleep |= 1 << r;
+        if !branching {
+            for r in pids_in(cover & enabled & !(1 << p)) {
+                if por.steps_commute(local[p], local[r]) {
+                    child_sleep |= 1 << r;
+                }
             }
         }
-        for &action in &per_pid[i].1 {
-            out.push((action, child_sleep));
+        for k in start..end {
+            let (action, _) = out[k];
+            if acting_pid(action) == Some(p) {
+                out.push((action, child_sleep));
+            }
         }
         cover |= 1 << p;
     }
-    (out, false)
-}
-
-/// The persistent-set rule POR prunes with, at a crash-free node: the
-/// index of the first entry of `infos` (one per enabled process, in
-/// ascending pid order) whose immediate step no other process can ever
-/// conflict with — its immediate writes miss every other process's
-/// future accesses, and every other process's future writes miss its
-/// immediate accesses — or `None` when no enabled step qualifies.
-/// [`spot_check_pruned`] re-checks exactly this choice.
-fn persistent_singleton(infos: &[&LocalStateInfo]) -> Option<usize> {
-    (0..infos.len()).find(|&i| {
-        infos.iter().enumerate().all(|(j, other)| {
-            j == i
-                || (infos[i].imm_mutated.is_disjoint(&other.future_accessed)
-                    && other.future_mutated.is_disjoint(&infos[i].imm_accessed))
-        })
-    })
+    let kept = out.len() - end;
+    out.copy_within(end.., start);
+    out.truncate(start + kept);
+    false
 }
 
 /// The key half of canonicalization: maps the child key `key` in place
@@ -1875,10 +2021,12 @@ fn persistent_singleton(infos: &[&LocalStateInfo]) -> Option<usize> {
 /// the child's program in slot `q` is [`Program::scalarset_pinned`].
 ///
 /// Orbit members are ordered by signature — program key, decided bit,
-/// sleep bit, owned-cell and family contents — all read from the key:
-/// equal ids compare equal, and unequal ids compare their interned
-/// values **structurally**, so the representative never depends on which
-/// value happened to be interned first and is identical across runs.
+/// sleep bit, owned-cell and family contents — all read from the key.
+/// Ids compare by their interner **rank**, the position of their value
+/// in the structural order (`Value::cmp`) of the values interned so far,
+/// so two ids compare as their values do: the representative never
+/// depends on which value happened to be interned first and is
+/// identical across runs, and a comparison costs two `u32` loads.
 ///
 /// Returns whether processes moved; `perm` then holds the permutation
 /// (`perm[i]` = source slot of canonical slot `i`). `tmp` is a reusable
@@ -1907,13 +2055,7 @@ fn canonicalize_key(
     // permutes with its processes exactly like the decided bits.
     let decided = layout.read_decided(key);
     let sleep = layout.read_sleep(key);
-    let by_value = |a: u32, b: u32| {
-        if a == b {
-            Ordering::Equal
-        } else {
-            interner.value(a).cmp(interner.value(b))
-        }
-    };
+    let by_value = |a: u32, b: u32| interner.rank(a).cmp(&interner.rank(b));
     let moved = spec.canonical_perm_by(perm, |a, b| {
         // Owned-cell and family contents are part of the signature: the
         // permutation moves them, so the order must be total over them
@@ -2048,12 +2190,16 @@ fn leaf_weight(spec: Option<&SymmetrySpec>, key: &[u32], layout: &KeyLayout) -> 
 }
 
 /// A DFS frame: one visited node plus a cursor over its expandable
-/// actions (each carrying the sleep mask its child will inherit).
+/// actions, each carrying the sleep mask its child will inherit. The
+/// actions lie on the DFS-wide action stack
+/// ([`SerialEngine::actions`]) from `start` to the stack's top: a
+/// child frame pushes its actions above its parent's and pops them
+/// before the parent is on top again.
 struct Frame {
     node: Node,
     idx: u32,
-    actions: Vec<(Action, u64)>,
-    cursor: usize,
+    start: usize,
+    next: usize,
 }
 
 struct SerialEngine<'a> {
@@ -2064,6 +2210,8 @@ struct SerialEngine<'a> {
     visited: PackedStateTable,
     witness: WitnessLog,
     root_perm: Option<Box<[u8]>>,
+    /// The action stack every [`Frame`] indexes into.
+    actions: Vec<(Action, u64)>,
     leaves: usize,
     edges: usize,
     duplicates: usize,
@@ -2163,16 +2311,16 @@ impl SerialEngine<'_> {
     }
 
     /// Expands an admitted node: counts it as a leaf when terminal, and
-    /// otherwise returns the frame to push (none when POR pruned every
-    /// enabled step).
+    /// otherwise pushes its actions and returns the frame to push (none
+    /// when POR pruned every enabled step).
     fn expand(&mut self, node: Node, idx: u32) -> Option<Frame> {
-        let layout = &self.machine.layout;
-        let (actions, terminal) = expand_actions(&node, layout, &self.config.crash, self.por);
-        if terminal {
-            self.leaves += leaf_weight(self.spec, &node.key, layout);
+        let start = self.actions.len();
+        let (model, por) = (&self.config.crash, self.por);
+        if expand_actions(&mut self.machine, &node, model, por, &mut self.actions) {
+            self.leaves += leaf_weight(self.spec, &node.key, &self.machine.layout);
             return None;
         }
-        if actions.is_empty() {
+        if self.actions.len() == start {
             // POR pruned every enabled step (all asleep): the node is
             // visited and counted, but a sibling subtree covers its
             // continuations — not a leaf, nothing to expand.
@@ -2181,8 +2329,8 @@ impl SerialEngine<'_> {
         Some(Frame {
             node,
             idx,
-            actions,
-            cursor: 0,
+            start,
+            next: start,
         })
     }
 }
@@ -2205,7 +2353,7 @@ fn explore_serial(
 ) -> (ExploreOutcome, ExploreStats) {
     assert_at_most_64_processes(programs.len());
     let spec = spec.filter(|s| !s.is_trivial());
-    let (machine, por, mut root) = Machine::root(mem, programs, analysis.por.clone());
+    let (machine, por, mut root) = Machine::root(mem, programs, analysis.por.as_deref());
     let layout = machine.layout;
     let mut engine = SerialEngine {
         config,
@@ -2215,6 +2363,7 @@ fn explore_serial(
         visited: PackedStateTable::new(),
         witness: WitnessLog::new(),
         root_perm: None,
+        actions: Vec::new(),
         leaves: 0,
         edges: 0,
         duplicates: 0,
@@ -2245,13 +2394,16 @@ fn explore_serial(
         stack.extend(engine.expand(root, idx));
     }
     let outcome = 'search: {
-        while !stack.is_empty() && !engine.truncated {
-            let top = stack.last_mut().expect("non-empty stack");
-            let Some(&(action, sleep)) = top.actions.get(top.cursor) else {
+        while !engine.truncated {
+            let Some(top) = stack.last_mut() else {
+                break;
+            };
+            let Some(&(action, sleep)) = engine.actions.get(top.next) else {
+                engine.actions.truncate(top.start);
                 stack.pop();
                 continue;
             };
-            top.cursor += 1;
+            top.next += 1;
             let top: &Frame = top;
             engine.edges += 1;
             let change = match engine.change(&top.node, action) {
@@ -2490,11 +2642,13 @@ fn spot_check_pruned(
     report: &mut AmpleLintReport,
 ) {
     assert_at_most_64_processes(programs.len());
-    let (mut machine, _, root) = Machine::root(mem, programs, None);
+    let (mut machine, por, root) = Machine::root(mem, programs, Some(analysis));
+    let por = por.expect("the machine has the analysis");
     let layout = machine.layout;
     let identity = |node: &Node| node.key[..layout.decided_value()].to_vec();
     let mut visited: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
     let mut queue: std::collections::VecDeque<Node> = std::collections::VecDeque::new();
+    let mut enabled: Vec<(Action, u64)> = Vec::new();
     let mut saw_singleton = false;
     visited.insert(identity(&root));
     queue.push_back(root);
@@ -2503,45 +2657,19 @@ fn spot_check_pruned(
             break;
         }
         report.spot_states += 1;
-        let enabled = node.enabled_actions(&layout, crash);
-        let crash_free = !enabled
-            .iter()
-            .any(|a| matches!(a, Action::Crash(_) | Action::CrashAll));
-        let steps: Vec<usize> = {
-            // Distinct acting pids, ascending — a nondeterministic local
-            // state contributes one pid however many Branch actions it
-            // offers, matching the engine's per-pid lumping.
-            let mut pids: Vec<usize> = enabled
-                .iter()
-                .filter_map(|a| match a {
-                    Action::Step(p) | Action::Branch(p, _) => Some(*p),
-                    _ => None,
-                })
-                .collect();
-            pids.sort_unstable();
-            pids.dedup();
-            pids
-        };
-        if crash_free && steps.len() > 1 {
-            // Re-derive the engine's persistent-set choice on the raw
-            // state keys the analysis memoized, with the engine's own
-            // rule.
-            let infos: Vec<&LocalStateInfo> = steps
-                .iter()
-                .map(|&p| {
-                    let state_key = machine.interner.value(node.key[layout.prog(p)]);
-                    analysis.per_process[p]
-                        .lookup(state_key, false)
-                        .expect("reachable local state was memoized by the analysis")
-                })
-                .collect();
-            if let Some(i) = persistent_singleton(&infos) {
+        enabled.clear();
+        machine.enabled_actions(&node, crash, &mut enabled);
+        let crash_free = enabled.iter().all(|&(a, _)| acting_pid(a).is_some());
+        // Per pid, matching the engine's lumping of a process's Branch
+        // actions.
+        let steps = acting_pids(&enabled);
+        if crash_free && steps.count_ones() > 1 {
+            // Re-derive the engine's persistent-set choice with the
+            // engine's own rule.
+            let local = por.local_states(&node.key, &layout, steps);
+            if let Some(p) = por.persistent_singleton(&local, steps) {
                 saw_singleton = true;
-                let p = steps[i];
-                for &q in &steps {
-                    if q == p {
-                        continue;
-                    }
+                for q in pids_in(steps & !(1 << p)) {
                     report.spot_pairs += 1;
                     if let Some(diff) = commute_divergence(&mut machine, &node, p, q) {
                         report.errors.push(format!(
@@ -2555,7 +2683,7 @@ fn spot_check_pruned(
                 }
             }
         }
-        for &action in &enabled {
+        for &(action, _) in &enabled {
             let mut child = node.clone();
             let change = machine.change(&node, action);
             machine.advance(&mut child, change);
@@ -2581,14 +2709,13 @@ fn spot_check_pruned(
 /// contributes one action per choice; independence is per process, so
 /// every cross-pid pair must commute.
 fn commute_divergence(machine: &mut Machine, node: &Node, p: usize, q: usize) -> Option<String> {
-    let acts = |w: usize| -> Vec<Action> {
-        let choices = node.programs[w].choices();
-        if choices.len() <= 1 {
-            vec![Action::Step(w)]
-        } else {
-            choices.into_iter().map(|c| Action::Branch(w, c)).collect()
+    let mut acts = |w: usize| -> Vec<Action> {
+        match machine.choices(node, w) {
+            choices if choices.len() <= 1 => vec![Action::Step(w)],
+            choices => choices.iter().map(|&c| Action::Branch(w, c)).collect(),
         }
     };
+    let (p_acts, q_acts) = (acts(p), acts(q));
     let layout = machine.layout;
     // The node after `a` then `b`, and the values the two decided.
     let mut both = |a: Action, b: Action| {
@@ -2601,8 +2728,8 @@ fn commute_divergence(machine: &mut Machine, node: &Node, p: usize, q: usize) ->
         }
         (end.key, decisions)
     };
-    for &pa in &acts(p) {
-        for &qa in &acts(q) {
+    for &pa in &p_acts {
+        for &qa in &q_acts {
             let (pq, [p_first, q_second]) = both(pa, qa);
             let (qp, [q_first, p_second]) = both(qa, pa);
             if p_first != p_second {
@@ -3594,7 +3721,9 @@ mod tests {
                 );
                 commuted += 1;
             }
-            for action in node.enabled_actions(&layout, &crash) {
+            let mut actions = Vec::new();
+            machine.enabled_actions(&node, &crash, &mut actions);
+            for (action, _) in actions {
                 let mut child = node.clone();
                 let change = machine.change(&node, action);
                 machine.advance(&mut child, change);

@@ -909,14 +909,6 @@ impl CellSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Whether the two sets share no bit.
-    pub fn is_disjoint(&self, other: &CellSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .all(|(a, b)| a & b == 0)
-    }
-
     /// Whether every bit of `self` is in `other`.
     pub fn is_subset(&self, other: &CellSet) -> bool {
         self.words

@@ -110,8 +110,16 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 pub struct ValueInterner {
     ids: FxHashMap<Value, u32>,
     /// `values[id]` is the value interned as `id`: the way back from an
-    /// id, so the checker can order interned values structurally.
+    /// id, which a step memo miss reads cells and decisions through.
     values: Vec<Value>,
+    /// `ranks[id]` is `id`'s position in the structural order
+    /// (`Value::cmp`) of every value interned so far, so the checker
+    /// orders interned values by comparing two `u32`s
+    /// ([`rank`](Self::rank)).
+    ranks: Vec<u32>,
+    /// Every id, in the structural order of its value:
+    /// `sorted[ranks[id]] == id`.
+    sorted: Vec<u32>,
     /// Approximate resident bytes of the interned values, accumulated
     /// at first sight (see [`approx_bytes`](Self::approx_bytes)).
     bytes: usize,
@@ -148,7 +156,13 @@ impl ValueInterner {
 
     /// Returns the id of `value`, interning (and cloning) it on first
     /// sight. Injective: two values receive the same id iff they are
-    /// structurally equal.
+    /// structurally equal. Ids are handed out densely in first-intern
+    /// order.
+    ///
+    /// First sight also ranks the value among those interned so far: a
+    /// binary search by `Value::cmp`, then every higher rank moves up by
+    /// one — `O(len)` per new value. A checker search interns a few
+    /// hundred values; a hit costs one hash probe as before.
     ///
     /// # Panics
     ///
@@ -162,6 +176,14 @@ impl ValueInterner {
         assert!(id < Self::NONE, "interner overflow");
         self.bytes += approx_value_bytes(value) + Self::ENTRY_OVERHEAD;
         self.ids.insert(value.clone(), id);
+        let rank = self
+            .sorted
+            .partition_point(|&other| self.values[other as usize] < *value);
+        self.sorted.insert(rank, id);
+        self.ranks.push(0);
+        for (r, &other) in self.sorted.iter().enumerate().skip(rank) {
+            self.ranks[other as usize] = r as u32;
+        }
         self.values.push(value.clone());
         id
     }
@@ -174,6 +196,18 @@ impl ValueInterner {
     /// (including [`NONE`](Self::NONE)).
     pub(crate) fn value(&self, id: u32) -> &Value {
         &self.values[id as usize]
+    }
+
+    /// The rank of `id`'s value among the values interned so far:
+    /// `rank(a) < rank(b)` iff `value(a) < value(b)` by `Value::cmp`.
+    /// A later first sight may shift ranks, never their relative order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never returned by [`intern`](Self::intern).
+    #[inline]
+    pub(crate) fn rank(&self, id: u32) -> u32 {
+        self.ranks[id as usize]
     }
 
     /// Approximate resident bytes of the interned values (payloads +
@@ -233,6 +267,82 @@ mod tests {
             assert_eq!(interner.value(id), v);
         }
         assert_eq!(interner.len(), zoo.len());
+    }
+
+    /// Ranks order ids exactly as `Value::cmp` orders their values,
+    /// whatever order the values were first interned in; ids stay dense
+    /// in first-intern order, and the byte account ignores the ranks.
+    #[test]
+    fn ranks_follow_the_structural_order_in_every_intern_order() {
+        let pair = |a: Value, b: Value| Value::pair(a, b);
+        let zoo = [
+            Value::Bottom,
+            Value::Unit,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-7),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(42),
+            Value::sym("A"),
+            Value::sym("B"),
+            Value::sym("AB"),
+            Value::Tuple(Vec::new()),
+            Value::Tuple(vec![Value::Int(0)]),
+            Value::Tuple(vec![Value::Bottom, Value::sym("A"), Value::Int(-1)]),
+            Value::empty_list(),
+            Value::List(vec![Value::Int(0)]),
+            Value::List(vec![Value::Int(0), Value::Int(1)]),
+            Value::List(vec![pair(Value::Unit, Value::Bool(true))]),
+            pair(Value::Int(0), Value::Int(1)),
+            pair(Value::Int(1), Value::Int(0)),
+            pair(Value::Int(-1), Value::Bottom),
+            pair(pair(Value::Int(0), Value::Bottom), Value::sym("B")),
+            pair(pair(Value::Int(0), Value::Unit), Value::sym("A")),
+            pair(Value::Bottom, pair(Value::Bool(false), Value::empty_list())),
+        ];
+        let bytes: usize = zoo
+            .iter()
+            .map(|v| approx_value_bytes(v) + ValueInterner::ENTRY_OVERHEAD)
+            .sum();
+        // The zoo forwards, backwards and in a few seeded shuffles.
+        let mut orders: Vec<Vec<usize>> =
+            vec![(0..zoo.len()).collect(), (0..zoo.len()).rev().collect()];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..6 {
+            let mut order: Vec<usize> = (0..zoo.len()).collect();
+            for i in (1..order.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            orders.push(order);
+        }
+        for order in &orders {
+            let mut interner = ValueInterner::new();
+            for (next, &i) in order.iter().enumerate() {
+                assert_eq!(
+                    interner.intern(&zoo[i]) as usize,
+                    next,
+                    "first-intern order"
+                );
+            }
+            for &i in order {
+                for &j in order {
+                    let (a, b) = (interner.intern(&zoo[i]), interner.intern(&zoo[j]));
+                    assert_eq!(
+                        interner.rank(a).cmp(&interner.rank(b)),
+                        zoo[i].cmp(&zoo[j]),
+                        "{} vs {} in order {order:?}",
+                        zoo[i],
+                        zoo[j]
+                    );
+                }
+            }
+            assert_eq!(interner.approx_bytes(), bytes, "order {order:?}");
+        }
     }
 
     #[test]

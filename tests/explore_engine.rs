@@ -390,6 +390,99 @@ fn forgetful_factory() -> (Memory, Vec<Box<dyn Program>>) {
     (mem, vec![Box::new(ForgetfulDecider { addr, pc: 0 })])
 }
 
+/// A process of the wide-memory fixture: it writes its own register,
+/// then the register it shares with the processes of its parity, then
+/// the register every process shares, and decides 0. Each write is
+/// tagged with its pid, so the final contents record the order of every
+/// conflicting pair of writes.
+#[derive(Clone, Debug)]
+struct WideWriter {
+    own: rc_runtime::Addr,
+    parity: rc_runtime::Addr,
+    shared: rc_runtime::Addr,
+    tag: Value,
+    pc: u8,
+}
+
+impl Program for WideWriter {
+    fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+        self.pc += 1;
+        let addr = match self.pc {
+            1 => self.own,
+            2 => self.parity,
+            3 => self.shared,
+            _ => return Step::Decided(Value::Int(0)),
+        };
+        mem.write_register(addr, self.tag.clone());
+        Step::Running
+    }
+    fn on_crash(&mut self) {
+        self.pc = 0;
+    }
+    fn state_key(&self) -> Value {
+        Value::Int(i64::from(self.pc))
+    }
+    fn boxed_clone(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+}
+
+/// Three [`WideWriter`]s over 70 registers: the parity registers are
+/// cells 0 and 63, the own registers cells 64–66 and the shared one
+/// cell 67. A footprint set then spans two 64-bit words (70 cells and
+/// the decision pseudo-cell, bit 70), and every conflict but the parity
+/// writes lies in the second word.
+fn wide_writer_system() -> (Memory, Vec<Box<dyn Program>>) {
+    let mut mem = Memory::new();
+    let cells: Vec<rc_runtime::Addr> = (0..70).map(|_| mem.alloc_register(Value::Bottom)).collect();
+    let programs = (0..3)
+        .map(|p| {
+            Box::new(WideWriter {
+                own: cells[64 + p],
+                parity: cells[if p % 2 == 0 { 0 } else { 63 }],
+                shared: cells[67],
+                tag: Value::Int(p as i64),
+                pc: 0,
+            }) as Box<dyn Program>
+        })
+        .collect();
+    (mem, programs)
+}
+
+/// POR on a system wider than one footprint word ([`wide_writer_system`]):
+/// the conflicts that shape every persistent and sleep set lie in the
+/// second word, so a reduction that read only the first would prune
+/// conflicting write orders and lose terminal states. POR must match
+/// the unreduced verdict and weighted leaves, and its state counts are
+/// pinned, under no crashes and under one simultaneous crash.
+#[test]
+fn por_reads_every_footprint_word() {
+    assert!(wide_writer_system().0.len() >= 64, "two footprint words");
+    let verified = |outcome: ExploreOutcome| match outcome {
+        ExploreOutcome::Verified { states, leaves } => (states, leaves),
+        other => panic!("the wide writers must verify: {other:?}"),
+    };
+    for (crash, off_states, por_states, leaves) in [
+        (CrashModel::none(), 258, 98, 6),
+        (CrashModel::simultaneous(1), 1555, 626, 6),
+    ] {
+        let base = ExploreConfig {
+            crash: crash.after_decide(true),
+            inputs: Some(vec![Value::Int(0)]),
+            ..ExploreConfig::default()
+        };
+        let off = verified(explore(&wide_writer_system, &base));
+        let reduced = por_config(&base, "test/wide-writers".into());
+        let por = verified(explore(&wide_writer_system, &reduced));
+        assert_eq!(por.1, off.1, "{crash:?}: POR keeps the weighted leaves");
+        assert_eq!(
+            (off, por),
+            ((off_states, leaves), (por_states, leaves)),
+            "{crash:?}"
+        );
+    }
+}
+
 /// Regression (simultaneous crash-adversary asymmetry): with
 /// `crash_after_decide: false`, a simultaneous `CrashAll` must not wipe
 /// a decided run — the model checker used to reset decided processes
