@@ -1126,8 +1126,10 @@ const E12_COLUMNS: &[Column<Measured>] = &[
     VERDICT,
     STATES,
     LEAVES,
+    EDGES,
     MS,
     RATE,
+    NS_PER_EDGE,
     ("reduction", |r| format!("{:.1}×", r.reduction)),
 ];
 
@@ -1157,7 +1159,9 @@ const E16_COLUMNS: &[Column<Measured>] = &[
     VERDICT,
     STATES,
     LEAVES,
+    EDGES,
     ("ms", |r| format!("{:.0}", r.millis())),
+    NS_PER_EDGE,
     ("peak MB", |r| mib(r.stats.peak_table_bytes)),
     ("wit MB", |r| mib(r.stats.witness_bytes)),
 ];

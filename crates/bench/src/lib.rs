@@ -27,8 +27,9 @@
 //! Run `cargo run -p rc-bench --release --bin tables` for all tables, or
 //! `--bin tables -- e4 e5` for a subset (unknown ids exit non-zero with
 //! the valid list). `--bin tables -- lint` runs the E14 audit as a CI
-//! gate (exit non-zero if any catalog system fails). Criterion timing
-//! benches live in `benches/`; the E11–E18 engine trajectory is
+//! gate (exit non-zero if any catalog system fails). The repo's
+//! benchmark is the `perfbench/` package (its own workspace, run by the
+//! command in `BENCHMARK.json`); the E11–E18 engine trajectory is
 //! snapshotted in `BENCH_explore.json` via `--bin tables -- --snapshot`.
 //!
 //! The `swarm` binary is the randomized counterpart of `tables`: it

@@ -34,21 +34,22 @@
 //! executions) cannot overflow the call stack. A node is its state key
 //! — every cell's content, every program's state key, the decided bits,
 //! the crash count and the first decided value, as interned `u32` ids
-//! ([`ValueInterner`]) — plus one `Rc` program handle per process. The
-//! engine patches the parent's key from a per-search **step memo** —
-//! (action, program-state id, id of the one cell the step accesses) →
-//! the step's outcome, already interned — or from the precomputed
-//! post-crash programs, canonicalizes it under symmetry, and probes the
-//! visited set. Most edges reach a visited state, and such a duplicate
-//! costs that probe and nothing else; a new key takes its parent's
-//! program handles with the stepped or crashed one swapped in. A memo
-//! miss steps a clone of the program against the one cell it accesses,
-//! read from the key through the interner. The memo steps each repeated
-//! local transition once. It relies on the [`Program`] contract: a step
-//! makes at most one shared-memory access (enforced: a second access
-//! panics), and programs with equal `state_key` in one slot behave the
-//! same. The same transition drives the [`swarm`](crate::swarm)'s
-//! sweeps, [`lint_ample`]'s commutation walk and [`replay_on_checker`].
+//! ([`ValueInterner`]) — and nothing else. The engine patches the
+//! parent's key from a per-search **step memo** — (action,
+//! program-state id, id of the one cell the step accesses) → the step's
+//! outcome, already interned — or from the precomputed post-crash
+//! program ids, canonicalizes it under symmetry, and probes the visited
+//! set. Most edges reach a visited state, and such a duplicate costs
+//! that probe and nothing else. A memo miss steps a clone of the
+//! search's one program for that slot and program-state id against the
+//! one cell it accesses, read from the key through the interner. The
+//! memo steps each repeated local transition once. It relies on the
+//! [`Program`] contract: a step makes at most one shared-memory access
+//! (enforced: a second access panics), and programs with equal
+//! `state_key` in one slot behave the same, so one program per (slot,
+//! id) stands for all of them. The same transition drives the
+//! [`swarm`](crate::swarm)'s sweeps, [`lint_ample`]'s commutation walk
+//! and [`replay_on_checker`].
 //! Violation schedules are reconstructed from per-node **parent links**
 //! instead of a live schedule vector.
 //!
@@ -106,8 +107,8 @@
 //!
 //! Expanding a node allocates nothing once the search has warmed up:
 //! the enabled actions come from one enumeration
-//! (`Machine::enabled_actions`, reading each program's choices from a
-//! memo per slot and program-state id) written onto one action stack
+//! (`Machine::enabled_actions`, reading each program's choices, asked
+//! once per slot and program-state id) written onto one action stack
 //! the DFS frames index by range, POR groups processes on a pid mask,
 //! and it reads each process's footprints through a dense table from
 //! interned program-state id to analyzed local state, as
@@ -126,7 +127,6 @@ use crate::sched::{Action, SchedContext, Scheduler};
 use crate::storage::{PackedStateTable, StorageTier, WitnessLog};
 use rc_spec::{Operation, TypeHandle, Value};
 use std::cmp::Ordering;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Configuration for [`explore`].
@@ -374,39 +374,29 @@ impl MemOps for StepOverlay<'_> {
     }
 }
 
-/// Clone-on-write access to one program slot: clones the program only
-/// when its `Rc` is shared with other states.
-fn program_mut(slot: &mut Rc<Box<dyn Program>>) -> &mut dyn Program {
-    if Rc::get_mut(slot).is_none() {
-        *slot = Rc::new(slot.boxed_clone());
-    }
-    &mut **Rc::get_mut(slot).expect("just made unique")
-}
-
 /// A node of the checker's state graph: its interned key, which is the
-/// whole state ([`KeyLayout`]), and the program in each slot, which a
-/// step clones on a memo miss. Cloning bumps one refcount per process.
+/// whole state ([`KeyLayout`]). The program a memo miss steps is the
+/// [`Machine`]'s one program for the slot and the program-state id in
+/// the key ([`ProgramTable`]), so a node carries none.
 #[derive(Clone)]
 struct Node {
     key: Vec<u32>,
-    programs: Vec<Rc<Box<dyn Program>>>,
 }
 
 /// Slot offsets of the flat interned state key:
 /// `[cells | program keys | packed decided bits | crashes | decided value
 /// | sleep words (POR only)]`.
 ///
-/// The key is the whole state: a [`Node`] adds only the program handles
-/// a memo miss steps. A child's key is a copy of its parent's with only
-/// the slots the action touched replaced — the one written memory cell,
-/// the stepped or crashed program's key, the decided bit, the crash
-/// count and the decided value — all read from the step memo
-/// ([`StepMemo`]) or the [`CrashedSet`] as interned ids
-/// ([`Machine::patch`]), then canonicalized in place under symmetry.
-/// Unchanged slots keep their parent's ids, which is sound because
-/// interned ids are stable and injective. The engine probes the visited
-/// set with this key and gathers the child's program handles only when
-/// the key is new.
+/// The key is the whole state, and a [`Node`] holds nothing else. A
+/// child's key is a copy of its parent's with only the slots the action
+/// touched replaced — the one written memory cell, the stepped or
+/// crashed program's key, the decided bit, the crash count and the
+/// decided value — all read from the step memo ([`StepMemo`]) or the
+/// post-crash program ids as interned ids ([`Machine::patch`]), then
+/// canonicalized in place under symmetry. Unchanged slots keep their
+/// parent's ids, which is sound because interned ids are stable and
+/// injective. The engine probes the visited set with this key, and a new
+/// key is the child node.
 ///
 /// With [`ExploreConfig::por`] the key gains trailing **sleep words**
 /// holding the node's packed sleep mask raw (never interner ids): node
@@ -506,13 +496,6 @@ struct Stepped {
     step: Step,
 }
 
-/// `prog` after a crash: a fresh clone reset by [`Program::on_crash`].
-fn crashed(prog: &dyn Program) -> Box<dyn Program> {
-    let mut fresh = prog.boxed_clone();
-    fresh.on_crash();
-    fresh
-}
-
 /// Checks a fresh decision `v` against the decided value so far and the
 /// validity inputs, returning the violated property and the conflicting
 /// outputs.
@@ -546,9 +529,9 @@ pub struct CheckerReplay {
 
 /// Replays `schedule` on the exhaustive checker's executor: from the
 /// factory's root node, each action advances the node by the search's
-/// own transition — a step memo outcome or the post-crash program
-/// patched into the interned state key, and the program handle swapped
-/// — and each decision is checked as the search checks it: against the
+/// own transition — a step memo outcome or the post-crash program id
+/// patched into the interned state key — and each decision is checked
+/// as the search checks it: against the
 /// first decided value and `inputs`. Like [`run`](crate::run), a step of a
 /// process whose current run has decided is skipped. The replay does not
 /// stop at a violation, so it lists every decision the schedule makes.
@@ -594,39 +577,10 @@ pub fn replay_on_checker(
     replay
 }
 
-/// The post-crash program objects, one per process, precomputed **once**
-/// per search: [`Program::on_crash`] resets a program to its initial
-/// state (input retained — the input never changes across runs), so the
-/// reset object and its interned key id are constants whatever state
-/// the crash hit. Crash children take a refcount bump and a precomputed
-/// id, nothing else. This leans on the same contract the memoization
-/// already leans on (`on_crash` resets *everything* volatile;
-/// `state_key` is complete).
-struct CrashedSet {
-    progs: Vec<Rc<Box<dyn Program>>>,
-    /// Interned id of each post-crash program key.
-    ids: Vec<u32>,
-}
-
-impl CrashedSet {
-    fn new(programs: &[Box<dyn Program>], interner: &mut ValueInterner) -> Self {
-        let mut progs = Vec::with_capacity(programs.len());
-        let mut ids = Vec::with_capacity(programs.len());
-        for prog in programs {
-            let fresh = crashed(&**prog);
-            ids.push(interner.intern(&fresh.state_key()));
-            progs.push(Rc::new(fresh));
-        }
-        CrashedSet { progs, ids }
-    }
-}
-
-/// What one memoized step does to its node, as interned ids: the stepped
-/// program (shared by every child that takes this transition) and its
-/// key id, the written cell's index and new content id, and the decided
-/// value's id.
+/// What one memoized step does to its node, as interned ids: the
+/// stepped program's key id, the written cell's index and new content
+/// id, and the decided value's id.
 struct StepOutcome {
-    prog: Rc<Box<dyn Program>>,
     prog_id: u32,
     write: Option<(usize, u32)>,
     decided: Option<u32>,
@@ -645,7 +599,8 @@ struct StepOutcome {
 ///   preserves `state_key`).
 ///
 /// A repeated transition is therefore never stepped, keyed, interned or
-/// cloned again. A miss steps a clone of the node's program against a
+/// cloned again. A miss steps a clone of the slot's program for the
+/// node's program-state id ([`ProgramTable`]) against a
 /// [`StepOverlay`], which enforces the first clause, and interns in the
 /// engine's fixed order — written cell, program key, decided value —
 /// only once the decision passed the search's checks
@@ -689,84 +644,109 @@ impl StepMemo {
         let &cell = self.access.get(&local)?;
         self.index.get(&(local, Self::cell_id(key, cell))).copied()
     }
+}
 
-    /// Memoizes `stepped`, the step `action` of process `p` from the node
-    /// with key `key`, interning in the engine's fixed order — written
-    /// cell, program key, decided value — and returns its index.
-    #[cold]
-    fn record(
-        &mut self,
-        key: &[u32],
-        action: Action,
-        p: usize,
-        layout: &KeyLayout,
-        interner: &mut ValueInterner,
-        stepped: Stepped,
-    ) -> u32 {
-        let local = Self::local(key, action, p, layout);
-        let write = stepped
-            .write
-            .map(|(cell, content)| (cell, interner.intern(&content)));
-        let prog_id = interner.intern(&stepped.prog.state_key());
-        let decided = match stepped.step {
-            Step::Decided(v) => Some(interner.intern(&v)),
-            Step::Running => None,
-        };
-        let cell = stepped.access.map_or(Self::NO_CELL, |cell| {
-            u32::try_from(cell).expect("cell index fits u32")
-        });
-        assert_eq!(
-            *self.access.entry(local).or_insert(cell),
-            cell,
-            "two programs with equal state_key in p{p}'s slot accessed \
-             different cells; Program::state_key must encode the complete \
-             volatile state"
-        );
-        let i = u32::try_from(self.outcomes.len()).expect("step memo fits u32");
-        self.index.insert((local, Self::cell_id(key, cell)), i);
-        self.outcomes.push(StepOutcome {
-            prog: Rc::new(stepped.prog),
-            prog_id,
-            write,
-            decided,
-        });
-        i
+/// One program per (slot, program-state id), and the choice ids it
+/// offers ([`Program::choices`]). Each program slot of every key a
+/// search builds names an entry, and that entry is the program whatever
+/// needs one reads: a memo miss clones and steps it, a node's expansion
+/// reads its choices (asked once: asking the program allocates the list
+/// every time), canonicalization asks whether it is
+/// [`Program::scalarset_pinned`], and [`Machine::relocate`] copies it
+/// into another slot. One program stands for all programs with its key
+/// in its slot by the contract the [`StepMemo`] rests on: they behave
+/// the same.
+///
+/// [`Machine::root`] enters the post-crash and root programs. Each
+/// recorded step enters the program it produced and *replaces* the
+/// entry of its (slot, id), so a miss steps the newest program with that
+/// key, and a `state_key` that leaves out what picks the accessed cell
+/// trips the memo's access assertion instead of hiding behind an older
+/// program. [`Machine::relocate`] enters a rebound copy where a (slot,
+/// id) has none yet.
+struct ProgramTable {
+    n: usize,
+    /// `entries[id * n + p]`: slot `p`'s entry for state-key id `id`.
+    entries: Vec<ProgramEntry>,
+    choice_ids: Vec<usize>,
+}
+
+/// An entry of the [`ProgramTable`].
+struct ProgramEntry {
+    prog: Option<Box<dyn Program>>,
+    /// Where the program's choices lie in the table's `choice_ids`, as
+    /// `(start, len)`; [`UNASKED`](ProgramTable::UNASKED) until first
+    /// asked.
+    choices: (u32, u32),
+}
+
+impl ProgramTable {
+    const UNASKED: (u32, u32) = (u32::MAX, 0);
+
+    fn new(n: usize) -> Self {
+        ProgramTable {
+            n,
+            entries: Vec::new(),
+            choice_ids: Vec::new(),
+        }
     }
-}
 
-/// The choice ids each program offers ([`Program::choices`]), memoized
-/// per (slot, program-state id) on the contract the [`StepMemo`] rests
-/// on: programs with equal `state_key` in one slot behave the same, so
-/// they offer the same choices. A node's expansion then reads each
-/// undecided process's choices from two flat vectors, where asking the
-/// program allocates the list every time.
-#[derive(Default)]
-struct ChoiceMemo {
-    /// `spans[id * n + p]`: where the choices of slot `p`'s program with
-    /// state-key id `id` lie in `ids`, as `(start, len)`;
-    /// [`UNKNOWN`](Self::UNKNOWN) until first asked.
-    spans: Vec<(u32, u32)>,
-    ids: Vec<usize>,
-}
+    fn at(&self, p: usize, id: u32) -> usize {
+        id as usize * self.n + p
+    }
 
-impl ChoiceMemo {
-    const UNKNOWN: (u32, u32) = (u32::MAX, 0);
+    /// Slot `p`'s program with state-key id `id`.
+    fn get(&self, p: usize, id: u32) -> &dyn Program {
+        self.entries
+            .get(self.at(p, id))
+            .and_then(|entry| entry.prog.as_deref())
+            .expect("every program slot of a key names a program of the table")
+    }
 
-    /// Asks `prog`, the program at `spans` index `at`, for its choices
-    /// and memoizes them.
+    /// Whether slot `p` has a program with state-key id `id`.
+    fn contains(&self, p: usize, id: u32) -> bool {
+        self.entries
+            .get(self.at(p, id))
+            .is_some_and(|entry| entry.prog.is_some())
+    }
+
+    /// Enters `prog` as slot `p`'s program with state-key id `id`,
+    /// replacing the one there.
+    fn insert(&mut self, p: usize, id: u32, prog: Box<dyn Program>) {
+        let at = self.at(p, id);
+        if at >= self.entries.len() {
+            self.entries.resize_with(at + 1, || ProgramEntry {
+                prog: None,
+                choices: Self::UNASKED,
+            });
+        }
+        self.entries[at].prog = Some(prog);
+    }
+
+    /// The choice ids slot `p`'s program with state-key id `id` offers;
+    /// the first call asks the program.
+    #[inline]
+    fn choices(&mut self, p: usize, id: u32) -> &[usize] {
+        let at = self.at(p, id);
+        let (start, len) = match self.entries[at].choices {
+            Self::UNASKED => self.ask(at),
+            span => span,
+        };
+        &self.choice_ids[start as usize..][..len as usize]
+    }
+
+    /// Asks the program of entry `at` for its choices and keeps them.
     #[cold]
-    fn record(&mut self, at: usize, prog: &dyn Program) -> (u32, u32) {
+    fn ask(&mut self, at: usize) -> (u32, u32) {
+        let entry = &mut self.entries[at];
+        let prog = entry.prog.as_ref().expect("an asked entry holds a program");
         let choices = prog.choices();
-        let span = (
-            u32::try_from(self.ids.len()).expect("choice memo fits u32"),
+        entry.choices = (
+            u32::try_from(self.choice_ids.len()).expect("choice table fits u32"),
             u32::try_from(choices.len()).expect("choice count fits u32"),
         );
-        self.ids.extend(choices);
-        if at >= self.spans.len() {
-            self.spans.resize(at + 1, Self::UNKNOWN);
-        }
-        self.spans[at] = span;
-        span
+        self.choice_ids.extend(choices);
+        entry.choices
     }
 }
 
@@ -782,20 +762,21 @@ enum Change {
 
 /// The checker's transition system over interned node keys: the key
 /// layout, the value interner, the cell-kind table, the post-crash
-/// programs, the step memo and the choice memo of one system. Every
-/// executor of the
-/// checker advances its nodes through it — the DFS, a sweep worker's
-/// [`MemoExecutor`], [`lint_ample`]'s commutation walk and
-/// [`replay_on_checker`] — by one transition: [`patch`](Self::patch)
-/// writes a memo outcome or the crash set into the key, and the stepped
-/// or crashed program's handle is swapped in ([`swap`](Self::swap)).
+/// program ids, the step memo and the program table of one system.
+/// Every executor of the checker advances its nodes through it — the
+/// DFS, a sweep worker's [`MemoExecutor`], [`lint_ample`]'s commutation
+/// walk and [`replay_on_checker`] — by one transition on the key:
+/// [`patch`](Self::patch) writes a memo outcome or the post-crash ids
+/// into it. The programs live only in the [`ProgramTable`], so no node
+/// carries, copies or swaps one.
 struct Machine {
     layout: KeyLayout,
     interner: ValueInterner,
     kinds: Vec<CellKind>,
-    crashes: CrashedSet,
+    /// Interned id of each process's post-crash program key.
+    crashed: Vec<u32>,
     memo: StepMemo,
-    choices: ChoiceMemo,
+    programs: ProgramTable,
 }
 
 impl Machine {
@@ -806,6 +787,15 @@ impl Machine {
     /// cells and program keys — so value ids, and therefore every node
     /// key, are a pure function of the system. Nothing bounds the
     /// process count.
+    ///
+    /// The post-crash programs are computed once per search:
+    /// [`Program::on_crash`] resets a program to its initial state
+    /// (input retained — the input never changes across runs), so the
+    /// reset program and its id are constants whatever state the crash
+    /// hit, and a crash patches in a precomputed id. This leans on the
+    /// contract the memo leans on (`on_crash` resets *everything*
+    /// volatile; `state_key` is complete). The program table receives
+    /// the post-crash programs first and the root programs second.
     fn root(
         mem: &Memory,
         programs: Vec<Box<dyn Program>>,
@@ -813,14 +803,24 @@ impl Machine {
     ) -> (Self, Option<PorEngine>, Node) {
         let layout = KeyLayout::new(mem.len(), programs.len(), por.is_some());
         let mut interner = ValueInterner::new();
-        let crashes = CrashedSet::new(&programs, &mut interner);
+        let mut table = ProgramTable::new(layout.n);
+        let mut crashed = Vec::with_capacity(layout.n);
+        for (p, prog) in programs.iter().enumerate() {
+            let mut fresh = prog.boxed_clone();
+            fresh.on_crash();
+            let id = interner.intern(&fresh.state_key());
+            table.insert(p, id, fresh);
+            crashed.push(id);
+        }
         let por = por.map(|analysis| PorEngine::new(analysis, &mut interner));
         let mut key = vec![0; layout.len()];
         for (slot, content) in key.iter_mut().zip(mem.contents()) {
             *slot = interner.intern(content);
         }
-        for (p, prog) in programs.iter().enumerate() {
-            key[layout.prog(p)] = interner.intern(&prog.state_key());
+        for (p, prog) in programs.into_iter().enumerate() {
+            let id = interner.intern(&prog.state_key());
+            key[layout.prog(p)] = id;
+            table.insert(p, id, prog);
         }
         key[layout.decided_value()] = ValueInterner::NONE;
         let kinds = (0..mem.len())
@@ -833,24 +833,18 @@ impl Machine {
             layout,
             interner,
             kinds,
-            crashes,
+            crashed,
             memo: StepMemo::default(),
-            choices: ChoiceMemo::default(),
+            programs: table,
         };
-        let programs = programs.into_iter().map(Rc::new).collect();
-        (machine, por, Node { key, programs })
+        (machine, por, Node { key })
     }
 
     /// The choice ids slot `p`'s program at `node` offers, from the
-    /// [`ChoiceMemo`]; a miss asks the program once.
+    /// [`ProgramTable`].
     #[inline]
     fn choices(&mut self, node: &Node, p: usize) -> &[usize] {
-        let at = node.key[self.layout.prog(p)] as usize * self.layout.n + p;
-        let (start, len) = match self.choices.spans.get(at) {
-            Some(&span) if span != ChoiceMemo::UNKNOWN => span,
-            _ => self.choices.record(at, &**node.programs[p]),
-        };
-        &self.choices.ids[start as usize..][..len as usize]
+        self.programs.choices(p, node.key[self.layout.prog(p)])
     }
 
     /// Appends to `out` every action the adversary may take from `node`,
@@ -897,7 +891,10 @@ impl Machine {
     /// Steps a clone of process `p`'s program at `node` by `action`.
     #[cold]
     fn run_step(&self, node: &Node, action: Action, p: usize) -> Stepped {
-        let mut prog = node.programs[p].boxed_clone();
+        let mut prog = self
+            .programs
+            .get(p, node.key[self.layout.prog(p)])
+            .boxed_clone();
         let mut overlay = StepOverlay {
             key: &node.key,
             kinds: &self.kinds,
@@ -919,6 +916,45 @@ impl Machine {
         }
     }
 
+    /// Memoizes `stepped`, the step `action` of process `p` from the node
+    /// with key `key`, and returns its index in the memo. Interns in the
+    /// engine's fixed order — written cell, program key, decided value —
+    /// and enters the stepped program in the [`ProgramTable`], replacing
+    /// the entry of its (slot, id).
+    #[cold]
+    fn record(&mut self, key: &[u32], action: Action, p: usize, stepped: Stepped) -> u32 {
+        let interner = &mut self.interner;
+        let write = stepped
+            .write
+            .map(|(cell, content)| (cell, interner.intern(&content)));
+        let prog_id = interner.intern(&stepped.prog.state_key());
+        let decided = match stepped.step {
+            Step::Decided(v) => Some(interner.intern(&v)),
+            Step::Running => None,
+        };
+        let cell = stepped.access.map_or(StepMemo::NO_CELL, |cell| {
+            u32::try_from(cell).expect("cell index fits u32")
+        });
+        let local = StepMemo::local(key, action, p, &self.layout);
+        let memo = &mut self.memo;
+        assert_eq!(
+            *memo.access.entry(local).or_insert(cell),
+            cell,
+            "two programs with equal state_key in p{p}'s slot accessed \
+             different cells; Program::state_key must encode the complete \
+             volatile state"
+        );
+        let i = u32::try_from(memo.outcomes.len()).expect("step memo fits u32");
+        memo.index.insert((local, StepMemo::cell_id(key, cell)), i);
+        memo.outcomes.push(StepOutcome {
+            prog_id,
+            write,
+            decided,
+        });
+        self.programs.insert(p, prog_id, stepped.prog);
+        i
+    }
+
     /// The outcome of `action`, a step of process `p`, at `node`, as an
     /// index into the memo; a miss steps the program and records it.
     #[inline]
@@ -927,9 +963,7 @@ impl Machine {
             Some(i) => i,
             None => {
                 let stepped = self.run_step(node, action, p);
-                let (layout, interner) = (&self.layout, &mut self.interner);
-                self.memo
-                    .record(&node.key, action, p, layout, interner, stepped)
+                self.record(&node.key, action, p, stepped)
             }
         }
     }
@@ -960,10 +994,7 @@ impl Machine {
         if let Step::Decided(v) = &stepped.step {
             check(&self.interner, v)?;
         }
-        let (layout, interner) = (&self.layout, &mut self.interner);
-        Ok(self
-            .memo
-            .record(&node.key, action, p, layout, interner, stepped))
+        Ok(self.record(&node.key, action, p, stepped))
     }
 
     /// What `action` changes at `node`; a step's outcome comes from the
@@ -1006,65 +1037,66 @@ impl Machine {
                 }
             }
             Change::Crash(p) => {
-                key[layout.prog(p)] = self.crashes.ids[p];
+                key[layout.prog(p)] = self.crashed[p];
                 key[layout.decided_word(p)] &= !(1 << (p % 32));
                 key[layout.crashes()] += 1;
             }
             Change::CrashAll => {
-                key[layout.prog(0)..layout.prog(layout.n)].copy_from_slice(&self.crashes.ids);
+                key[layout.prog(0)..layout.prog(layout.n)].copy_from_slice(&self.crashed);
                 key[layout.decided_word(0)..layout.crashes()].fill(0);
                 key[layout.crashes()] += 1;
             }
         }
     }
 
-    /// The program handle `change` leaves in slot `q` of a node whose
-    /// programs are `programs`.
-    fn program<'a>(
-        &'a self,
-        programs: &'a [Rc<Box<dyn Program>>],
-        change: Change,
-        q: usize,
-    ) -> &'a Rc<Box<dyn Program>> {
-        match change {
-            Change::Step(p, i) if p == q => &self.memo.outcomes[i as usize].prog,
-            Change::Crash(p) if p == q => &self.crashes.progs[q],
-            Change::CrashAll => &self.crashes.progs[q],
-            _ => &programs[q],
-        }
-    }
-
-    /// Swaps into `programs` the handles `change` leaves there.
-    #[inline(always)]
-    fn swap(&self, programs: &mut [Rc<Box<dyn Program>>], change: Change) {
-        match change {
-            Change::Step(p, _) | Change::Crash(p) => {
-                programs[p] = Rc::clone(self.program(programs, change, p));
-            }
-            Change::CrashAll => programs.clone_from_slice(&self.crashes.progs),
-        }
-    }
-
-    /// Advances `node` by `change`: [`patch`](Self::patch) and
-    /// [`swap`](Self::swap). The three are always inlined: a sweep takes
-    /// one transition per scheduled action, and an inlined copy is
-    /// specialized to the change its caller built.
+    /// Advances `node` by `change`: [`patch`](Self::patch) on its key.
+    /// Both are always inlined: a sweep takes one transition per
+    /// scheduled action, and an inlined copy is specialized to the
+    /// change its caller built.
     #[inline(always)]
     fn advance(&self, node: &mut Node, change: Change) {
         self.patch(&mut node.key, change);
-        self.swap(&mut node.programs, change);
+    }
+
+    /// Gives each slot that the canonicalization `perm` moved (see
+    /// [`canonicalize_key`]) a program for the id the canonical `key`
+    /// holds there, where the [`ProgramTable`] has none yet: a clone of
+    /// the source slot's program with that id, rebound
+    /// ([`Program::rebind`]) to the destination slot's cells when owned
+    /// cells or scalarset family members moved with it. So rebinding
+    /// runs once per (destination slot, id) in a search, not once per
+    /// admitted state.
+    fn relocate(&mut self, key: &[u32], perm: &[u8], spec: &SymmetrySpec) {
+        let cells = self.layout.cells;
+        // Built on the first rebind: most admitted states find every
+        // moved slot's program in the table.
+        let mut rebinding: Option<Rebinding> = None;
+        for (i, &src) in perm.iter().enumerate() {
+            let (src, id) = (usize::from(src), key[self.layout.prog(i)]);
+            if src == i || self.programs.contains(i, id) {
+                continue;
+            }
+            let mut prog = self.programs.get(src, id).boxed_clone();
+            // A relocated program rebinds when its destination owns
+            // cells, or when family members moved with it (its own
+            // family handle relocated).
+            if spec.has_moving_scalarsets() || !spec.owned(i).is_empty() {
+                prog.rebind(rebinding.get_or_insert_with(|| cell_map(perm, cells, spec)));
+            }
+            self.programs.insert(i, id, prog);
+        }
     }
 }
 
 /// The swarm's executor: runs seeded executions of one build on a
 /// [`Machine`], as [`run`](crate::run) runs them over [`Memory`].
 ///
-/// An execution is a [`Node`] — the key and the program in each slot —
-/// plus the decided flags the scheduler reads and each process's
-/// decisions as interned ids. It starts from a copy of the root node. A
-/// step patches the key from the [`StepMemo`] and steps a program clone
-/// against a [`StepOverlay`] only on a miss; a crash swaps in the
-/// precomputed post-crash program and id ([`CrashedSet`]). So an
+/// An execution is a [`Node`] — its interned key — plus the decided
+/// flags the scheduler reads and each process's decisions as interned
+/// ids. It starts from a copy of the root key. A step patches the key
+/// from the [`StepMemo`] and steps a clone of the [`ProgramTable`]'s
+/// program against a [`StepOverlay`] only on a miss; a crash patches in
+/// the precomputed post-crash program id. So an
 /// execution rests on the [`Program`] contract the checker rests on — a
 /// step makes one access, `state_key` is the complete volatile state,
 /// and `on_crash` resets a program to its post-crash state — and the
@@ -1107,7 +1139,6 @@ impl MemoExecutor {
     pub(crate) fn run(&mut self, sched: &mut impl Scheduler, max_actions: usize) -> MemoRun {
         let n = self.machine.layout.n;
         self.node.key.copy_from_slice(&self.root.key);
-        self.node.programs.clone_from_slice(&self.root.programs);
         self.decided.fill(false);
         self.outputs.iter_mut().for_each(Vec::clear);
         let (mut steps, mut crashes, mut actions) = (0, 0, 0);
@@ -1309,25 +1340,31 @@ fn schedule_to(
 ///   preserve [`Program::state_key`]) — a rebind-less program would
 ///   otherwise panic mid-search, at the first non-identity
 ///   canonicalization.
+///
+/// The root programs are read from `machine`'s [`ProgramTable`].
 fn validate_symmetry(
+    machine: &Machine,
     root: &Node,
-    cells: usize,
     spec: &SymmetrySpec,
     analyzed: Option<&SystemFootprint>,
 ) {
+    let layout = &machine.layout;
+    let programs: Vec<&dyn Program> = (0..layout.n)
+        .map(|p| machine.programs.get(p, root.key[layout.prog(p)]))
+        .collect();
     assert_eq!(
         spec.n(),
-        root.programs.len(),
+        layout.n,
         "SymmetrySpec describes {} processes but the system has {}",
         spec.n(),
-        root.programs.len()
+        layout.n
     );
     for pids in spec.acting_orbits() {
         let first = pids[0];
-        let first_key = root.programs[first].state_key();
+        let first_key = programs[first].state_key();
         for &p in &pids[1..] {
             assert_eq!(
-                root.programs[p].state_key(),
+                programs[p].state_key(),
                 first_key,
                 "symmetry orbit {pids:?} groups processes with different \
                  initial states (p{first} vs p{p}); orbit members must run \
@@ -1337,10 +1374,10 @@ fn validate_symmetry(
     }
     spec.validate_owned_shape();
     if spec.has_moving_owned_cells() {
-        validate_owned_cells(root, cells, spec, analyzed);
+        validate_owned_cells(&root.key, &programs, layout.cells, spec, analyzed);
     }
     if spec.has_moving_scalarsets() {
-        validate_scalarset_cells(root, cells, spec);
+        validate_scalarset_cells(&root.key, &programs, layout.cells, spec);
     }
     // Orbit reference consistency (best-effort, when enumerable): two
     // members of one orbit must reference the *same* cells outside
@@ -1353,7 +1390,7 @@ fn validate_symmetry(
     for pids in spec.acting_orbits() {
         let mut reference: Option<(Pid, std::collections::BTreeSet<crate::memory::Addr>)> = None;
         for &p in pids {
-            let Some(refs) = root.programs[p].referenced_cells() else {
+            let Some(refs) = programs[p].referenced_cells() else {
                 continue;
             };
             let shared: std::collections::BTreeSet<crate::memory::Addr> = refs
@@ -1379,7 +1416,8 @@ fn validate_symmetry(
 /// root stabilization, rebind support and the owner-only reference
 /// rule (analyzed-footprint-first; see [`validate_symmetry`]).
 fn validate_owned_cells(
-    root: &Node,
+    root: &[u32],
+    programs: &[&dyn Program],
     cells: usize,
     spec: &SymmetrySpec,
     analyzed: Option<&SystemFootprint>,
@@ -1399,8 +1437,8 @@ fn validate_owned_cells(
         for &p in &pids[1..] {
             for (k, (&a, &b)) in spec.owned(first).iter().zip(spec.owned(p)).enumerate() {
                 assert_eq!(
-                    root.key[a.index()],
-                    root.key[b.index()],
+                    root[a.index()],
+                    root[b.index()],
                     "symmetry orbit {pids:?}: owned cells at position {k} \
                      ({a} of p{first}, {b} of p{p}) differ at the root; the \
                      orbit group must stabilize the initial state"
@@ -1418,7 +1456,7 @@ fn validate_owned_cells(
         .flat_map(|pids| pids.iter().copied())
         .flat_map(|p| spec.owned(p).iter().map(move |&c| (c, p)))
         .collect();
-    for (p, prog) in root.programs.iter().enumerate() {
+    for (p, prog) in programs.iter().enumerate() {
         let declared = prog.referenced_cells();
         if let (Some(fp), Some(declared)) = (analyzed, &declared) {
             // A declaration that misses an analyzed access would have
@@ -1466,33 +1504,38 @@ fn validate_owned_cells(
     // owner-only rule gets the semantic rejection above, not this
     // mechanical one.
     for pids in spec.acting_orbits() {
-        for &p in pids {
-            if spec.owned(p).is_empty() {
-                continue;
-            }
-            let mut probe = root.programs[p].boxed_clone();
-            let identity = Rebinding::identity(cells);
-            if crate::footprint::quiet_probe(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe.rebind(&identity)))
-            })
-            .is_err()
-            {
-                panic!(
-                    "p{p} declares owned cells but its Program does not \
-                     support address rebinding (Program::rebind panicked on \
-                     the identity map); implement rebind for it, or drop the \
-                     owned-cell declaration — `rc_runtime::lint_system` / \
-                     `tables lint` derive sound owned-cell candidates"
-                );
-            }
-            assert_eq!(
-                probe.state_key(),
-                root.programs[p].state_key(),
-                "p{p}: Program::rebind changed the state_key under the \
-                 identity map; addresses are identity, not volatile state"
+        for &p in pids.iter().filter(|&&p| !spec.owned(p).is_empty()) {
+            assert!(
+                supports_rebind(programs[p], p, cells),
+                "p{p} declares owned cells but its Program does not \
+                 support address rebinding (Program::rebind panicked on \
+                 the identity map); implement rebind for it, or drop the \
+                 owned-cell declaration — `rc_runtime::lint_system` / \
+                 `tables lint` derive sound owned-cell candidates"
             );
         }
     }
+}
+
+/// Whether `prog`, process `p`'s program over `cells` cells, supports
+/// [`Program::rebind`]: rebinding a clone with the identity map must not
+/// panic. Panics if that rebind changes the program's `state_key`.
+fn supports_rebind(prog: &dyn Program, p: Pid, cells: usize) -> bool {
+    let mut probe = prog.boxed_clone();
+    let identity = Rebinding::identity(cells);
+    let rebound = crate::footprint::quiet_probe(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe.rebind(&identity)))
+    })
+    .is_ok();
+    if rebound {
+        assert_eq!(
+            probe.state_key(),
+            prog.state_key(),
+            "p{p}: Program::rebind changed the state_key under the \
+             identity map; addresses are identity, not volatile state"
+        );
+    }
+    rebound
 }
 
 /// The scalarset half of [`validate_symmetry`]: in-range addresses,
@@ -1501,7 +1544,12 @@ fn validate_owned_cells(
 /// even when they own no cells). The *semantic* soundness of permuting
 /// a family — the order-insensitive fold property — is established by
 /// the scalarset certificate in [`prepare_analysis`], not here.
-fn validate_scalarset_cells(root: &Node, cells: usize, spec: &SymmetrySpec) {
+fn validate_scalarset_cells(
+    root: &[u32],
+    programs: &[&dyn Program],
+    cells: usize,
+    spec: &SymmetrySpec,
+) {
     for (f, family) in spec.scalarset_families().iter().enumerate() {
         for (p, &cell) in family.iter().enumerate() {
             assert!(
@@ -1516,8 +1564,8 @@ fn validate_scalarset_cells(root: &Node, cells: usize, spec: &SymmetrySpec) {
         for &p in &pids[1..] {
             for (f, family) in spec.scalarset_families().iter().enumerate() {
                 assert_eq!(
-                    root.key[family[first].index()],
-                    root.key[family[p].index()],
+                    root[family[first].index()],
+                    root[family[p].index()],
                     "scalarset family {f}: cells {} (p{first}) and {} (p{p}) \
                      differ at the root; the orbit group must stabilize the \
                      initial state",
@@ -1527,26 +1575,13 @@ fn validate_scalarset_cells(root: &Node, cells: usize, spec: &SymmetrySpec) {
             }
         }
         for &p in pids {
-            let mut probe = root.programs[p].boxed_clone();
-            let identity = Rebinding::identity(cells);
-            if crate::footprint::quiet_probe(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe.rebind(&identity)))
-            })
-            .is_err()
-            {
-                panic!(
-                    "a scalarset family spans p{p}'s orbit but its Program \
-                     does not support address rebinding (Program::rebind \
-                     panicked on the identity map); canonicalization rebinds \
-                     every relocated member, so implement rebind or drop the \
-                     scalarset declaration"
-                );
-            }
-            assert_eq!(
-                probe.state_key(),
-                root.programs[p].state_key(),
-                "p{p}: Program::rebind changed the state_key under the \
-                 identity map; addresses are identity, not volatile state"
+            assert!(
+                supports_rebind(programs[p], p, cells),
+                "a scalarset family spans p{p}'s orbit but its Program \
+                 does not support address rebinding (Program::rebind \
+                 panicked on the identity map); canonicalization rebinds \
+                 every relocated member, so implement rebind or drop the \
+                 scalarset declaration"
             );
         }
     }
@@ -1760,9 +1795,9 @@ impl PorEngine {
     const FUTURE_MUTATED: usize = 3;
 
     /// Builds the engine, interning every analyzed state key in a fixed
-    /// order (pid-major, discovery order) right after
-    /// [`CrashedSet::new`], so value ids, and therefore every node key,
-    /// are a pure function of the system.
+    /// order (pid-major, discovery order) right after the post-crash
+    /// program keys ([`Machine::root`]), so value ids, and therefore
+    /// every node key, are a pure function of the system.
     fn new(analysis: &SystemAnalysis, interner: &mut ValueInterner) -> Self {
         let n = analysis.per_process.len();
         let width = (analysis.cells + 1).div_ceil(64);
@@ -2016,9 +2051,10 @@ fn expand_actions(
 /// declared **owned cells** and scalarset family members move with their
 /// slots; undeclared shared memory never moves (see the `canon` module
 /// docs for the soundness argument and the owner-only reference rule).
-/// [`permute_programs`] applies the same permutation to the program
-/// handles, once the key turned out to be new. `pinned(q)` is whether
-/// the child's program in slot `q` is [`Program::scalarset_pinned`].
+/// Once the key turned out to be new, [`Machine::relocate`] gives the
+/// moved slots their programs. Whether a program is
+/// [`Program::scalarset_pinned`] is read from `machine`'s
+/// [`ProgramTable`], by its slot and the id in `key`.
 ///
 /// Orbit members are ordered by signature — program key, decided bit,
 /// sleep bit, owned-cell and family contents — all read from the key.
@@ -2035,11 +2071,14 @@ fn canonicalize_key(
     key: &mut [u32],
     perm: &mut Vec<u8>,
     tmp: &mut Vec<u32>,
-    layout: &KeyLayout,
     spec: &SymmetrySpec,
-    interner: &ValueInterner,
-    pinned: impl Fn(usize) -> bool,
+    machine: &Machine,
 ) -> bool {
+    let (layout, interner) = (&machine.layout, &machine.interner);
+    let pinned = |q: usize| {
+        let id = key[layout.prog(q)];
+        machine.programs.get(q, id).scalarset_pinned()
+    };
     if spec.has_moving_scalarsets() && (0..layout.n).any(pinned) {
         // A pinned program references scalarset family members
         // *positionally* (a mid-scan mask of checked positions);
@@ -2117,46 +2156,20 @@ fn permute_mask(mask: u64, perm: &[u8]) -> u64 {
         .fold(0, |out, (i, &src)| out | (mask >> src & 1) << i)
 }
 
-/// The program half of canonicalization: applies the permutation
-/// [`canonicalize_key`] chose to an admitted child's program handles.
-/// Programs move between slots, and each relocated program is rebound
-/// ([`Program::rebind`]) to its destination slot's cells when owned
-/// cells or family members moved with it.
-fn permute_programs(
-    programs: &mut [Rc<Box<dyn Program>>],
-    perm: &[u8],
-    cells: usize,
-    spec: &SymmetrySpec,
-) {
-    // Read every moved program from the unpermuted handles: a slot may
-    // be both a source and a destination within one orbit rotation.
-    let unpermuted = programs.to_vec();
-    // Built lazily on the first cell move: slots-only specs never pay
-    // the O(cells) identity allocation.
-    let mut rebinding: Option<Rebinding> = None;
+/// The cell map of the canonicalization `perm`: each moved slot's
+/// travelling cells ([`moved_cells`]) onto its destination's, the
+/// identity elsewhere.
+fn cell_map(perm: &[u8], cells: usize, spec: &SymmetrySpec) -> Rebinding {
+    let mut map = Rebinding::identity(cells);
     for (i, &src) in perm.iter().enumerate() {
         let src = usize::from(src);
         if src != i {
-            programs[i] = Rc::clone(&unpermuted[src]);
             for (from, to) in moved_cells(spec, src, i) {
-                rebinding
-                    .get_or_insert_with(|| Rebinding::identity(cells))
-                    .map(from, to);
+                map.map(from, to);
             }
         }
     }
-    let Some(map) = rebinding else {
-        return;
-    };
-    let scalarsets = spec.has_moving_scalarsets();
-    for (i, &src) in perm.iter().enumerate() {
-        // A relocated program rebinds when its destination owns cells,
-        // or when family members moved with it (its own family handle
-        // relocated).
-        if usize::from(src) != i && (scalarsets || !spec.owned(i).is_empty()) {
-            program_mut(&mut programs[i]).rebind(&map);
-        }
-    }
+    map
 }
 
 /// The leaf weight of an accepted canonical state: how many concrete
@@ -2237,9 +2250,9 @@ impl SerialEngine<'_> {
     }
 
     /// Writes into `key` the key of the child that `change` makes from
-    /// `parent`, with sleep mask `sleep`, canonical under symmetry — no
-    /// program handle is touched. Returns whether canonicalization moved
-    /// processes, the permutation then being in `perm`.
+    /// `parent`, with sleep mask `sleep`, canonical under symmetry.
+    /// Returns whether canonicalization moved processes, the permutation
+    /// then being in `perm`.
     fn child_key(
         &self,
         parent: &Node,
@@ -2257,28 +2270,7 @@ impl SerialEngine<'_> {
         let Some(spec) = self.spec else {
             return false;
         };
-        canonicalize_key(key, perm, tmp, layout, spec, &self.machine.interner, |q| {
-            self.machine
-                .program(&parent.programs, change, q)
-                .scalarset_pinned()
-        })
-    }
-
-    /// The program handles of the child that `change` makes from
-    /// `parent` — gathered only for an admitted key — under the
-    /// canonicalization `perm`.
-    fn child_programs(
-        &self,
-        parent: &Node,
-        change: Change,
-        perm: Option<&[u8]>,
-    ) -> Vec<Rc<Box<dyn Program>>> {
-        let mut programs = parent.programs.clone();
-        self.machine.swap(&mut programs, change);
-        if let (Some(perm), Some(spec)) = (perm, self.spec) {
-            permute_programs(&mut programs, perm, self.machine.layout.cells, spec);
-        }
-        programs
+        canonicalize_key(key, perm, tmp, spec, &self.machine)
     }
 
     /// Admits the state whose key is `key`: memoizes it and, when new,
@@ -2339,11 +2331,12 @@ impl SerialEngine<'_> {
 /// [`SymmetrySpec`] is normalized away first, so the symmetry-off hot
 /// path stays untouched.
 ///
-/// Each edge builds its child's key first, from the parent's key and the
-/// step memo (or the crash set), and probes the visited set with it; the
-/// child's program handles are gathered only for a new key. A duplicate
-/// edge — most edges of every search — therefore costs a memo lookup, a
-/// key copy, canonicalization under symmetry, and one probe.
+/// Each edge builds its child's key from the parent's key and the step
+/// memo (or the post-crash ids) and probes the visited set with it; a
+/// new key is the child node, and under symmetry the slots its
+/// canonicalization moved get their programs ([`Machine::relocate`]). A
+/// duplicate edge — most edges of every search — therefore costs a memo
+/// lookup, a key copy, canonicalization under symmetry, and one probe.
 fn explore_serial(
     mem: &Memory,
     programs: Vec<Box<dyn Program>>,
@@ -2374,19 +2367,9 @@ fn explore_serial(
     let mut tmp: Vec<u32> = Vec::with_capacity(layout.len());
     let mut stack: Vec<Frame> = Vec::new();
     if let Some(spec) = spec {
-        validate_symmetry(&root, layout.cells, spec, analysis.footprint.as_ref());
-        let programs = &root.programs;
-        let pinned = |q: usize| programs[q].scalarset_pinned();
-        if canonicalize_key(
-            &mut root.key,
-            &mut perm,
-            &mut tmp,
-            &layout,
-            spec,
-            &engine.machine.interner,
-            pinned,
-        ) {
-            permute_programs(&mut root.programs, &perm, layout.cells, spec);
+        validate_symmetry(&engine.machine, &root, spec, analysis.footprint.as_ref());
+        if canonicalize_key(&mut root.key, &mut perm, &mut tmp, spec, &engine.machine) {
+            engine.machine.relocate(&root.key, &perm, spec);
             engine.root_perm = Some(Box::from(&perm[..]));
         }
     }
@@ -2424,12 +2407,10 @@ fn explore_serial(
             let Some(idx) = engine.admit(&key, Some((top.idx, action, perm))) else {
                 continue;
             };
-            let programs = engine.child_programs(&top.node, change, perm);
-            let child = Node {
-                key: key.clone(),
-                programs,
-            };
-            stack.extend(engine.expand(child, idx));
+            if let (Some(perm), Some(spec)) = (perm, spec) {
+                engine.machine.relocate(&key, perm, spec);
+            }
+            stack.extend(engine.expand(Node { key: key.clone() }, idx));
         }
         if engine.truncated {
             ExploreOutcome::Truncated {
@@ -2977,6 +2958,30 @@ mod tests {
         );
     }
 
+    /// The sweep's executor steps on the same memo, so it refuses the
+    /// same broken programs: an incomplete `state_key` on a round-robin
+    /// run.
+    #[test]
+    #[should_panic(expected = "must encode the complete volatile state")]
+    fn the_sweep_refuses_a_state_key_that_misses_the_accessed_cell() {
+        let (mem, programs) = two_register_system(|first, then| {
+            Box::new(IncompleteKey {
+                first,
+                then,
+                steps: 0,
+            })
+        });
+        let _ = MemoExecutor::new(&mem, programs).run(&mut crate::sched::RoundRobin::new(), 100);
+    }
+
+    /// ... and a step that reads two registers.
+    #[test]
+    #[should_panic(expected = "more than one shared-memory access")]
+    fn the_sweep_refuses_a_step_reading_two_registers() {
+        let (mem, programs) = two_register_system(|a, b| Box::new(TwoReads { a, b }));
+        let _ = MemoExecutor::new(&mem, programs).run(&mut crate::sched::RoundRobin::new(), 100);
+    }
+
     #[test]
     fn verifies_trivial_agreeing_system() {
         let outcome = explore(
@@ -3482,6 +3487,76 @@ mod tests {
             }
             other => panic!("expected verified, got {other:?}"),
         }
+    }
+
+    /// An [`OwnRegWriter`] that counts its `rebind` calls in a counter
+    /// its clones share.
+    #[derive(Clone, Debug)]
+    struct CountedRebinds {
+        inner: OwnRegWriter,
+        rebinds: Arc<std::sync::atomic::AtomicUsize>,
+    }
+    impl Program for CountedRebinds {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            self.inner.step(mem)
+        }
+        fn on_crash(&mut self) {
+            self.inner.on_crash();
+        }
+        fn state_key(&self) -> Value {
+            self.inner.state_key()
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+        fn rebind(&mut self, map: &crate::program::Rebinding) {
+            self.rebinds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.rebind(map);
+        }
+        fn referenced_cells(&self) -> Option<Vec<Addr>> {
+            self.inner.referenced_cells()
+        }
+    }
+
+    /// Relocated programs rebind once per (destination slot, program
+    /// key) in a search, not once per admitted state that
+    /// canonicalization moved: on the owned-register system the count
+    /// stays within n rebinds per distinct program key, plus the n
+    /// identity probes at search start.
+    #[test]
+    fn relocated_programs_rebind_once_per_slot_and_key() {
+        let n = 4;
+        let rebinds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        // `own_reg_factory`'s system, its programs counting rebinds.
+        let factory = || {
+            let mut mem = Memory::new();
+            let mut spec = SymmetrySpec::full(n);
+            let mut programs: Vec<Box<dyn Program>> = Vec::new();
+            for p in 0..n {
+                let reg = mem.alloc_register(Value::Bottom);
+                spec = spec.with_owned_cells(p, vec![reg]);
+                programs.push(Box::new(CountedRebinds {
+                    inner: OwnRegWriter {
+                        reg,
+                        input: Value::Int(1),
+                        pc: 0,
+                    },
+                    rebinds: Arc::clone(&rebinds),
+                }));
+            }
+            (mem, programs, spec)
+        };
+        let config = ExploreConfig {
+            crash: CrashModel::independent(1).after_decide(false),
+            ..ExploreConfig::default()
+        };
+        let (outcome, stats) = explore_symmetric_with_stats(&factory, &config);
+        assert!(outcome.is_verified() && stats.symmetry, "{outcome:?}");
+        // Every program has input 1 and `pc` 0 or 1: two program keys.
+        let count = rebinds.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(count > n, "the search relocates programs: {count} rebinds");
+        assert!(count <= n * 2 + n, "{count} rebinds");
     }
 
     /// The owner-only rule: a process reading another process's owned

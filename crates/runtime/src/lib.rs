@@ -35,7 +35,8 @@
 //! * [`explore`] — a bounded-exhaustive model checker: one iterative
 //!   worklist DFS over *all* interleavings and crash placements (up to a
 //!   crash budget) whose nodes are hash-consed full-fidelity state keys
-//!   ([`ValueInterner`] ids) plus program handles, advanced by one
+//!   ([`ValueInterner`] ids) and nothing else (one program per process
+//!   slot and program-state id serves every node), advanced by one
 //!   step-memo transition that the swarm, the ample lint and
 //!   [`replay_on_checker`] share, an exact `max_states` cap cut in its
 //!   acceptance order, one in-RAM packed visited-set table

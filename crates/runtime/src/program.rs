@@ -114,9 +114,9 @@ pub enum Step {
 ///   executions wrong.
 ///
 /// Programs are passive data (`Send + Sync`): nothing runs without a
-/// scheduler calling [`step`](Program::step); the model checker's
-/// copy-on-write branching shares unstepped programs between sibling
-/// states, and the swarm and the threaded executor run programs on
+/// scheduler calling [`step`](Program::step); the model checker keeps
+/// one program per process slot and state key for all the states that
+/// share it, and the swarm and the threaded executor run programs on
 /// worker threads.
 pub trait Program: fmt::Debug + Send + Sync {
     /// Executes one step (at most one shared-memory access).
@@ -189,8 +189,9 @@ pub trait Program: fmt::Debug + Send + Sync {
     /// model-checker memoization.
     fn state_key(&self) -> Value;
 
-    /// Clones the program as a boxed trait object (used by the model
-    /// checker to branch the search).
+    /// Clones the program as a boxed trait object. The model checker
+    /// and the swarm keep one program per process slot and state key,
+    /// and step a clone of it on each miss of their step memo.
     fn boxed_clone(&self) -> Box<dyn Program>;
 
     /// Remaps every shared-cell address the program holds: each held
@@ -198,7 +199,9 @@ pub trait Program: fmt::Debug + Send + Sync {
     /// captured layouts — must be replaced by [`Rebinding::lookup`] of
     /// it. The model checker's full-state symmetry reduction calls this
     /// when an orbit permutation relocates the program together with its
-    /// owned cells; rebinding must not change
+    /// owned cells, on a clone, once per destination slot and state key
+    /// in a search: the rebound copy then serves every state that holds
+    /// that key in that slot. Rebinding must not change
     /// [`state_key`](Program::state_key) (addresses are identity, not
     /// volatile state — two rebound copies of one program differ only in
     /// *where* they point).

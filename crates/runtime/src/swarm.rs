@@ -33,15 +33,16 @@
 //!
 //! A sweep calls the factory **once**, on the calling thread. Each
 //! worker turns that build into a root node of the checker — an
-//! interned state key plus one program handle per process — with its
-//! own value interner, post-crash programs and step memo, and runs every
-//! seed it claims from that root, not through [`run`]. A seed starts
-//! from a copy of the root node and advances by the checker's own
-//! transition. A step is a memo lookup on (process slot, program-state
-//! id, id of the one cell it accesses) patched into the key, and a
-//! program clone is stepped only on a miss, against that cell's value
-//! read from the key. A crash swaps in the precomputed post-crash
-//! program. Each decision is recorded as an interned id. The verdict is
+//! interned state key, and nothing else — with its own value interner,
+//! post-crash program ids, step memo and programs (one per process slot
+//! and program-state id), and runs every seed it claims from that root,
+//! not through [`run`]. A seed starts from a copy of the root key and
+//! advances by the checker's own transition. A step is a memo lookup on
+//! (process slot, program-state id, id of the one cell it accesses)
+//! patched into the key, and a clone of the slot's program for that id
+//! is stepped only on a miss, against that cell's value read from the
+//! key. A crash patches in the precomputed post-crash program id. Each
+//! decision is recorded as an interned id. The verdict is
 //! computed on ids in [`check_consensus_execution`]'s order — agreement
 //! over all outputs, then validity, then termination — and returns the
 //! same violation. Final states are deduplicated on ids in the worker's
