@@ -951,7 +951,6 @@ impl Measured {
                 Json::Bool(self.reduction_is_lower_bound),
             ),
             ("peak_table_mb", mib(self.stats.peak_table_bytes)),
-            ("witness_mb", mib(self.stats.witness_bytes)),
         ]
     }
 }
@@ -1151,6 +1150,8 @@ const SWEEP_COLUMNS: &[Column<Measured>] = &[
     REDUCTION,
 ];
 
+/// E16's columns. A cap-scale search runs once under [`timed_runs`], so
+/// `runs` shows which rows are single samples.
 const E16_COLUMNS: &[Column<Measured>] = &[
     SYSTEM,
     ("budget", |r| r.crash_budget().to_string()),
@@ -1163,7 +1164,7 @@ const E16_COLUMNS: &[Column<Measured>] = &[
     ("ms", |r| format!("{:.0}", r.millis())),
     NS_PER_EDGE,
     ("peak MB", |r| mib(r.stats.peak_table_bytes)),
-    ("wit MB", |r| mib(r.stats.witness_bytes)),
+    ("runs", |r| r.samples.len().to_string()),
 ];
 
 /// `bytes` in MiB with one decimal.
@@ -2122,7 +2123,7 @@ fn json_members(fields: &[(&str, Json)], separator: &str) -> String {
 }
 
 /// The `BENCH_explore.json` schema [`snapshot_json`] writes.
-const SNAPSHOT_SCHEMA: u64 = 12;
+const SNAPSHOT_SCHEMA: u64 = 13;
 
 /// The workspace root, where `BENCH_explore.json` lives.
 pub fn workspace_root() -> PathBuf {

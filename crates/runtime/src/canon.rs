@@ -8,9 +8,10 @@
 //! whose initial program objects (input included) are identical — and
 //! the checker then stores only one **canonical representative** per
 //! permutation class: before every interner/visited lookup the child
-//! state is mapped to the representative, and the inverse permutation is
-//! threaded through the parent links so violation witness schedules are
-//! reported in *original* process ids (see `explore`).
+//! state is mapped to the representative, and each frame of the DFS
+//! stack keeps the permutation that made its key canonical, so
+//! violation witness schedules are renamed back to *original* process
+//! ids (see `explore`).
 //!
 //! ## Soundness
 //!
@@ -422,9 +423,9 @@ impl SymmetrySpec {
     }
 }
 
-/// Composition `m ∘ π`: `result[i] = m[π[i]]`. Used by the witness
-/// reconstruction to accumulate canonical→original pid maps along a
-/// parent-link path.
+/// Composition `m ∘ π`: `result[i] = m[π[i]]`. The checker's witness
+/// schedule composes the permutations of the DFS stack's frames with it,
+/// root first, into each frame's canonical→original pid map.
 pub(crate) fn compose(m: &[u8], pi: &[u8]) -> Box<[u8]> {
     pi.iter().map(|&i| m[i as usize]).collect()
 }

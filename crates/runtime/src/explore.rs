@@ -29,13 +29,13 @@
 //!
 //! ## The engine
 //!
-//! The checker is an **iterative worklist DFS** over an arena of
-//! explicit frames — no recursion, so deep crash budgets (very long
-//! executions) cannot overflow the call stack. A node is its state key
-//! — every cell's content, every program's state key, the decided bits,
-//! the crash count and the first decided value, as interned `u32` ids
-//! ([`ValueInterner`]) — and nothing else. The engine patches the
-//! parent's key from a per-search **step memo** — (action,
+//! The checker is an **iterative DFS** over explicit stacks — no
+//! recursion, so deep crash budgets (very long executions) cannot
+//! overflow the call stack. A state is its key — every cell's content,
+//! every program's state key, the decided bits, the crash count and the
+//! first decided value, as interned `u32` ids ([`ValueInterner`]) — and
+//! nothing else. An edge copies the parent's key onto the DFS's key
+//! stack, patches the copy from a per-search **step memo** — (action,
 //! program-state id, id of the one cell the step accesses) → the step's
 //! outcome, already interned — or from the precomputed post-crash
 //! program ids, canonicalizes it under symmetry, and probes the visited
@@ -50,8 +50,11 @@
 //! id) stands for all of them. The same transition drives the
 //! [`swarm`](crate::swarm)'s sweeps, [`lint_ample`]'s commutation walk
 //! and [`replay_on_checker`].
-//! Violation schedules are reconstructed from per-node **parent links**
-//! instead of a live schedule vector.
+//!
+//! The visited set holds each state's packed key and nothing else: a
+//! violation's schedule is read off the **DFS stack**. The frames from
+//! the root to the violating state are the path, and each frame's
+//! cursor has just passed the action it took.
 //!
 //! The DFS is the **only** engine. Every search — plain, symmetric or
 //! reduced — runs on it, in one deterministic acceptance order: a state
@@ -76,8 +79,10 @@
 //! unchanged, state counts shrink by up to the product of the orbit
 //! factorials, leaf counts stay identical (canonical leaves are weighted
 //! by their class size), and violation witnesses are reported in
-//! *original* process ids by threading the inverse permutations through
-//! the parent links. Signatures are read from the child's key as
+//! *original* process ids: each frame on the DFS stack keeps the
+//! permutation that made its key canonical, and an action is renamed
+//! through the permutations of the frames from the root down to the one
+//! that took it. Signatures are read from the child's key as
 //! interned ids, and ids compare by their interner *rank* — the position
 //! of their value in the structural order of the values interned so far
 //! ([`ValueInterner`] keeps it as values are first interned) — never by
@@ -124,7 +129,7 @@ use crate::intern::{FxHashMap, ValueInterner};
 use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::{Action, SchedContext, Scheduler};
-use crate::storage::{PackedStateTable, StorageTier, WitnessLog};
+use crate::storage::{PackedStateTable, StorageTier};
 use rc_spec::{Operation, TypeHandle, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -209,8 +214,10 @@ pub struct ExploreStats {
     /// arena, its index and entry metadata). The table only grows, so
     /// this is also its peak.
     pub peak_table_bytes: usize,
-    /// Bytes held by the witness log: one 8-byte parent link per state
-    /// plus the interned canonicalization permutations.
+    /// Always 0: a violation's schedule is read off the DFS stack, so
+    /// nothing per state records how it was reached. Kept so existing
+    /// readers still compile, like
+    /// [`max_level_workers`](Self::max_level_workers).
     pub witness_bytes: usize,
 }
 
@@ -374,29 +381,22 @@ impl MemOps for StepOverlay<'_> {
     }
 }
 
-/// A node of the checker's state graph: its interned key, which is the
-/// whole state ([`KeyLayout`]). The program a memo miss steps is the
-/// [`Machine`]'s one program for the slot and the program-state id in
-/// the key ([`ProgramTable`]), so a node carries none.
-#[derive(Clone)]
-struct Node {
-    key: Vec<u32>,
-}
-
 /// Slot offsets of the flat interned state key:
 /// `[cells | program keys | packed decided bits | crashes | decided value
 /// | sleep words (POR only)]`.
 ///
-/// The key is the whole state, and a [`Node`] holds nothing else. A
-/// child's key is a copy of its parent's with only the slots the action
-/// touched replaced — the one written memory cell, the stepped or
+/// The key is the whole state: the program a memo miss steps is the
+/// [`Machine`]'s one program for the slot and the program-state id in
+/// the key ([`ProgramTable`]). A child's key is a copy of its parent's
+/// with only the slots the action touched replaced — the one written
+/// memory cell, the stepped or
 /// crashed program's key, the decided bit, the crash count and the
 /// decided value — all read from the step memo ([`StepMemo`]) or the
 /// post-crash program ids as interned ids ([`Machine::patch`]), then
 /// canonicalized in place under symmetry. Unchanged slots keep their
 /// parent's ids, which is sound because interned ids are stable and
 /// injective. The engine probes the visited set with this key, and a new
-/// key is the child node.
+/// key is the child state.
 ///
 /// With [`ExploreConfig::por`] the key gains trailing **sleep words**
 /// holding the node's packed sleep mask raw (never interner ids): node
@@ -528,9 +528,9 @@ pub struct CheckerReplay {
 }
 
 /// Replays `schedule` on the exhaustive checker's executor: from the
-/// factory's root node, each action advances the node by the search's
-/// own transition — a step memo outcome or the post-crash program id
-/// patched into the interned state key — and each decision is checked
+/// factory's root key, each action patches the key by the search's own
+/// transition — a step memo outcome or the post-crash program id — and
+/// each decision is checked
 /// as the search checks it: against the
 /// first decided value and `inputs`. Like [`run`](crate::run), a step of a
 /// process whose current run has decided is skipped. The replay does not
@@ -548,7 +548,7 @@ pub fn replay_on_checker(
     inputs: Option<&[Value]>,
 ) -> CheckerReplay {
     let (mem, programs) = factory();
-    let (mut machine, _, mut node) = Machine::root(&mem, programs, None);
+    let (mut machine, _, mut key) = Machine::root(&mem, programs, None);
     let layout = machine.layout;
     let mut replay = CheckerReplay {
         decisions: Vec::new(),
@@ -556,15 +556,15 @@ pub fn replay_on_checker(
     };
     for &action in schedule {
         if let Action::Step(p) | Action::Branch(p, _) = action {
-            if layout.is_decided(&node.key, p) {
+            if layout.is_decided(&key, p) {
                 continue;
             }
         }
         // Until the first violation every decision repeats the first
         // decided value, so the key's slot holds it whenever it is read.
-        let first = node.key[layout.decided_value()];
-        let change = machine.change(&node, action);
-        machine.advance(&mut node, change);
+        let first = key[layout.decided_value()];
+        let change = machine.change(&key, action);
+        machine.patch(&mut key, change);
         if let (Change::Step(p, _), Some(id)) = (change, machine.decision(change)) {
             let v = machine.interner.value(id);
             if replay.violation.is_none() {
@@ -763,11 +763,11 @@ enum Change {
 /// The checker's transition system over interned node keys: the key
 /// layout, the value interner, the cell-kind table, the post-crash
 /// program ids, the step memo and the program table of one system.
-/// Every executor of the checker advances its nodes through it — the
+/// Every executor of the checker advances its keys through it — the
 /// DFS, a sweep worker's [`MemoExecutor`], [`lint_ample`]'s commutation
 /// walk and [`replay_on_checker`] — by one transition on the key:
 /// [`patch`](Self::patch) writes a memo outcome or the post-crash ids
-/// into it. The programs live only in the [`ProgramTable`], so no node
+/// into it. The programs live only in the [`ProgramTable`], so no key
 /// carries, copies or swaps one.
 struct Machine {
     layout: KeyLayout,
@@ -781,7 +781,7 @@ struct Machine {
 
 impl Machine {
     /// The machine of the system that starts as `mem` and `programs`,
-    /// the POR engine over `por`'s analysis, and the root node. Interns
+    /// the POR engine over `por`'s analysis, and the root key. Interns
     /// in the engine's fixed order — post-crash program keys, then the
     /// analyzed local states ([`PorEngine::new`]), then the root key's
     /// cells and program keys — so value ids, and therefore every node
@@ -800,7 +800,7 @@ impl Machine {
         mem: &Memory,
         programs: Vec<Box<dyn Program>>,
         por: Option<&SystemAnalysis>,
-    ) -> (Self, Option<PorEngine>, Node) {
+    ) -> (Self, Option<PorEngine>, Vec<u32>) {
         let layout = KeyLayout::new(mem.len(), programs.len(), por.is_some());
         let mut interner = ValueInterner::new();
         let mut table = ProgramTable::new(layout.n);
@@ -837,17 +837,17 @@ impl Machine {
             memo: StepMemo::default(),
             programs: table,
         };
-        (machine, por, Node { key })
+        (machine, por, key)
     }
 
-    /// The choice ids slot `p`'s program at `node` offers, from the
+    /// The choice ids slot `p`'s program at `key` offers, from the
     /// [`ProgramTable`].
     #[inline]
-    fn choices(&mut self, node: &Node, p: usize) -> &[usize] {
-        self.programs.choices(p, node.key[self.layout.prog(p)])
+    fn choices(&mut self, key: &[u32], p: usize) -> &[usize] {
+        self.programs.choices(p, key[self.layout.prog(p)])
     }
 
-    /// Appends to `out` every action the adversary may take from `node`,
+    /// Appends to `out` every action the adversary may take from `key`,
     /// each with an empty sleep mask, in the engine's canonical order:
     /// steps of undecided processes (ascending pid), then
     /// internal-nondeterminism branches (ascending pid, then choice id —
@@ -858,25 +858,25 @@ impl Machine {
     /// `Action` `Ord`, keeping witness selection deterministic. Every
     /// expansion enumerates through here: the DFS, POR and
     /// [`lint_ample`]'s walk.
-    fn enabled_actions(&mut self, node: &Node, model: &CrashModel, out: &mut Vec<(Action, u64)>) {
+    fn enabled_actions(&mut self, key: &[u32], model: &CrashModel, out: &mut Vec<(Action, u64)>) {
         let layout = self.layout;
-        let decided = |p: usize| layout.is_decided(&node.key, p);
+        let decided = |p: usize| layout.is_decided(key, p);
         let mut branching = 0u64;
         for p in (0..layout.n).filter(|&p| !decided(p)) {
-            if self.choices(node, p).len() <= 1 {
+            if self.choices(key, p).len() <= 1 {
                 out.push((Action::Step(p), 0));
             } else {
                 branching |= 1 << p;
             }
         }
         for p in pids_in(branching) {
-            let branches = self.choices(node, p).iter();
+            let branches = self.choices(key, p).iter();
             out.extend(branches.map(|&c| (Action::Branch(p, c), 0)));
         }
-        if !model.exhausted(node.key[layout.crashes()] as usize) {
+        if !model.exhausted(key[layout.crashes()] as usize) {
             match model.mode {
                 crate::crash::CrashMode::Simultaneous => {
-                    if model.may_crash_all_mask(layout.read_decided(&node.key)) {
+                    if model.may_crash_all_mask(layout.read_decided(key)) {
                         out.push((Action::CrashAll, 0));
                     }
                 }
@@ -888,15 +888,12 @@ impl Machine {
         }
     }
 
-    /// Steps a clone of process `p`'s program at `node` by `action`.
+    /// Steps a clone of process `p`'s program at `key` by `action`.
     #[cold]
-    fn run_step(&self, node: &Node, action: Action, p: usize) -> Stepped {
-        let mut prog = self
-            .programs
-            .get(p, node.key[self.layout.prog(p)])
-            .boxed_clone();
+    fn run_step(&self, key: &[u32], action: Action, p: usize) -> Stepped {
+        let mut prog = self.programs.get(p, key[self.layout.prog(p)]).boxed_clone();
         let mut overlay = StepOverlay {
-            key: &node.key,
+            key,
             kinds: &self.kinds,
             interner: &self.interner,
             access: None,
@@ -955,55 +952,53 @@ impl Machine {
         i
     }
 
-    /// The outcome of `action`, a step of process `p`, at `node`, as an
+    /// The outcome of `action`, a step of process `p`, at `key`, as an
     /// index into the memo; a miss steps the program and records it.
     #[inline]
-    fn outcome(&mut self, node: &Node, action: Action, p: usize) -> u32 {
-        match self.memo.lookup(&node.key, action, p, &self.layout) {
+    fn outcome(&mut self, key: &[u32], action: Action, p: usize) -> u32 {
+        match self.memo.lookup(key, action, p, &self.layout) {
             Some(i) => i,
             None => {
-                let stepped = self.run_step(node, action, p);
-                self.record(&node.key, action, p, stepped)
+                let stepped = self.run_step(key, action, p);
+                self.record(key, action, p, stepped)
             }
         }
     }
 
     /// [`outcome`](Self::outcome), or the violation its decision commits
-    /// against the node's decided value or the declared `inputs`. A miss
+    /// against the key's decided value or the declared `inputs`. A miss
     /// checks the decision before it interns anything, so a violating
     /// step leaves the interner as the search found it.
     fn checked_outcome(
         &mut self,
-        node: &Node,
+        key: &[u32],
         action: Action,
         p: usize,
         inputs: Option<&[Value]>,
     ) -> Result<u32, (ViolationKind, Vec<Value>)> {
-        let first = node.key[self.layout.decided_value()];
+        let first = key[self.layout.decided_value()];
         let check = |interner: &ValueInterner, v: &Value| {
             let first = (first != ValueInterner::NONE).then(|| interner.value(first));
             check_decision(first, v, inputs)
         };
-        if let Some(i) = self.memo.lookup(&node.key, action, p, &self.layout) {
+        if let Some(i) = self.memo.lookup(key, action, p, &self.layout) {
             if let Some(id) = self.memo.outcomes[i as usize].decided {
                 check(&self.interner, self.interner.value(id))?;
             }
             return Ok(i);
         }
-        let stepped = self.run_step(node, action, p);
+        let stepped = self.run_step(key, action, p);
         if let Step::Decided(v) = &stepped.step {
             check(&self.interner, v)?;
         }
-        Ok(self.record(&node.key, action, p, stepped))
+        Ok(self.record(key, action, p, stepped))
     }
 
-    /// What `action` changes at `node`; a step's outcome comes from the
+    /// What `action` changes at `key`; a step's outcome comes from the
     /// memo ([`outcome`](Self::outcome)).
-    fn change(&mut self, node: &Node, action: Action) -> Change {
+    fn change(&mut self, key: &[u32], action: Action) -> Change {
         match action {
-            Action::Step(p) | Action::Branch(p, _) => {
-                Change::Step(p, self.outcome(node, action, p))
-            }
+            Action::Step(p) | Action::Branch(p, _) => Change::Step(p, self.outcome(key, action, p)),
             Action::Crash(p) => Change::Crash(p),
             Action::CrashAll => Change::CrashAll,
         }
@@ -1020,7 +1015,9 @@ impl Machine {
     /// The transition on keys: writes into `key` what `change` does —
     /// the stepped program's id, the written cell and, on a decision,
     /// the decided bit and value; or the post-crash program ids, cleared
-    /// decided bits and one more crash.
+    /// decided bits and one more crash. Always inlined: a sweep takes
+    /// one transition per scheduled action, and an inlined copy is
+    /// specialized to the change its caller built.
     #[inline(always)]
     fn patch(&self, key: &mut [u32], change: Change) {
         let layout = &self.layout;
@@ -1047,15 +1044,6 @@ impl Machine {
                 key[layout.crashes()] += 1;
             }
         }
-    }
-
-    /// Advances `node` by `change`: [`patch`](Self::patch) on its key.
-    /// Both are always inlined: a sweep takes one transition per
-    /// scheduled action, and an inlined copy is specialized to the
-    /// change its caller built.
-    #[inline(always)]
-    fn advance(&self, node: &mut Node, change: Change) {
-        self.patch(&mut node.key, change);
     }
 
     /// Gives each slot that the canonicalization `perm` moved (see
@@ -1091,9 +1079,9 @@ impl Machine {
 /// The swarm's executor: runs seeded executions of one build on a
 /// [`Machine`], as [`run`](crate::run) runs them over [`Memory`].
 ///
-/// An execution is a [`Node`] — its interned key — plus the decided
-/// flags the scheduler reads and each process's decisions as interned
-/// ids. It starts from a copy of the root key. A step patches the key
+/// An execution is an interned key plus the decided flags the scheduler
+/// reads and each process's decisions as interned ids. It starts from a
+/// copy of the root key. A step patches the key
 /// from the [`StepMemo`] and steps a clone of the [`ProgramTable`]'s
 /// program against a [`StepOverlay`] only on a miss; a crash patches in
 /// the precomputed post-crash program id. So an
@@ -1104,8 +1092,8 @@ impl Machine {
 /// Nothing bounds the process count.
 pub(crate) struct MemoExecutor {
     machine: Machine,
-    root: Node,
-    node: Node,
+    root: Vec<u32>,
+    key: Vec<u32>,
     decided: Vec<bool>,
     outputs: Vec<Vec<u32>>,
 }
@@ -1126,7 +1114,7 @@ impl MemoExecutor {
         let n = machine.layout.n;
         MemoExecutor {
             machine,
-            node: root.clone(),
+            key: root.clone(),
             root,
             decided: vec![false; n],
             outputs: vec![Vec::new(); n],
@@ -1138,7 +1126,7 @@ impl MemoExecutor {
     /// with that bound would.
     pub(crate) fn run(&mut self, sched: &mut impl Scheduler, max_actions: usize) -> MemoRun {
         let n = self.machine.layout.n;
-        self.node.key.copy_from_slice(&self.root.key);
+        self.key.copy_from_slice(&self.root);
         self.decided.fill(false);
         self.outputs.iter_mut().for_each(Vec::clear);
         let (mut steps, mut crashes, mut actions) = (0, 0, 0);
@@ -1156,7 +1144,7 @@ impl MemoExecutor {
                 break false;
             };
             actions += 1;
-            // Each arm advances the node itself (see `Machine::advance`).
+            // Each arm patches the key itself (see `Machine::patch`).
             match action {
                 Action::Step(p) | Action::Branch(p, _) => {
                     assert!(p < n, "scheduler stepped unknown process {p}");
@@ -1164,8 +1152,8 @@ impl MemoExecutor {
                         continue;
                     }
                     steps += 1;
-                    let change = Change::Step(p, self.machine.outcome(&self.node, action, p));
-                    self.machine.advance(&mut self.node, change);
+                    let change = Change::Step(p, self.machine.outcome(&self.key, action, p));
+                    self.machine.patch(&mut self.key, change);
                     if let Some(id) = self.machine.decision(change) {
                         self.decided[p] = true;
                         self.outputs[p].push(id);
@@ -1175,12 +1163,12 @@ impl MemoExecutor {
                     assert!(p < n, "scheduler crashed unknown process {p}");
                     crashes += 1;
                     self.decided[p] = false;
-                    self.machine.advance(&mut self.node, Change::Crash(p));
+                    self.machine.patch(&mut self.key, Change::Crash(p));
                 }
                 Action::CrashAll => {
                     crashes += 1;
                     self.decided.fill(false);
-                    self.machine.advance(&mut self.node, Change::CrashAll);
+                    self.machine.patch(&mut self.key, Change::CrashAll);
                 }
             }
         };
@@ -1196,7 +1184,7 @@ impl MemoExecutor {
     /// then every program's state-key id.
     pub(crate) fn slots(&self) -> &[u32] {
         let layout = &self.machine.layout;
-        &self.node.key[..layout.prog(layout.n)]
+        &self.key[..layout.prog(layout.n)]
     }
 
     /// The number of memory cells, the first [`slots`](Self::slots).
@@ -1221,13 +1209,12 @@ impl MemoExecutor {
     }
 }
 
-/// Encodes an [`Action`] into the [`WitnessLog`]'s 12-bit action code:
-/// `0` is reserved for the root, `1` is `CrashAll`, steps and crashes
-/// interleave from `2` (never exceeding `131` for the asserted `n ≤ 64`
-/// processes), and internal-nondeterminism branches pack `(pid, choice)`
-/// from `132` up. Choice ids are process-slot-indexed
-/// ([`Program::choices`]), so `choice < 61` keeps every branch code
-/// within the 12-bit budget (`132 + 63·61 + 60 = 4035 < 4096`).
+/// Encodes an [`Action`] into the [`StepMemo`]'s action code: `1` is
+/// `CrashAll`, steps and crashes interleave from `2` (never exceeding
+/// `131` for the asserted `n ≤ 64` processes), and
+/// internal-nondeterminism branches pack `(pid, choice)` from `132` up.
+/// Choice ids are process-slot-indexed ([`Program::choices`]), and the
+/// bound `choice < 61` keeps the code injective.
 fn action_code(action: Action) -> u16 {
     match action {
         Action::CrashAll => 1,
@@ -1236,23 +1223,12 @@ fn action_code(action: Action) -> u16 {
         Action::Branch(p, c) => {
             assert!(
                 c < 61,
-                "witness action codes pack branch choice ids into 12 bits; \
+                "step memo action codes pack branch choice ids below 61; \
                  choice id {c} of p{p} exceeds the supported 60"
             );
             132 + 61 * u16::try_from(p).expect("pid fits u16")
                 + u16::try_from(c).expect("choice fits u16")
         }
-    }
-}
-
-/// Decodes a [`WitnessLog`] action code (see [`action_code`]).
-fn decode_action(code: u16) -> Action {
-    match code {
-        0 => unreachable!("action code 0 is the root sentinel"),
-        1 => Action::CrashAll,
-        c if c >= 132 => Action::Branch(usize::from((c - 132) / 61), usize::from((c - 132) % 61)),
-        c if c % 2 == 0 => Action::Step(usize::from((c - 2) / 2)),
-        c => Action::Crash(usize::from((c - 3) / 2)),
     }
 }
 
@@ -1268,48 +1244,6 @@ fn rename_action(action: Action, m: Option<&[u8]>) -> Action {
         (Some(m), Action::Crash(p)) => Action::Crash(m[p] as usize),
         (Some(_), Action::CrashAll) => Action::CrashAll,
     }
-}
-
-/// Accumulates one edge's canonicalization into the canonical→original
-/// map: `m ∘ π`, with `None` as the identity on either side.
-fn compose_perm(m: Option<Box<[u8]>>, pi: Option<&[u8]>) -> Option<Box<[u8]>> {
-    match (m, pi) {
-        (m, None) => m,
-        (None, Some(pi)) => Some(Box::from(pi)),
-        (Some(m), Some(pi)) => Some(canon::compose(&m, pi)),
-    }
-}
-
-/// Walks the witness log back to the root, returning the action
-/// sequence that reaches node `idx` from the initial state **in
-/// original process ids**, plus the accumulated canonical→original pid
-/// map at `idx` (for renaming one further action taken from that node).
-///
-/// Reconstruction runs root-down: starting from the root
-/// canonicalization, each stored action is renamed through the map
-/// accumulated *before* its edge, and each edge's permutation is then
-/// composed in. Without symmetry every permutation is `None` and this
-/// degenerates to the plain parent-link walk. The log is append-only
-/// and self-contained, so reconstruction never reads the visited set.
-fn schedule_to(
-    witness: &WitnessLog,
-    root_perm: Option<&[u8]>,
-    idx: u32,
-) -> (Vec<Action>, Option<Box<[u8]>>) {
-    let mut path: Vec<(u16, Option<&[u8]>)> = Vec::new();
-    let mut at = idx;
-    while let Some((parent, code, perm)) = witness.link(at) {
-        path.push((code, perm));
-        at = parent;
-    }
-    path.reverse();
-    let mut m = root_perm.map(Box::from);
-    let mut schedule = Vec::with_capacity(path.len());
-    for (code, perm) in path {
-        schedule.push(rename_action(decode_action(code), m.as_deref()));
-        m = compose_perm(m, perm);
-    }
-    (schedule, m)
 }
 
 /// Validates a [`SymmetrySpec`] against the system's initial state: the
@@ -1344,13 +1278,13 @@ fn schedule_to(
 /// The root programs are read from `machine`'s [`ProgramTable`].
 fn validate_symmetry(
     machine: &Machine,
-    root: &Node,
+    root: &[u32],
     spec: &SymmetrySpec,
     analyzed: Option<&SystemFootprint>,
 ) {
     let layout = &machine.layout;
     let programs: Vec<&dyn Program> = (0..layout.n)
-        .map(|p| machine.programs.get(p, root.key[layout.prog(p)]))
+        .map(|p| machine.programs.get(p, root[layout.prog(p)]))
         .collect();
     assert_eq!(
         spec.n(),
@@ -1374,10 +1308,10 @@ fn validate_symmetry(
     }
     spec.validate_owned_shape();
     if spec.has_moving_owned_cells() {
-        validate_owned_cells(&root.key, &programs, layout.cells, spec, analyzed);
+        validate_owned_cells(root, &programs, layout.cells, spec, analyzed);
     }
     if spec.has_moving_scalarsets() {
-        validate_scalarset_cells(&root.key, &programs, layout.cells, spec);
+        validate_scalarset_cells(root, &programs, layout.cells, spec);
     }
     // Orbit reference consistency (best-effort, when enumerable): two
     // members of one orbit must reference the *same* cells outside
@@ -1589,7 +1523,7 @@ fn validate_scalarset_cells(
 
 /// Footprint-analysis artifacts, computed by the public entry points
 /// (which hold the factory's `Memory` and programs before the engine
-/// interns them into its root node) and threaded into the engine:
+/// interns them into its root key) and threaded into the engine:
 /// the analyzed footprint feeds [`validate_symmetry`].
 #[derive(Default)]
 struct AnalysisCtx {
@@ -1956,18 +1890,18 @@ fn acting_pids(actions: &[(Action, u64)]) -> u64 {
 /// nothing.
 fn expand_actions(
     machine: &mut Machine,
-    node: &Node,
+    key: &[u32],
     model: &CrashModel,
     por: Option<&PorEngine>,
     out: &mut Vec<(Action, u64)>,
 ) -> bool {
     let start = out.len();
-    machine.enabled_actions(node, model, out);
+    machine.enabled_actions(key, model, out);
     let terminal = out.len() == start;
     let Some(por) = por else {
         return terminal;
     };
-    let (key, layout) = (&node.key, &machine.layout);
+    let layout = &machine.layout;
     let sleep = layout.read_sleep(key);
     debug_assert_eq!(
         sleep & layout.read_decided(key),
@@ -2202,29 +2136,46 @@ fn leaf_weight(spec: Option<&SymmetrySpec>, key: &[u32], layout: &KeyLayout) -> 
     }
 }
 
-/// A DFS frame: one visited node plus a cursor over its expandable
-/// actions, each carrying the sleep mask its child will inherit. The
-/// actions lie on the DFS-wide action stack
-/// ([`SerialEngine::actions`]) from `start` to the stack's top: a
-/// child frame pushes its actions above its parent's and pops them
-/// before the parent is on top again.
+/// A DFS frame: a cursor over the expandable actions of one visited
+/// state, each carrying the sleep mask its child will inherit. The
+/// actions lie on the DFS-wide action stack ([`SerialEngine::actions`])
+/// from `start` to the stack's top: a child frame pushes its actions
+/// above its parent's and pops them before the parent is on top again.
+/// The cursor moves past an action before the edge is taken, so while
+/// a frame is below the top, `actions[next - 1]` is the action that
+/// reached the frame above it.
 struct Frame {
-    node: Node,
-    idx: u32,
     start: usize,
     next: usize,
 }
 
+/// The DFS. Its stacks are the only record of the current path: frame
+/// `d` ([`Frame`]) has its state's key at `keys[d * len..][..len]`
+/// ([`KeyLayout::len`]), and under symmetry the permutation that made
+/// that key canonical at `perms[d * n..][..n]` (`perm[i]` = the slot
+/// whose payload canonical slot `i` took; the identity when the key was
+/// canonical already). An edge copies the top key above it, patches and
+/// canonicalizes the copy in place, and keeps it only when the child is
+/// new and expands ([`enter`](Self::enter)). So the visited set holds
+/// each state's packed key and nothing else, and once the stacks have
+/// grown the DFS allocates nothing per state.
 struct SerialEngine<'a> {
     config: &'a ExploreConfig,
     spec: Option<&'a SymmetrySpec>,
     por: Option<&'a PorEngine>,
     machine: Machine,
     visited: PackedStateTable,
-    witness: WitnessLog,
-    root_perm: Option<Box<[u8]>>,
+    frames: Vec<Frame>,
+    /// One key per frame, and above them the key of the child being
+    /// entered.
+    keys: Vec<u32>,
+    /// One canonicalization permutation per frame, under symmetry.
+    perms: Vec<u8>,
     /// The action stack every [`Frame`] indexes into.
     actions: Vec<(Action, u64)>,
+    /// The last canonicalization's permutation, and its scratch key.
+    perm: Vec<u8>,
+    tmp: Vec<u32>,
     leaves: usize,
     edges: usize,
     duplicates: usize,
@@ -2232,53 +2183,70 @@ struct SerialEngine<'a> {
 }
 
 impl SerialEngine<'_> {
-    /// What `action` changes in `parent`: a step's memoized outcome, or
-    /// the violation its decision commits.
-    fn change(
-        &mut self,
-        parent: &Node,
-        action: Action,
-    ) -> Result<Change, (ViolationKind, Vec<Value>)> {
-        Ok(match action {
+    /// Takes the edge `action` from the top frame, its child carrying
+    /// the sleep mask `sleep`: copies the top key, patches the copy and
+    /// [`enter`](Self::enter)s it. Returns the violation instead when
+    /// the step's decision commits one.
+    fn step(&mut self, action: Action, sleep: u64) -> Result<(), (ViolationKind, Vec<Value>)> {
+        let len = self.machine.layout.len();
+        let at = self.keys.len() - len;
+        let change = match action {
             Action::Step(p) | Action::Branch(p, _) => {
-                let inputs = self.config.inputs.as_deref();
-                Change::Step(p, self.machine.checked_outcome(parent, action, p, inputs)?)
+                let (key, inputs) = (&self.keys[at..], self.config.inputs.as_deref());
+                Change::Step(p, self.machine.checked_outcome(key, action, p, inputs)?)
             }
             Action::Crash(p) => Change::Crash(p),
             Action::CrashAll => Change::CrashAll,
-        })
-    }
-
-    /// Writes into `key` the key of the child that `change` makes from
-    /// `parent`, with sleep mask `sleep`, canonical under symmetry.
-    /// Returns whether canonicalization moved processes, the permutation
-    /// then being in `perm`.
-    fn child_key(
-        &self,
-        parent: &Node,
-        change: Change,
-        sleep: u64,
-        key: &mut Vec<u32>,
-        perm: &mut Vec<u8>,
-        tmp: &mut Vec<u32>,
-    ) -> bool {
-        let layout = &self.machine.layout;
-        key.clear();
-        key.extend_from_slice(&parent.key);
-        self.machine.patch(key, change);
-        layout.write_sleep(key, sleep);
-        let Some(spec) = self.spec else {
-            return false;
         };
-        canonicalize_key(key, perm, tmp, spec, &self.machine)
+        self.keys.extend_from_within(at..);
+        let child = &mut self.keys[at + len..];
+        self.machine.patch(child, change);
+        self.machine.layout.write_sleep(child, sleep);
+        self.enter();
+        Ok(())
     }
 
-    /// Admits the state whose key is `key`: memoizes it and, when new,
-    /// logs its witness link — `(parent node, action,
-    /// canonicalization)`, `None` at the root — and returns its node
-    /// index. Counts a known key as a duplicate, and sets `truncated`
-    /// when the state is new but `max_states` is reached.
-    fn admit(&mut self, key: &[u32], link: Option<(u32, Action, Option<&[u8]>)>) -> Option<u32> {
+    /// Enters the key on top of the key stack: canonicalizes it under
+    /// symmetry, admits it to the visited set and expands it, giving
+    /// the slots canonicalization moved their programs
+    /// ([`Machine::relocate`]). The key stays on the stack only when
+    /// the state is new and expands into a frame.
+    fn enter(&mut self) {
+        let at = self.keys.len() - self.machine.layout.len();
+        let moved = match self.spec {
+            Some(spec) => canonicalize_key(
+                &mut self.keys[at..],
+                &mut self.perm,
+                &mut self.tmp,
+                spec,
+                &self.machine,
+            ),
+            None => false,
+        };
+        if self.admit(at) {
+            if let (true, Some(spec)) = (moved, self.spec) {
+                self.machine.relocate(&self.keys[at..], &self.perm, spec);
+            }
+            if self.expand(at) {
+                if self.spec.is_some() {
+                    if !moved {
+                        self.perm.clear();
+                        self.perm.extend(0..self.machine.layout.n as u8);
+                    }
+                    self.perms.extend_from_slice(&self.perm);
+                }
+                return;
+            }
+        }
+        self.keys.truncate(at);
+    }
+
+    /// Admits the state whose key starts at `at` on the key stack:
+    /// memoizes it and returns whether it is new. Counts a known key as
+    /// a duplicate, and sets `truncated` when the state is new but
+    /// `max_states` is reached.
+    fn admit(&mut self, at: usize) -> bool {
+        let key = &self.keys[at..];
         if self.visited.len() >= self.config.max_states {
             // Past the cap, only a *new* state means truncation.
             if self.visited.get(key).is_some() {
@@ -2286,54 +2254,78 @@ impl SerialEngine<'_> {
             } else {
                 self.truncated = true;
             }
-            return None;
+            return false;
         }
-        let (idx, is_new) = self.visited.insert(key);
+        let is_new = self.visited.insert(key).1;
         if !is_new {
             self.duplicates += 1;
-            return None;
         }
-        match link {
-            None => self.witness.push(None, 0, None),
-            Some((parent, action, perm)) => {
-                self.witness.push(Some(parent), action_code(action), perm);
-            }
-        }
-        Some(idx)
+        is_new
     }
 
-    /// Expands an admitted node: counts it as a leaf when terminal, and
-    /// otherwise pushes its actions and returns the frame to push (none
-    /// when POR pruned every enabled step).
-    fn expand(&mut self, node: Node, idx: u32) -> Option<Frame> {
+    /// Expands the admitted state whose key starts at `at`: counts it
+    /// as a leaf when terminal, and otherwise pushes its actions and
+    /// its frame. Returns whether it pushed a frame (it does not when
+    /// POR pruned every enabled step).
+    fn expand(&mut self, at: usize) -> bool {
         let start = self.actions.len();
+        let key = &self.keys[at..];
         let (model, por) = (&self.config.crash, self.por);
-        if expand_actions(&mut self.machine, &node, model, por, &mut self.actions) {
-            self.leaves += leaf_weight(self.spec, &node.key, &self.machine.layout);
-            return None;
+        if expand_actions(&mut self.machine, key, model, por, &mut self.actions) {
+            self.leaves += leaf_weight(self.spec, key, &self.machine.layout);
+            return false;
         }
         if self.actions.len() == start {
-            // POR pruned every enabled step (all asleep): the node is
+            // POR pruned every enabled step (all asleep): the state is
             // visited and counted, but a sibling subtree covers its
             // continuations — not a leaf, nothing to expand.
-            return None;
+            return false;
         }
-        Some(Frame {
-            node,
-            idx,
-            start,
-            next: start,
-        })
+        self.frames.push(Frame { start, next: start });
+        true
+    }
+
+    /// Pops the top frame with its actions, key and permutation.
+    fn pop(&mut self) {
+        let frame = self.frames.pop().expect("a frame to pop");
+        self.actions.truncate(frame.start);
+        let depth = self.frames.len();
+        self.keys.truncate(depth * self.machine.layout.len());
+        self.perms.truncate(depth * self.machine.layout.n);
+    }
+
+    /// The schedule the stack spells, in original process ids: each
+    /// frame's cursor has passed the action it took, so
+    /// `actions[next - 1]` is that action (the top frame's is the edge
+    /// being taken), renamed through the canonical→original map of its
+    /// frame — the permutations of the frames from the root down to it,
+    /// composed root first. Without symmetry every map is the identity.
+    fn schedule(&self) -> Vec<Action> {
+        let n = self.machine.layout.n;
+        let mut map: Option<Box<[u8]>> = None;
+        let mut schedule = Vec::with_capacity(self.frames.len());
+        for (d, frame) in self.frames.iter().enumerate() {
+            if self.spec.is_some() {
+                let perm = &self.perms[d * n..][..n];
+                map = Some(match map {
+                    None => Box::from(perm),
+                    Some(map) => canon::compose(&map, perm),
+                });
+            }
+            let (action, _) = self.actions[frame.next - 1];
+            schedule.push(rename_action(action, map.as_deref()));
+        }
+        schedule
     }
 }
 
-/// Runs one rooted search on the DFS engine. A trivial
-/// [`SymmetrySpec`] is normalized away first, so the symmetry-off hot
-/// path stays untouched.
+/// Runs one rooted search on the DFS engine ([`SerialEngine`]). A
+/// trivial [`SymmetrySpec`] is normalized away first, so the
+/// symmetry-off hot path stays untouched.
 ///
 /// Each edge builds its child's key from the parent's key and the step
 /// memo (or the post-crash ids) and probes the visited set with it; a
-/// new key is the child node, and under symmetry the slots its
+/// new key is the child state, and under symmetry the slots its
 /// canonicalization moved get their programs ([`Machine::relocate`]). A
 /// duplicate edge — most edges of every search — therefore costs a memo
 /// lookup, a key copy, canonicalization under symmetry, and one probe.
@@ -2346,7 +2338,10 @@ fn explore_serial(
 ) -> (ExploreOutcome, ExploreStats) {
     assert_at_most_64_processes(programs.len());
     let spec = spec.filter(|s| !s.is_trivial());
-    let (machine, por, mut root) = Machine::root(mem, programs, analysis.por.as_deref());
+    let (machine, por, root) = Machine::root(mem, programs, analysis.por.as_deref());
+    if let Some(spec) = spec {
+        validate_symmetry(&machine, &root, spec, analysis.footprint.as_ref());
+    }
     let layout = machine.layout;
     let mut engine = SerialEngine {
         config,
@@ -2354,63 +2349,36 @@ fn explore_serial(
         por: por.as_ref(),
         machine,
         visited: PackedStateTable::new(),
-        witness: WitnessLog::new(),
-        root_perm: None,
+        frames: Vec::new(),
+        keys: root,
+        perms: Vec::new(),
         actions: Vec::new(),
+        perm: Vec::with_capacity(layout.n),
+        tmp: Vec::with_capacity(layout.len()),
         leaves: 0,
         edges: 0,
         duplicates: 0,
         truncated: false,
     };
-    let mut key: Vec<u32> = Vec::with_capacity(layout.len());
-    let mut perm: Vec<u8> = Vec::with_capacity(layout.n);
-    let mut tmp: Vec<u32> = Vec::with_capacity(layout.len());
-    let mut stack: Vec<Frame> = Vec::new();
-    if let Some(spec) = spec {
-        validate_symmetry(&engine.machine, &root, spec, analysis.footprint.as_ref());
-        if canonicalize_key(&mut root.key, &mut perm, &mut tmp, spec, &engine.machine) {
-            engine.machine.relocate(&root.key, &perm, spec);
-            engine.root_perm = Some(Box::from(&perm[..]));
-        }
-    }
-    if let Some(idx) = engine.admit(&root.key, None) {
-        stack.extend(engine.expand(root, idx));
-    }
+    engine.enter();
     let outcome = 'search: {
         while !engine.truncated {
-            let Some(top) = stack.last_mut() else {
+            let Some(top) = engine.frames.last_mut() else {
                 break;
             };
             let Some(&(action, sleep)) = engine.actions.get(top.next) else {
-                engine.actions.truncate(top.start);
-                stack.pop();
+                engine.pop();
                 continue;
             };
             top.next += 1;
-            let top: &Frame = top;
             engine.edges += 1;
-            let change = match engine.change(&top.node, action) {
-                Ok(change) => change,
-                Err((kind, outputs)) => {
-                    let (mut schedule, m) =
-                        schedule_to(&engine.witness, engine.root_perm.as_deref(), top.idx);
-                    schedule.push(rename_action(action, m.as_deref()));
-                    break 'search ExploreOutcome::Violation {
-                        kind,
-                        schedule,
-                        outputs,
-                    };
-                }
-            };
-            let moved = engine.child_key(&top.node, change, sleep, &mut key, &mut perm, &mut tmp);
-            let perm = moved.then_some(&perm[..]);
-            let Some(idx) = engine.admit(&key, Some((top.idx, action, perm))) else {
-                continue;
-            };
-            if let (Some(perm), Some(spec)) = (perm, spec) {
-                engine.machine.relocate(&key, perm, spec);
+            if let Err((kind, outputs)) = engine.step(action, sleep) {
+                break 'search ExploreOutcome::Violation {
+                    kind,
+                    schedule: engine.schedule(),
+                    outputs,
+                };
             }
-            stack.extend(engine.expand(Node { key: key.clone() }, idx));
         }
         if engine.truncated {
             ExploreOutcome::Truncated {
@@ -2431,7 +2399,7 @@ fn explore_serial(
         duplicates: engine.duplicates,
         interned_bytes: engine.machine.interner.approx_bytes(),
         peak_table_bytes: engine.visited.resident_bytes(),
-        witness_bytes: engine.witness.bytes(),
+        witness_bytes: 0,
     };
     (outcome, stats)
 }
@@ -2460,9 +2428,9 @@ pub fn explore_with_stats(
 /// plain search, leaf counts are identical (canonical leaves are
 /// weighted by their class size), state counts shrink by up to the
 /// product of the orbit factorials, and violation witness schedules are
-/// reported in original process ids (the inverse permutations are
-/// threaded through the parent links). A trivial spec degenerates to
-/// [`explore`] exactly.
+/// reported in original process ids (each frame of the DFS stack keeps
+/// its canonicalization permutation, and the schedule is renamed
+/// through them). A trivial spec degenerates to [`explore`] exactly.
 pub fn explore_symmetric(
     factory: &SymmetricSystemFactory<'_>,
     config: &ExploreConfig,
@@ -2610,8 +2578,8 @@ pub fn lint_ample(
 /// the **unreduced** state graph that, at every crash-free state where
 /// the engine would prune (a singleton persistent set among several
 /// enabled steps), re-executes each pruned pair in both orders and
-/// reports any divergence. Nodes advance by the checker's own
-/// transition ([`Machine::advance`]), and a state is identified by its
+/// reports any divergence. Keys advance by the checker's own
+/// transition ([`Machine::patch`]), and a state is identified by its
 /// key without the decided-value slot: cells, program keys, decided bits
 /// and the crash count.
 fn spot_check_pruned(
@@ -2626,20 +2594,20 @@ fn spot_check_pruned(
     let (mut machine, por, root) = Machine::root(mem, programs, Some(analysis));
     let por = por.expect("the machine has the analysis");
     let layout = machine.layout;
-    let identity = |node: &Node| node.key[..layout.decided_value()].to_vec();
+    let identity = |key: &[u32]| key[..layout.decided_value()].to_vec();
     let mut visited: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
-    let mut queue: std::collections::VecDeque<Node> = std::collections::VecDeque::new();
+    let mut queue: std::collections::VecDeque<Vec<u32>> = std::collections::VecDeque::new();
     let mut enabled: Vec<(Action, u64)> = Vec::new();
     let mut saw_singleton = false;
     visited.insert(identity(&root));
     queue.push_back(root);
-    while let Some(node) = queue.pop_front() {
+    while let Some(key) = queue.pop_front() {
         if report.spot_states >= cap {
             break;
         }
         report.spot_states += 1;
         enabled.clear();
-        machine.enabled_actions(&node, crash, &mut enabled);
+        machine.enabled_actions(&key, crash, &mut enabled);
         let crash_free = enabled.iter().all(|&(a, _)| acting_pid(a).is_some());
         // Per pid, matching the engine's lumping of a process's Branch
         // actions.
@@ -2647,12 +2615,12 @@ fn spot_check_pruned(
         if crash_free && steps.count_ones() > 1 {
             // Re-derive the engine's persistent-set choice with the
             // engine's own rule.
-            let local = por.local_states(&node.key, &layout, steps);
+            let local = por.local_states(&key, &layout, steps);
             if let Some(p) = por.persistent_singleton(&local, steps) {
                 saw_singleton = true;
                 for q in pids_in(steps & !(1 << p)) {
                     report.spot_pairs += 1;
-                    if let Some(diff) = commute_divergence(&mut machine, &node, p, q) {
+                    if let Some(diff) = commute_divergence(&mut machine, &key, p, q) {
                         report.errors.push(format!(
                             "A3: a pruned interleaving diverges at a \
                              sampled state: step orders p{p};p{q} and \
@@ -2665,9 +2633,9 @@ fn spot_check_pruned(
             }
         }
         for &(action, _) in &enabled {
-            let mut child = node.clone();
-            let change = machine.change(&node, action);
-            machine.advance(&mut child, change);
+            let mut child = key.clone();
+            let change = machine.change(&key, action);
+            machine.patch(&mut child, change);
             if visited.insert(identity(&child)) {
                 queue.push_back(child);
             }
@@ -2684,30 +2652,30 @@ fn spot_check_pruned(
 }
 
 /// Executes each step-like action pair of `p` and `q` in both orders
-/// from `node` and names the first divergence — in either process's
+/// from `key` and names the first divergence — in either process's
 /// step outcome or local state, the decided flags, or a memory cell —
 /// or `None` when every pair commutes. A nondeterministic local state
 /// contributes one action per choice; independence is per process, so
 /// every cross-pid pair must commute.
-fn commute_divergence(machine: &mut Machine, node: &Node, p: usize, q: usize) -> Option<String> {
+fn commute_divergence(machine: &mut Machine, key: &[u32], p: usize, q: usize) -> Option<String> {
     let mut acts = |w: usize| -> Vec<Action> {
-        match machine.choices(node, w) {
+        match machine.choices(key, w) {
             choices if choices.len() <= 1 => vec![Action::Step(w)],
             choices => choices.iter().map(|&c| Action::Branch(w, c)).collect(),
         }
     };
     let (p_acts, q_acts) = (acts(p), acts(q));
     let layout = machine.layout;
-    // The node after `a` then `b`, and the values the two decided.
+    // The key after `a` then `b`, and the values the two decided.
     let mut both = |a: Action, b: Action| {
-        let mut end = node.clone();
+        let mut end = key.to_vec();
         let mut decisions = [None; 2];
         for (decided, action) in decisions.iter_mut().zip([a, b]) {
             let change = machine.change(&end, action);
-            machine.advance(&mut end, change);
+            machine.patch(&mut end, change);
             *decided = machine.decision(change);
         }
-        (end.key, decisions)
+        (end, decisions)
     };
     for &pa in &p_acts {
         for &qa in &q_acts {
@@ -2736,8 +2704,8 @@ fn commute_divergence(machine: &mut Machine, node: &Node, p: usize, q: usize) ->
     None
 }
 
-/// The exhaustive checker packs decided flags, sleep sets and witness
-/// action codes for at most 64 processes.
+/// The exhaustive checker packs decided flags, sleep sets and pid masks
+/// into `u64`s, so it checks at most 64 processes.
 fn assert_at_most_64_processes(n: usize) {
     assert!(
         n <= 64,
@@ -3344,8 +3312,8 @@ mod tests {
     }
 
     /// Witness schedules from a symmetric search replay against the
-    /// *original* system: the inverse permutations threaded through the
-    /// parent links rename every action back to original process ids.
+    /// *original* system: the canonicalization permutations kept on the
+    /// DFS stack rename every action back to original process ids.
     #[test]
     fn symmetric_violation_witness_replays_in_original_pids() {
         use crate::exec::{run, RunOptions};
@@ -3781,27 +3749,27 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut stack = vec![root];
         let mut commuted = 0usize;
-        while let Some(node) = stack.pop() {
-            if !seen.insert(node.key[..layout.decided_value()].to_vec()) {
+        while let Some(key) = stack.pop() {
+            if !seen.insert(key[..layout.decided_value()].to_vec()) {
                 continue;
             }
             for (p, q) in [(0, 1), (0, 2), (1, 2)] {
-                if layout.is_decided(&node.key, p) || layout.is_decided(&node.key, q) {
+                if layout.is_decided(&key, p) || layout.is_decided(&key, q) {
                     continue;
                 }
                 assert_eq!(
-                    commute_divergence(&mut machine, &node, p, q),
+                    commute_divergence(&mut machine, &key, p, q),
                     None,
                     "p{p}/p{q}"
                 );
                 commuted += 1;
             }
             let mut actions = Vec::new();
-            machine.enabled_actions(&node, &crash, &mut actions);
+            machine.enabled_actions(&key, &crash, &mut actions);
             for (action, _) in actions {
-                let mut child = node.clone();
-                let change = machine.change(&node, action);
-                machine.advance(&mut child, change);
+                let mut child = key.clone();
+                let change = machine.change(&key, action);
+                machine.patch(&mut child, change);
                 stack.push(child);
             }
         }

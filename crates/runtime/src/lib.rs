@@ -33,10 +33,11 @@
 //!   independent vs simultaneous mode, post-decide policy) and shared by
 //!   the exact and randomized layers, so they cannot drift apart.
 //! * [`explore`] — a bounded-exhaustive model checker: one iterative
-//!   worklist DFS over *all* interleavings and crash placements (up to a
-//!   crash budget) whose nodes are hash-consed full-fidelity state keys
+//!   DFS over *all* interleavings and crash placements (up to a crash
+//!   budget) whose states are hash-consed full-fidelity state keys
 //!   ([`ValueInterner`] ids) and nothing else (one program per process
-//!   slot and program-state id serves every node), advanced by one
+//!   slot and program-state id serves every state; a violation's
+//!   schedule is read off the DFS stack), advanced by one
 //!   step-memo transition that the swarm, the ample lint and
 //!   [`replay_on_checker`] share, an exact `max_states` cap cut in its
 //!   acceptance order, one in-RAM packed visited-set table

@@ -80,7 +80,6 @@ pub trait MemOps {
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     cells: Vec<Cell>,
-    accesses: usize,
 }
 
 impl Memory {
@@ -122,11 +121,6 @@ impl Memory {
     /// Whether the memory has no cells.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
-    }
-
-    /// Total number of shared-memory accesses performed so far.
-    pub fn access_count(&self) -> usize {
-        self.accesses
     }
 
     /// Every cell's current value/state, in address order, by
@@ -182,7 +176,6 @@ impl Memory {
     }
 
     fn cell_mut(&mut self, addr: Addr) -> &mut Cell {
-        self.accesses += 1;
         &mut self.cells[addr.0]
     }
 }
@@ -241,7 +234,6 @@ mod tests {
         assert_eq!(mem.read_register(a), Value::Bottom);
         mem.write_register(a, Value::Int(3));
         assert_eq!(mem.read_register(a), Value::Int(3));
-        assert_eq!(mem.access_count(), 3);
         assert_eq!(mem.len(), 1);
         assert!(!mem.is_empty());
     }

@@ -17,14 +17,14 @@
 //! * **[`PackedStateTable`]** — an arena of packed keys plus an
 //!   8-bytes-per-slot, hash-tagged open-addressing index (kept at most
 //!   half full; the tag screens non-matching slots without touching the
-//!   arena). An entry's id is its position in insertion order, so ids
-//!   double as node indices. The index picks a key's slot from the low
-//!   bits of `hash_packed`, which folds the hash's high half into its
-//!   low half so that those bits depend on every key byte.
-//! * **`WitnessLog`** — parent links compacted into an append-only log:
-//!   one packed `u64` per node (parent, action code, deduplicated
-//!   permutation id). Schedule reconstruction walks only the links, at
-//!   8 B per state plus the interned permutations.
+//!   arena). Entries get dense ids in insertion order. The index picks a
+//!   key's slot from the low bits of `hash_packed`, which folds the
+//!   hash's high half into its low half so that those bits depend on
+//!   every key byte.
+//!
+//! The table is the only per-state store of a search. Nothing here
+//! records how a state was reached: the checker reads a violation's
+//! schedule off its DFS stack (see the `explore` module docs).
 //!
 //! Determinism: every structure here is a pure function of the insertion
 //! sequence (a fixed hash, the load factor checked in insertion order),
@@ -32,7 +32,7 @@
 //! outcomes stay byte-identical across runs (asserted end to end in
 //! `tests/explore_engine.rs`).
 
-use crate::intern::{FxHashMap, FxHasher};
+use crate::intern::FxHasher;
 use std::hash::Hasher;
 
 /// Which storage backend the visited set uses. There is one, the
@@ -326,100 +326,15 @@ impl PackedStateTable {
     }
 }
 
-// ---------------------------------------------------------------------
-// The witness log
-// ---------------------------------------------------------------------
-
-/// Packed per-node link: parent in the low 32 bits, deduplicated
-/// permutation id in the next 20, action code in the high 12.
-#[inline]
-fn link_pack(parent: u32, perm_id: u32, action: u16) -> u64 {
-    assert!(perm_id < 1 << 20, "more than 2^20 distinct permutations");
-    assert!(action < 1 << 12, "action code exceeds 12 bits");
-    u64::from(parent) | u64::from(perm_id) << 32 | u64::from(action) << 52
-}
-
-#[inline]
-fn link_unpack(link: u64) -> (u32, u32, u16) {
-    (
-        link as u32,
-        (link >> 32) as u32 & ((1 << 20) - 1),
-        (link >> 52) as u16,
-    )
-}
-
-/// The append-only witness log: the compacted replacement for one
-/// heap-allocated parent link per node.
-///
-/// Per accepted node it stores one packed `u64` (parent index, action
-/// code, permutation id — permutations are interned in a side table, so
-/// a canonicalization permutation is boxed once per *distinct*
-/// permutation instead of once per node). Schedule reconstruction
-/// ([`link`](Self::link) walks) reads only the log, never the visited
-/// set.
-///
-/// Action codes are engine-defined (`u16`, `0` reserved for the root);
-/// the log never interprets them.
-#[derive(Debug, Default)]
-pub(crate) struct WitnessLog {
-    links: Vec<u64>,
-    perms: Vec<Box<[u8]>>,
-    perm_ids: FxHashMap<Box<[u8]>, u32>,
-}
-
-impl WitnessLog {
-    /// Root sentinel parent (the root has no incoming edge).
-    const NO_PARENT: u32 = u32::MAX;
-
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        WitnessLog::default()
-    }
-
-    /// Appends the next node's edge: its parent (or `None` for the
-    /// root), the engine's action code (`0` iff root) and the
-    /// canonicalization permutation (`None` = identity).
-    pub fn push(&mut self, parent: Option<u32>, action: u16, perm: Option<&[u8]>) {
-        debug_assert_eq!(parent.is_none(), action == 0, "code 0 is the root's");
-        let perm_id = match perm {
-            None => 0,
-            Some(perm) => match self.perm_ids.get(perm) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(self.perms.len() + 1).expect("perm ids fit u32");
-                    self.perms.push(Box::from(perm));
-                    self.perm_ids.insert(Box::from(perm), id);
-                    id
-                }
-            },
-        };
-        self.links.push(link_pack(
-            parent.unwrap_or(Self::NO_PARENT),
-            perm_id,
-            action,
-        ));
-    }
-
-    /// Node `idx`'s incoming edge: `(parent, action code, permutation)`,
-    /// or `None` at the root.
-    pub fn link(&self, idx: u32) -> Option<(u32, u16, Option<&[u8]>)> {
-        let (parent, perm_id, action) = link_unpack(self.links[idx as usize]);
-        if parent == Self::NO_PARENT {
-            return None;
-        }
-        let perm = (perm_id != 0).then(|| &*self.perms[(perm_id - 1) as usize]);
-        Some((parent, action, perm))
-    }
-
-    /// Accounted bytes held by the log (links + interned permutations).
-    pub fn bytes(&self) -> usize {
-        self.links.len() * 8 + self.perms.iter().map(|p| p.len() + 16).sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Action, ScriptedScheduler};
+    use crate::{
+        explore_symmetric, replay_on_checker, run, ExploreConfig, ExploreOutcome, MemOps, Memory,
+        Program, RunOptions, Step, SymmetrySpec, ViolationKind,
+    };
+    use rc_spec::Value;
     use std::collections::{HashMap, HashSet};
 
     #[test]
@@ -567,21 +482,66 @@ mod tests {
         }
     }
 
+    /// Decides its input in its first step.
+    #[derive(Clone, Debug)]
+    struct DecideOwn(Value);
+    impl Program for DecideOwn {
+        fn step(&mut self, _: &mut dyn MemOps) -> Step {
+            Step::Decided(self.0.clone())
+        }
+        fn on_crash(&mut self) {}
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// The name is the deleted witness log's; the checker now reads a
+    /// violation's schedule off its DFS stack. Three processes decide
+    /// their own inputs 7, 5 and 7, and p0 and p2 form an orbit. Once
+    /// p0 has decided, canonicalization moves its payload to slot 2, so
+    /// the search's second step, p0 in canonical ids, is p2's. The
+    /// schedule, in original pids, replays on `run` and on
+    /// `replay_on_checker` to the reported violation.
     #[test]
     fn witness_log_reconstructs_links() {
-        let mut log = WitnessLog::new();
-        let perm: &[u8] = &[1, 0];
-        log.push(None, 0, None);
-        log.push(Some(0), 11, Some(perm));
-        log.push(Some(1), 7, Some(perm));
-        assert_eq!(log.link(0), None);
-        assert_eq!(log.link(1), Some((0, 11, Some(perm))));
-        assert_eq!(log.link(2), Some((1, 7, Some(perm))));
-        assert_eq!(log.perms.len(), 1, "identical permutations intern once");
-        assert_eq!(
-            log.bytes(),
-            3 * 8 + perm.len() + 16,
-            "links + one permutation"
-        );
+        let inputs = [7, 5, 7].map(Value::Int);
+        let plain = || {
+            let programs = inputs
+                .iter()
+                .map(|v| Box::new(DecideOwn(v.clone())) as Box<dyn Program>)
+                .collect();
+            (Memory::new(), programs)
+        };
+        let symmetric = || {
+            let (mem, programs) = plain();
+            (mem, programs, SymmetrySpec::from_classes(&inputs))
+        };
+        let config = ExploreConfig {
+            inputs: Some(inputs.to_vec()),
+            ..ExploreConfig::default()
+        };
+        let ExploreOutcome::Violation {
+            kind,
+            schedule,
+            outputs,
+        } = explore_symmetric(&symmetric, &config)
+        else {
+            panic!("the inputs disagree");
+        };
+        assert_eq!(kind, ViolationKind::Agreement);
+        assert_eq!(schedule, [0, 2, 1].map(Action::Step));
+        assert_eq!(outputs, [7, 5].map(Value::Int));
+
+        // The run stops where the schedule does, so all three processes
+        // decide only if its second step is p2's.
+        let (mut mem, mut programs) = plain();
+        let mut sched = ScriptedScheduler::new(schedule.clone());
+        let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
+        assert_eq!(exec.all_outputs(), [7, 5, 7].map(Value::Int));
+        let replay = replay_on_checker(&plain, &schedule, config.inputs.as_deref());
+        assert_eq!(replay.violation, Some((kind, outputs)));
     }
 }

@@ -1010,11 +1010,11 @@ fn storage_tiers_agree_byte_identically() {
     }
 }
 
-/// The byte accounts at a `max_states` cut are exact: cut at half the
-/// `S_2`/budget-2 space, one state short of it, or at its size, the
-/// witness log holds exactly one 8-byte parent link per accepted state,
-/// and the table and interner accounts grow with the cap (a larger cap
-/// runs the same DFS further).
+/// The byte accounts at a `max_states` cut: cut at half the
+/// `S_2`/budget-2 space, one state short of it, or at its size, no
+/// witness bytes are held (the schedule is read off the DFS stack), and
+/// the table and interner accounts grow with the cap (a larger cap runs
+/// the same DFS further).
 #[test]
 fn byte_cap_boundary_is_exact_across_tiers() {
     let (ty, w, inputs) = sn_system(2);
@@ -1035,11 +1035,7 @@ fn byte_cap_boundary_is_exact_across_tiers() {
             ..base.clone()
         };
         let stats = checked_edges(explore_with_stats(&factory, &config)).1;
-        assert_eq!(
-            stats.witness_bytes,
-            8 * cap,
-            "cap {cap}: one 8-byte link per accepted state"
-        );
+        assert_eq!(stats.witness_bytes, 0, "cap {cap}: no per-state witness");
         if let Some(prev) = previous {
             assert!(stats.peak_table_bytes >= prev.peak_table_bytes, "cap {cap}");
             assert!(stats.interned_bytes >= prev.interned_bytes, "cap {cap}");
@@ -1050,8 +1046,8 @@ fn byte_cap_boundary_is_exact_across_tiers() {
 
 /// The memory/occupancy counters in [`rc_runtime::ExploreStats`] are
 /// populated and monotone in the searched space: growing the crash
-/// budget grows every byte account (more states, more interned values,
-/// a longer witness log).
+/// budget grows the table and interner accounts (more states, more
+/// interned values), and no witness bytes are held at any budget.
 #[test]
 fn memory_counters_are_monotone_in_the_searched_space() {
     let (ty, w, inputs) = sn_system(2);
@@ -1067,11 +1063,10 @@ fn memory_counters_are_monotone_in_the_searched_space() {
         assert!(outcome.is_verified(), "{outcome:?}");
         assert!(stats.interned_bytes > 0);
         assert!(stats.peak_table_bytes > 0);
-        assert!(stats.witness_bytes > 0);
+        assert_eq!(stats.witness_bytes, 0);
         if let Some(prev) = previous {
             assert!(stats.interned_bytes >= prev.interned_bytes);
             assert!(stats.peak_table_bytes >= prev.peak_table_bytes);
-            assert!(stats.witness_bytes > prev.witness_bytes);
         }
         previous = Some(stats);
     }
@@ -1108,14 +1103,17 @@ fn broken_guard_system() -> (TypeHandle, RecordingWitness, Vec<Value>) {
     (cas, w, inputs)
 }
 
-/// The search counters of four fixed searches, pinned exactly: the
+/// The search counters of five fixed searches, pinned exactly: the
 /// outcome and the whole [`ExploreStats`] — edges, duplicates, the
-/// interner, peak-table and witness-log bytes and the reduction
-/// flags. Every one is deterministic, so a checker refactor that keeps
-/// the search moves none of them. The searches cover a plain Fig. 2
-/// search, masked `S_4` under POR and rebind symmetry, Fig. 4 under
-/// scalarset symmetry with a simultaneous crash, and the broken-guard
-/// violation with its schedule.
+/// interner and peak-table bytes, the witness bytes (always 0) and the
+/// reduction flags. Every one is deterministic, so a checker refactor
+/// that keeps the search moves none of them. The searches cover a plain
+/// Fig. 2 search, masked `S_4` under POR and rebind symmetry, Fig. 4
+/// under scalarset symmetry with a simultaneous crash, and the
+/// broken-guard violation with its schedule, crash-free and, masked,
+/// under rebind symmetry with a crash: that witness's path crosses
+/// states canonicalization moved, so its schedule is renamed back to
+/// original pids.
 #[test]
 fn search_counters_are_pinned() {
     let packed = |crash: CrashModel, inputs: &[Value]| ExploreConfig {
@@ -1123,7 +1121,7 @@ fn search_counters_are_pinned() {
         inputs: Some(inputs.to_vec()),
         ..ExploreConfig::default()
     };
-    let stats = |symmetry, por, counts: [usize; 5]| ExploreStats {
+    let stats = |symmetry, por, counts: [usize; 4]| ExploreStats {
         max_level_workers: 1,
         symmetry,
         por,
@@ -1131,7 +1129,7 @@ fn search_counters_are_pinned() {
         duplicates: counts[1],
         interned_bytes: counts[2],
         peak_table_bytes: counts[3],
-        witness_bytes: counts[4],
+        witness_bytes: 0,
     };
 
     let (ty, w, inputs) = sn_system(3);
@@ -1145,7 +1143,7 @@ fn search_counters_are_pinned() {
                 states: 3981,
                 leaves: 9
             },
-            stats(false, false, [16598, 12618, 3222, 138857, 31848]),
+            stats(false, false, [16598, 12618, 3222, 138857]),
         ),
         "Fig. 2, S_3, independent budget 2"
     );
@@ -1164,7 +1162,7 @@ fn search_counters_are_pinned() {
                 states: 1306,
                 leaves: 11
             },
-            stats(true, true, [2255, 950, 5768, 65026, 10528]),
+            stats(true, true, [2255, 950, 5768, 65026]),
         ),
         "masked S_4, budget 0, POR and rebind symmetry"
     );
@@ -1181,7 +1179,7 @@ fn search_counters_are_pinned() {
                 states: 93963,
                 leaves: 24
             },
-            stats(true, false, [376863, 282901, 13136, 4681623, 751723]),
+            stats(true, false, [376863, 282901, 13136, 4681623]),
         ),
         "Fig. 4 n=3, simultaneous budget 1, scalarset symmetry"
     );
@@ -1200,8 +1198,26 @@ fn search_counters_are_pinned() {
                     .to_vec(),
                 outputs: vec![Value::Int(1), Value::Int(0)],
             },
-            stats(false, false, [506, 268, 2400, 8522, 1904]),
+            stats(false, false, [506, 268, 2400, 8522]),
         ),
         "the broken guard, crash-free"
+    );
+
+    assert_eq!(
+        explore_symmetric_with_stats(
+            &|| build_masked_broken_team_rc_system_sym(cas.clone(), &w, &inputs),
+            &packed(CrashModel::independent(1), &inputs),
+        ),
+        (
+            ExploreOutcome::Violation {
+                kind: rc_runtime::ViolationKind::Agreement,
+                schedule: [0, 0, 1, 2, 2, 1, 1, 2, 2, 1, 1, 0, 0, 2, 1, 0, 0, 0]
+                    .map(Action::Step)
+                    .to_vec(),
+                outputs: vec![Value::Int(0), Value::Int(1)],
+            },
+            stats(true, false, [2436, 1665, 4376, 33104]),
+        ),
+        "the masked broken guard, independent budget 1, rebind symmetry"
     );
 }
